@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constants import (
+    _EVAL_EPS,
     ConstantKind,
     ConstantValue,
     Params,
@@ -51,9 +52,6 @@ __all__ = [
     "limiting_wholespace_lower",
     "bounds_for",
 ]
-
-_EVAL_EPS = 1e-14
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -407,7 +405,6 @@ def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 
             up = limiting_domain_upper(q, domain.inradius)
             return BoundPair(lo, up, params, domain)
         if q == 2.0:
-            one = limiting_wholespace_q2()
             lo = ConstantValue(1.0, ConstantKind.BOUND_LOWER, "limiting-rn-q2",
                                error_estimate=_EVAL_EPS)
             up = ConstantValue(1.0, ConstantKind.BOUND_UPPER, "limiting-rn-q2",

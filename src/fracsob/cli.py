@@ -8,7 +8,6 @@ produce byte-identical output (pass --timing to include wall time, which
 breaks that determinism).
 
 Domain grammar: ball:R | interval:a,b | rn:L  (L = truncation half-width).
-The environment variable FRASOB_THREADS caps sweep parallelism.
 
 Exit codes: 0 success, 1 validation/check failure, 2 usage error.
 """
@@ -18,7 +17,6 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 import time
 
@@ -368,9 +366,8 @@ def _dispatch(args, argv, t0) -> int:
         if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
             raise DomainError("sandwich takes a single (s, q); use sweep for lists")
         plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
-        threads = max(1, int(os.environ.get("FRASOB_THREADS", "1")))
         reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
-                               C1=args.c1, C2=args.c2, threads=threads)
+                               C1=args.c1, C2=args.c2)
         rows = _sandwich_row(reports, args)
         prov = []
         payloads = []

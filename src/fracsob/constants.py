@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import QuadratureConfig, gamma_fn, integrate, ln_gamma
+from .specfun import QuadratureConfig, integrate, ln_gamma
 
 __all__ = [
     "Regime",
@@ -146,10 +146,11 @@ class ConstantValue:
 
 
 def unit_ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N: pi^(N/2)/Gamma(N/2+1)."""
+    """Volume of the unit ball in R^N: pi^(N/2)/Gamma(N/2+1), evaluated in
+    log space so that N >= 342, where Gamma(N/2+1) overflows, stays finite."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    return math.pi ** (N / 2.0) / gamma_fn(N / 2.0 + 1.0)
+    return math.exp(N / 2.0 * math.log(math.pi) - ln_gamma(N / 2.0 + 1.0))
 
 
 def classical_sobolev(N: int, p: float) -> ConstantValue:
@@ -185,10 +186,17 @@ def _kernel_from_gap(N: int, s: float, gap):
 
     def f(theta):
         dist_sq = gap_sq + 4.0 * r * np.sin(0.5 * theta) ** 2
-        return np.sin(theta) ** (N - 2) * dist_sq ** (-(N + s) / 2.0)
+        y = np.sin(theta) ** (N - 2) * dist_sq ** (-(N + s) / 2.0)
+        if not math.isfinite(y.sum()):
+            # an inf or nan node would be dropped by the quadrature, which
+            # then returns a wrong value with a small error estimate
+            raise DomainError(f"the angular kernel overflows a double at N={N}, "
+                              f"s={s}, 1-r={gap:.3g}")
+        return y
 
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=2000)
-    val, _ = integrate(f, 0.0, math.pi, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # f raises instead
+        val, _ = integrate(f, 0.0, math.pi, cfg)
     return pref * val
 
 

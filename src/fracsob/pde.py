@@ -3,7 +3,9 @@ a desk-scale constrained ground-state solver, and the coupled-system
 nonexistence diagnostic.
 
 All threshold formulas take the embedding constant S as an input, so that a
-certified lower bound for S propagates to a certified threshold.
+certified lower bound for S propagates to a certified threshold.  The
+ground-state solver runs the same descent kernel as the embedding-constant
+solver (`varmin._descend`), with the potential V and the weight Q.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .constants import classical_sobolev, frac_sobolev_hilbert
-from .errors import ConvergenceError, DomainError, GridError, RegimeError
+from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
+from .varmin import _apply, _descend
 
 __all__ = [
     "ThresholdReport",
@@ -220,9 +223,10 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
     solution of (-Lap)^s u + V u = Q |u|^(q-2) u.
 
     Works on the scale-invariant quotient I(u) / (int Q|u|^q)^(2/q), which
-    has the same minimizers; descent is projected gradient (positivity)
-    with a Barzilai-Borwein step and monotone backtracking.  Returns
-    (u0, I0, report) with u0 = (2 I0)^(1/(q-2)) u.
+    has the same minimizers, with the descent kernel of the embedding-constant
+    solver (`varmin._descend`: projected gradient with positivity, a
+    Barzilai-Borwein step and Armijo backtracking).  Returns (u0, I0, report)
+    with u0 = (2 I0)^(1/(q-2)) u.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
@@ -240,76 +244,19 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
     mult = grid.multiplier(s)
     Vv, Qv = V.values, Q.values
 
-    def frac_op(u: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(mult * np.fft.fft(u)).real
-
-    def weighted_lq(u: np.ndarray) -> float:
-        return float(h * np.sum(Qv * np.abs(u) ** q))
-
-    def quotient_grad(u: np.ndarray):
-        # J(u) = I(u) / G(u)^(2/q), scale invariant; J = I on the sphere G = 1
-        Au = frac_op(u)
-        I = 0.5 * h * float(u @ Au + np.sum(Vv * u * u))
-        G = weighted_lq(u)
-        g2q = G ** (2.0 / q)
-        J = I / g2q
-        gI = h * (Au + Vv * u)
-        gG = h * q * Qv * np.abs(u) ** (q - 2.0) * u
-        gJ = (gI - J * (2.0 / q) * G ** (2.0 / q - 1.0) * gG) / g2q
-        return J, gJ
-
     if u0 is None:
         u = np.exp(-grid.x ** 2)
     else:
         u = np.asarray(u0, dtype=float).copy()
         if not np.any(u != 0.0):
             raise DomainError("initial field must be nonzero")
-    u = np.abs(u)
-    G0 = weighted_lq(u)
-    if not G0 > 1e-300:
-        raise ConvergenceError("degenerate initial field")
-    u = u / G0 ** (1.0 / q)
+    # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
+    u, trace, converged, _ = _descend(u, mult, h, q, max_iters, tol, V=Vv, Q=Qv)
+    trace = 0.5 * np.asarray(trace)
 
-    J, gJ = quotient_grad(u)
-    trace = [J]
-    tau_floor = 1.0 / float(mult.max() + np.max(Vv))
-    u_prev = g_prev = None
-    converged = False
-    for _ in range(max_iters):
-        if u_prev is not None:
-            du, dg = u - u_prev, gJ - g_prev
-            den = float(du @ dg)
-            tau = float(du @ du) / den if den > 0 else 4.0 * tau_floor
-            tau = min(max(tau, tau_floor), 1e8)
-        else:
-            tau = tau_floor
-        accepted = False
-        for _bt in range(80):
-            v = np.abs(u - tau * gJ)
-            Gv = weighted_lq(v)
-            if not Gv > 1e-300:
-                tau *= 0.5
-                continue
-            v = v / Gv ** (1.0 / q)
-            Jv, gJv = quotient_grad(v)
-            if Jv <= J:
-                accepted = True
-                break
-            tau *= 0.5
-        if not accepted:
-            converged = True
-            break
-        rel = (J - Jv) / max(abs(J), 1e-300)
-        u_prev, g_prev = u, gJ
-        u, J, gJ = v, Jv, gJv
-        trace.append(J)
-        if rel < tol:
-            converged = True
-            break
-
-    I0 = J  # u is normalized, so the quotient value is the constrained minimum
+    I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum
     u0_vals = (2.0 * I0) ** (1.0 / (q - 2.0)) * u
-    Au0 = frac_op(u0_vals)
+    Au0 = _apply(mult, u0_vals)
     nonlin = Qv * np.abs(u0_vals) ** (q - 2.0) * u0_vals
     resid = Au0 + Vv * u0_vals - nonlin
     rnorm = math.sqrt(h * float(np.sum(resid ** 2)))
@@ -323,7 +270,7 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
     lqn = float((h * np.sum(np.abs(u0_vals) ** q)) ** (1.0 / q))
     report = GroundStateReport(
         I0=I0, iterations=len(trace) - 1, converged=converged,
-        energy_trace=np.asarray(trace), residual=rnorm, residual_rel=rel_res,
+        energy_trace=trace, residual=rnorm, residual_rel=rel_res,
         residual_ok=rel_res <= 1e-4,
         h_norm_sq=hs_sq, lq_norm=lqn)
     if S_reference is not None:

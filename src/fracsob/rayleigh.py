@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import _inv_gap
 from .constants import Params, Regime, frac_isoperimetric, unit_ball_volume
 from .errors import DomainError, RegimeError
 from .grids import Field, Grid
@@ -143,10 +144,6 @@ class Objective(enum.Enum):
     BUMP = "bump"             # p=2 whole space, cap profiles
     MOSER_BALL = "moser-ball"  # limiting case, unit interval
     MOSER_LINE = "moser-line"  # limiting case, whole line
-
-
-def _inv_gap(q: float, q_crit: float) -> float:
-    return (q_crit - q) / (q * q_crit)
 
 
 def objective_value(which: Objective, params: Params, k: float,

@@ -1,12 +1,11 @@
 """Special functions and adaptive quadrature with endpoint-singularity handling.
 
-Gamma is a Lanczos rational approximation (g=7, 9 terms, ~15 significant
-digits on the positive axis).  Bessel J_v combines the defining power series
-with the large-argument Hankel expansion.  `integrate` is an adaptive
-Gauss-Kronrod 15(7) scheme; declared endpoint singularities of power type
-(x-a)^{-alpha} are removed by the substitution x = a + t^{1/(1-alpha)} before
-any subdivision, and an infinite upper limit is mapped to (0,1) by
-t = a + u/(1-u).
+Gamma and log Gamma come from the standard library.  Bessel J_v combines
+the defining power series with the large-argument Hankel expansion.
+`integrate` is an adaptive Gauss-Kronrod 15(7) scheme; declared endpoint
+singularities of power type (x-a)^{-alpha} are removed by the substitution
+x = a + t^{1/(1-alpha)} before any subdivision, and an infinite upper limit
+is mapped to (0,1) by t = a + u/(1-u).
 """
 from __future__ import annotations
 
@@ -28,54 +27,31 @@ __all__ = [
     "integrate",
 ]
 
-# Lanczos coefficients, g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the positive real axis.
+    """Gamma function on the positive real axis (`math.gamma`).
 
-    Raises DomainError for x <= 0; no in-scope formula needs the reflection
-    half-plane.
+    Raises DomainError for x <= 0, where no in-scope formula needs it, and
+    when Gamma(x) exceeds the double range (x > 171.6).
     """
     x = float(x)
-    if not x > 0.0 or math.isinf(x) or math.isnan(x):
+    if not x > 0.0 or math.isinf(x):
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma({x}) overflows double precision") from None
 
 
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0 (`math.lgamma`)."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log Gamma({x}) overflows double precision") from None
 
 
 def ln_beta(a: float, b: float) -> float:

@@ -12,6 +12,10 @@ that competitors live on the line and vanish outside Omega.  Descent is
 projected gradient (mask, then positivity) with a Barzilai-Borwein step
 guess and Armijo backtracking, which keeps the quotient trace nonincreasing
 at every accepted step.
+
+Both modes are instances of one weighted quotient, evaluated by `_quotient`
+and minimized by `_descend`; the ground-state solver in `pde` runs the same
+kernel with a potential V and a weight Q.
 """
 from __future__ import annotations
 
@@ -39,16 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the projected-gradient quotient minimizer."""
+    """Iteration controls for the projected-gradient quotient minimizer.
+
+    seed is accepted and ignored: the solver draws no random numbers.
+    """
 
     max_iters: int = 20000
     quotient_tol: float = 1e-9
-    initial_step: Optional[float] = None   # default: 1 / max multiplier
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     seed: int = 0
-    positivity: bool = True
-    bb_step: bool = True                   # Barzilai-Borwein step guess
     verify_projection: bool = False        # per-step numerator check (slow)
     tail_fraction: float = 0.05
     tail_mass_limit: float = 1e-6
@@ -56,10 +58,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.quotient_tol <= 0:
             raise DomainError("max_iters and quotient_tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise DomainError("shrink factor must lie in (0,1)")
-        if self.sufficient_decrease <= 0:
-            raise DomainError("sufficient-decrease constant must be positive")
 
 
 @dataclass
@@ -101,31 +99,135 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
     return np.abs(x) < domain.radius
 
 
-def quotient_value_grad(grid: Grid, mask: Optional[np.ndarray], s: float,
-                        q: float, mode: str, u: np.ndarray
-                        ) -> tuple[float, np.ndarray]:
-    """Discrete Rayleigh quotient and its gradient at a field (diagnostic
-    surface; the solver uses the same formulas internally)."""
-    h = grid.spacing
-    mult = grid.multiplier(s)
-    if mode == "whole_space":
-        mult = mult + 1.0
-    u = np.asarray(u, dtype=float)
-    if mask is not None:
-        u = np.where(mask, u, 0.0)
-    Au = np.fft.ifft(mult * np.fft.fft(u)).real
+def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Fourier multiplier with the given symbol applied to a real field."""
+    return np.fft.ifft(symbol * np.fft.fft(u)).real
+
+
+def _quotient(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
+              V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None
+              ) -> tuple[float, np.ndarray]:
+    """The weighted quotient
+
+        R(u) = h (<A u, u> + sum V u^2) / (h sum Q |u|^q)^(2/q)
+
+    and its gradient, where A has the given symbol; V = None stands for
+    V = 0 and Q = None for Q = 1.  Every solver descends on this function.
+    """
+    Au = _apply(symbol, u)
+    if V is not None:
+        Au = Au + V * u
     E = h * float(u @ Au)
-    G = h * float(np.sum(np.abs(u) ** q))
+    w = np.abs(u) ** q
+    G = h * float(np.sum(w if Q is None else Q * w))
     nq2 = G ** (2.0 / q)
     R = E / nq2
     gE = 2.0 * h * Au
     if q < 2.0:
+        # |u|^(q-2) u -> 0 as u -> 0 for q > 1; avoid 0**negative
         with np.errstate(divide="ignore", invalid="ignore"):
             uq = np.where(u != 0.0, np.abs(u) ** (q - 2.0) * u, 0.0)
     else:
         uq = np.abs(u) ** (q - 2.0) * u
+    if Q is not None:
+        uq = Q * uq
     gq2 = 2.0 * h * G ** (2.0 / q - 1.0) * uq
     return R, (gE - R * gq2) / nq2
+
+
+def _normalize(v: np.ndarray, h: float, q: float,
+               Q: Optional[np.ndarray]) -> np.ndarray:
+    """Scale a field onto the (weighted) unit L^q sphere."""
+    w = np.abs(v) ** q
+    n = (h * np.sum(w if Q is None else Q * w)) ** (1.0 / q)
+    if not n > 1e-300:
+        raise ConvergenceError("degenerate field: L^q norm underflow")
+    return v / n
+
+
+_ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+
+
+def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
+             max_iters: int, tol: float, mask: Optional[np.ndarray] = None,
+             V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None,
+             verify_projection: bool = False
+             ) -> tuple[np.ndarray, list[float], bool, int]:
+    """Minimize `_quotient` from u by projected gradient descent.
+
+    Each trial point is projected (mask, then |.|) and normalized onto the
+    weighted L^q sphere.  The step is a Barzilai-Borwein guess, floored at
+    1 / max(symbol + max V), and halved until the Armijo condition holds,
+    so the returned quotient trace is nonincreasing.  Stops
+    when the relative decrease falls below tol, or when no step of the line
+    search decreases R (stationary at line-search resolution).  Returns the
+    minimizer, the trace, the converged flag and the number of steps at
+    which |.| increased the numerator (counted only if verify_projection).
+    """
+    u = _normalize(np.abs(u if mask is None else np.where(mask, u, 0.0)), h, q, Q)
+    vmax = 0.0 if V is None else float(np.max(V))
+    tau_floor = 1.0 / (float(symbol.max()) + vmax)
+    R, g = _quotient(u, symbol, h, q, V, Q)
+    trace = [R]
+    converged = False
+    violations = 0
+    u_prev = g_prev = None
+    for _ in range(max_iters):
+        if u_prev is None:
+            tau = tau_floor
+        else:
+            du = u - u_prev
+            dg = g - g_prev
+            denom = float(du @ dg)
+            tau = float(du @ du) / denom if denom > 0 else 4.0 * tau_floor
+            tau = min(max(tau, tau_floor), 1e8)
+        for _bt in range(80):
+            raw = u - tau * g
+            masked = np.where(mask, raw, 0.0) if mask is not None else raw
+            v = np.abs(masked)
+            if verify_projection:
+                # |.| must not increase the numerator (discrete analogue of
+                # the continuum contraction, checked to 1e-9 per step)
+                Em = h * float(masked @ _apply(symbol, masked))
+                Ev = h * float(v @ _apply(symbol, v))
+                if Ev > Em * (1.0 + 1e-9) + 1e-300:
+                    violations += 1
+            try:
+                v = _normalize(v, h, q, Q)
+            except ConvergenceError:
+                tau *= 0.5
+                continue
+            Rv, gv = _quotient(v, symbol, h, q, V, Q)
+            decrease = float(g @ (v - u))
+            if Rv <= R + _ARMIJO * min(decrease, 0.0):
+                break
+            tau *= 0.5
+        else:
+            # no descent direction at line-search resolution: stationary
+            converged = True
+            break
+        rel = (R - Rv) / max(R, 1e-300)
+        u_prev, g_prev = u, g
+        u, R, g = v, Rv, gv
+        trace.append(R)
+        if rel < tol:
+            converged = True
+            break
+    return u, trace, converged, violations
+
+
+def quotient_value_grad(grid: Grid, mask: Optional[np.ndarray], s: float,
+                        q: float, mode: str, u: np.ndarray
+                        ) -> tuple[float, np.ndarray]:
+    """Discrete Rayleigh quotient and its gradient at a field, as the
+    solver evaluates them."""
+    symbol = grid.multiplier(s)
+    if mode == "whole_space":
+        symbol = symbol + 1.0
+    u = np.asarray(u, dtype=float)
+    if mask is not None:
+        u = np.where(mask, u, 0.0)
+    return _quotient(u, symbol, grid.spacing, q)
 
 
 def _initial_field(grid: Grid, s: float, mode: str,
@@ -162,101 +264,17 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     if cfg is None:
         cfg = SolverConfig()
 
-    h = grid.spacing
-    M = grid.points
-    mult = grid.multiplier(s)
+    symbol = grid.multiplier(s)
     if mode == "whole_space":
-        mult = mult + 1.0
+        symbol = symbol + 1.0
         mask = None
-
-    def apply_op(u: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(mult * np.fft.fft(u)).real
-
-    def quotient_grad(u: np.ndarray):
-        Au = apply_op(u)
-        E = h * float(u @ Au)
-        G = h * float(np.sum(np.abs(u) ** q))
-        nq2 = G ** (2.0 / q)
-        R = E / nq2
-        gE = 2.0 * h * Au
-        if q < 2.0:
-            # |u|^(q-2) u -> 0 as u -> 0 for q > 1; avoid 0**negative
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uq = np.where(u != 0.0, np.abs(u) ** (q - 2.0) * u, 0.0)
-        else:
-            uq = np.abs(u) ** (q - 2.0) * u
-        gq2 = 2.0 * h * G ** (2.0 / q - 1.0) * uq
-        return R, (gE - R * gq2) / nq2, E
-
-    def project(v: np.ndarray) -> np.ndarray:
-        if mask is not None:
-            v = np.where(mask, v, 0.0)
-        if cfg.positivity:
-            v = np.abs(v)
-        return v
-
-    def normalize(v: np.ndarray) -> np.ndarray:
-        n = (h * np.sum(np.abs(v) ** q)) ** (1.0 / q)
-        if not n > 1e-300:
-            raise ConvergenceError("degenerate field: L^q norm underflow")
-        return v / n
-
     if u0 is not None:
         u = np.asarray(u0, dtype=float).copy()
     else:
-        u = _initial_field(grid, s, "domain" if mode == "domain" else "whole", mask)
-    u = normalize(project(u))
-
-    tau_floor = (cfg.initial_step if cfg.initial_step is not None
-                 else 1.0 / float(mult.max()))
-    R, gR, E = quotient_grad(u)
-    trace = [R]
-    converged = False
-    violations = 0
-    u_prev = g_prev = None
-    for _ in range(cfg.max_iters):
-        if cfg.bb_step and u_prev is not None:
-            du = u - u_prev
-            dg = gR - g_prev
-            denom = float(du @ dg)
-            tau = float(du @ du) / denom if denom > 0 else 4.0 * tau_floor
-            tau = min(max(tau, tau_floor), 1e8)
-        else:
-            tau = tau_floor
-        accepted = False
-        for _bt in range(80):
-            raw = u - tau * gR
-            masked = np.where(mask, raw, 0.0) if mask is not None else raw
-            v = np.abs(masked) if cfg.positivity else masked
-            if cfg.verify_projection and cfg.positivity:
-                # |.| must not increase the numerator (discrete analogue of
-                # the continuum contraction, checked to 1e-9 per step)
-                Em = h * float(masked @ apply_op(masked))
-                Ev = h * float(v @ apply_op(v))
-                if Ev > Em * (1.0 + 1e-9) + 1e-300:
-                    violations += 1
-            try:
-                v = normalize(v)
-            except ConvergenceError:
-                tau *= cfg.shrink
-                continue
-            Rv, gRv, Ev2 = quotient_grad(v)
-            decrease = float(gR @ (v - u))
-            if Rv <= R + cfg.sufficient_decrease * min(decrease, 0.0) and Rv <= R:
-                accepted = True
-                break
-            tau *= cfg.shrink
-        if not accepted:
-            # no descent direction at line-search resolution: stationary
-            converged = True
-            break
-        rel = (R - Rv) / max(R, 1e-300)
-        u_prev, g_prev = u, gR
-        u, R, gR = v, Rv, gRv
-        trace.append(R)
-        if rel < cfg.quotient_tol:
-            converged = True
-            break
+        u = _initial_field(grid, s, mode, mask)
+    u, trace, converged, violations = _descend(
+        u, symbol, grid.spacing, q, cfg.max_iters, cfg.quotient_tol, mask=mask,
+        verify_projection=cfg.verify_projection)
 
     tail_warning = False
     if mode == "whole_space":
@@ -265,7 +283,7 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
         tail_warning = bool(mass > cfg.tail_mass_limit)
 
-    return SolveResult(estimate=R, minimizer=Field(grid, u),
+    return SolveResult(estimate=trace[-1], minimizer=Field(grid, u),
                        trace=np.asarray(trace), converged=converged,
                        iterations=len(trace) - 1,
                        tail_mass_warning=tail_warning,
@@ -350,15 +368,15 @@ def sweep(param_list: list[Params], domain: DomainSpec,
           tol: float = _DEFAULT_TOL, C1: float = 1.0, C2: float = 1.0,
           threads: int = 1) -> list[SandwichReport | Exception]:
     """One sandwich per parameter point; per-point failures are recorded as
-    exceptions and do not interrupt the sweep.  Reports keep input order."""
+    exceptions and do not interrupt the sweep.  Reports keep input order.
+
+    threads is accepted and ignored: the points run serially, which measured
+    as fast as running them on a thread pool.
+    """
     def run(p: Params):
         try:
             return sandwich(p, domain, cfg, grid, tol, C1, C2)
         except Exception as exc:  # noqa: BLE001 - reported per point
             return exc
 
-    if threads > 1 and len(param_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, param_list))
     return [run(p) for p in param_list]

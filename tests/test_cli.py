@@ -68,6 +68,27 @@ class TestBoundsCommand:
         assert code == 2
 
 
+def test_large_dimension_bounds_stay_finite(capsys):
+    # Gamma(N/2+1) overflows a double at N = 300; the bounds are evaluated
+    # in log space and stay finite
+    code, out, _ = run_capture(
+        capsys, ["bounds", "--p", "2", "--N", "300", "--s", "0.3", "--q", "2.001",
+                 "--domain", "ball:1"])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert math.isfinite(res["lower"]["value"])
+    assert math.isfinite(res["upper"]["value"])
+
+
+def test_large_dimension_frac_isoperimetric_is_refused(capsys):
+    # the Hardy A quadrature cannot resolve N = 300: a usage error, no traceback
+    code, _, err = run_capture(
+        capsys, ["constants", "--N", "300", "--s", "0.3", "--which",
+                 "frac-isoperimetric"])
+    assert code == 2
+    assert "overflows" in err
+
+
 class TestSandwichCommand:
     def test_interval_pass(self, capsys):
         code, out, _ = run_capture(
@@ -96,8 +117,7 @@ class TestSandwichCommand:
 
 
 class TestSweepCommand:
-    def test_rows_and_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRASOB_THREADS", "2")
+    def test_rows_and_order(self, capsys):
         code, out, _ = run_capture(
             capsys, ["sweep", "--p", "2", "--N", "1", "--s", "0.25",
                      "--q", "2.5,3,3.5", "--domain", "rn:100",

@@ -199,9 +199,10 @@ class TestSweep:
         assert isinstance(reports[1], Exception)
 
     def test_parallel_matches_serial(self):
+        # threads is kept for callers and ignored: the reports are the serial ones
         plist = [Params(1, 0.25, 2.0, q) for q in (2.5, 3.0, 3.5)]
         grid = Grid(half_width=100.0, points=1024)
-        serial = sweep(plist, DomainSpec.whole_space(100.0), grid=grid, threads=1)
-        parallel = sweep(plist, DomainSpec.whole_space(100.0), grid=grid, threads=3)
-        for a, b in zip(serial, parallel):
-            assert a.numeric.value == b.numeric.value
+        serial = sweep(plist, DomainSpec.whole_space(100.0), grid=grid)
+        threaded = sweep(plist, DomainSpec.whole_space(100.0), grid=grid, threads=3)
+        assert len(threaded) == 3
+        assert threaded == serial
