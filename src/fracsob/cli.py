@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, bounds, constants, pde, varmin
 from .constants import ConstantValue, Params
-from .errors import DomainError, RegimeError
+from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
 from .validate import run_validation
 
@@ -77,6 +77,23 @@ def _dumps(obj, indent: int = 0) -> str:
         return str(int(obj))
     s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{s}"'
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated list of numbers given to flag."""
+    try:
+        return [float(v) for v in str(text).split(",")]
+    except ValueError:
+        raise DomainError(f"bad {flag} {text!r}: expected a number or a "
+                          "comma-separated list of numbers") from None
+
+
+def _number(text: str, flag: str) -> float:
+    """The single number given to flag."""
+    vals = _numbers(text, flag)
+    if len(vals) != 1:
+        raise DomainError(f"{flag} takes a single number here, got {text!r}")
+    return vals[0]
 
 
 def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
@@ -285,7 +302,8 @@ def run(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         return _dispatch(args, argv if argv is not None else sys.argv[1:], t0)
-    except (DomainError, RegimeError, argparse.ArgumentTypeError) as exc:
+    except (DomainError, RegimeError, GridError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         ap.print_usage(sys.stderr)
         return 2
@@ -321,7 +339,7 @@ def _dispatch(args, argv, t0) -> int:
         return 0 if ok else 1
 
     if args.cmd == "constants":
-        q = float(args.q)
+        q = _number(args.q, "--q")
         c = _CONSTANT_DISPATCH[args.which](
             argparse.Namespace(N=args.N, s=args.s, p=args.p, q=q))
         record = _record(args, argv, t0,
@@ -337,7 +355,7 @@ def _dispatch(args, argv, t0) -> int:
 
     if args.cmd == "bounds":
         _warn_tm_constants(args)
-        params = Params(args.N, args.s, args.p, float(args.q))
+        params = Params(args.N, args.s, args.p, _number(args.q, "--q"))
         domain = _parse_domain(args.domain, args.N)
         pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
         record = _record(args, argv, t0, _params_payload(params),
@@ -361,8 +379,8 @@ def _dispatch(args, argv, t0) -> int:
             domain.truncation if not domain.bounded else 8.0 * domain.inradius)
         grid = Grid(half_width=box, points=args.grid)
         cfg = varmin.SolverConfig(max_iters=args.max_iters, seed=args.seed)
-        qs = [float(v) for v in str(args.q).split(",")]
-        ss = [float(v) for v in str(args.s).split(",")]
+        qs = _numbers(args.q, "--q")
+        ss = _numbers(args.s, "--s")
         if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
             raise DomainError("sandwich takes a single (s, q); use sweep for lists")
         plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
@@ -395,7 +413,7 @@ def _dispatch(args, argv, t0) -> int:
         return 1 if bad else 0
 
     if args.cmd == "thresholds":
-        q = float(args.q)
+        q = _number(args.q, "--q")
         params = Params(args.N, args.s, 2.0, q)
         regime = params.regime()
         S = args.S
@@ -437,7 +455,7 @@ def _dispatch(args, argv, t0) -> int:
         return 0
 
     if args.cmd == "groundstate":
-        q = float(args.q)
+        q = _number(args.q, "--q")
         box = args.box if args.box is not None else 40.0
         grid = Grid(half_width=box, points=args.grid)
         V = _parse_field(args.V, grid)

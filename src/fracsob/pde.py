@@ -5,7 +5,8 @@ nonexistence diagnostic.
 All threshold formulas take the embedding constant S as an input, so that a
 certified lower bound for S propagates to a certified threshold.  The
 ground-state solver runs the same descent kernel as the embedding-constant
-solver (`varmin._descend`), with the potential V and the weight Q.
+solver (`varmin._descend`), with the potential V and the weight Q; there
+the H^s preconditioner is P = 1/(|2 pi xi|^(2s) + max V).
 """
 from __future__ import annotations
 
@@ -224,8 +225,10 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
 
     Works on the scale-invariant quotient I(u) / (int Q|u|^q)^(2/q), which
     has the same minimizers, with the descent kernel of the embedding-constant
-    solver (`varmin._descend`: projected gradient with positivity, a
-    Barzilai-Borwein step and Armijo backtracking).  Returns (u0, I0, report)
+    solver (`varmin._descend`: projected gradient with positivity along the
+    preconditioned gradient P g, P = 1/(|2 pi xi|^(2s) + max V), a
+    Barzilai-Borwein step in the P-metric and Armijo backtracking), which
+    takes a few dozen iterations whatever the grid.  Returns (u0, I0, report)
     with u0 = (2 I0)^(1/(q-2)) u.
     """
     if not 0.0 < s < 1.0:

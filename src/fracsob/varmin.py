@@ -9,9 +9,12 @@ The discrete quotient is
 with the fractional energy applied through the whole-line Fourier multiplier
 on the periodic box; domain mode masks the support, matching the convention
 that competitors live on the line and vanish outside Omega.  Descent is
-projected gradient (mask, then positivity) with a Barzilai-Borwein step
-guess and Armijo backtracking, which keeps the quotient trace nonincreasing
-at every accepted step.
+projected gradient (mask, then positivity) along the H^s-preconditioned
+gradient P g, P = 1/(symbol + c) applied in Fourier, with a
+Barzilai-Borwein step in the P-metric and Armijo backtracking, which keeps
+the quotient trace nonincreasing at every accepted step.  The
+preconditioner makes the iteration count nearly independent of the grid
+(q = 32 on rn:10: 18 -> 43 iterations from M = 2048 to 16384).
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
 and minimized by `_descend`; the ground-state solver in `pde` runs the same
@@ -104,6 +107,14 @@ def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbol * np.fft.fft(u)).real
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> in numpy's own summation loop, not BLAS: a multi-threaded BLAS
+    sum makes the last bits of every estimate depend on the thread count,
+    and its threads' wake-up measured ~1 s once per process on a shared
+    2-core machine."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _quotient(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
               V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None
               ) -> tuple[float, np.ndarray]:
@@ -117,7 +128,7 @@ def _quotient(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
     Au = _apply(symbol, u)
     if V is not None:
         Au = Au + V * u
-    E = h * float(u @ Au)
+    E = h * _dot(u, Au)
     w = np.abs(u) ** q
     G = h * float(np.sum(w if Q is None else Q * w))
     nq2 = G ** (2.0 / q)
@@ -153,43 +164,59 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
              V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None,
              verify_projection: bool = False
              ) -> tuple[np.ndarray, list[float], bool, int]:
-    """Minimize `_quotient` from u by projected gradient descent.
+    """Minimize `_quotient` from u by preconditioned projected gradient
+    descent.
 
-    Each trial point is projected (mask, then |.|) and normalized onto the
-    weighted L^q sphere.  The step is a Barzilai-Borwein guess, floored at
-    1 / max(symbol + max V), and halved until the Armijo condition holds,
-    so the returned quotient trace is nonincreasing.  Stops
-    when the relative decrease falls below tol, or when no step of the line
-    search decreases R (stationary at line-search resolution).  Returns the
+    The gradient g is preconditioned by the H^s Sobolev metric
+    P = 1 / (symbol + c), diagonal in Fourier, with c = max V (plus 1 where
+    symbol + max V has a zero); the direction is d = P g, and
+    d = mask P(mask g) on a bounded support, so that it stays there.  Each
+    trial point u - tau d is projected (mask, then |.|) and normalized onto
+    the weighted L^q sphere.  The step is a Barzilai-Borwein guess in the
+    P-metric, <s, y> / <y, P y> with s, y the last changes of u and g (P y
+    is the change of d, so it costs no FFT), floored at
+    1 / max((symbol + max V) P), and halved until the Armijo condition
+    holds, so the returned quotient trace is nonincreasing.  Stops when the
+    relative decrease falls below tol, or when no step of the line search
+    decreases R (stationary at line-search resolution).  Returns the
     minimizer, the trace, the converged flag and the number of steps at
     which |.| increased the numerator (counted only if verify_projection).
     """
     u = _normalize(np.abs(u if mask is None else np.where(mask, u, 0.0)), h, q, Q)
     vmax = 0.0 if V is None else float(np.max(V))
-    tau_floor = 1.0 / (float(symbol.max()) + vmax)
+    c = vmax if float(np.min(symbol)) + vmax > 0.0 else vmax + 1.0
+    P = 1.0 / (symbol + c)
+    tau_floor = 1.0 / float(np.max((symbol + vmax) * P))
+
+    def precondition(g: np.ndarray) -> np.ndarray:
+        if mask is None:
+            return _apply(P, g)
+        return np.where(mask, _apply(P, np.where(mask, g, 0.0)), 0.0)
+
     R, g = _quotient(u, symbol, h, q, V, Q)
     trace = [R]
     converged = False
     violations = 0
-    u_prev = g_prev = None
+    u_prev = g_prev = d_prev = None
     for _ in range(max_iters):
+        d = precondition(g)
         if u_prev is None:
             tau = tau_floor
         else:
-            du = u - u_prev
             dg = g - g_prev
-            denom = float(du @ dg)
-            tau = float(du @ du) / denom if denom > 0 else 4.0 * tau_floor
+            sy = _dot(u - u_prev, dg)
+            yPy = _dot(dg, d - d_prev)
+            tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau_floor
             tau = min(max(tau, tau_floor), 1e8)
         for _bt in range(80):
-            raw = u - tau * g
+            raw = u - tau * d
             masked = np.where(mask, raw, 0.0) if mask is not None else raw
             v = np.abs(masked)
             if verify_projection:
                 # |.| must not increase the numerator (discrete analogue of
                 # the continuum contraction, checked to 1e-9 per step)
-                Em = h * float(masked @ _apply(symbol, masked))
-                Ev = h * float(v @ _apply(symbol, v))
+                Em = h * _dot(masked, _apply(symbol, masked))
+                Ev = h * _dot(v, _apply(symbol, v))
                 if Ev > Em * (1.0 + 1e-9) + 1e-300:
                     violations += 1
             try:
@@ -198,7 +225,7 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
                 tau *= 0.5
                 continue
             Rv, gv = _quotient(v, symbol, h, q, V, Q)
-            decrease = float(g @ (v - u))
+            decrease = _dot(g, v - u)
             if Rv <= R + _ARMIJO * min(decrease, 0.0):
                 break
             tau *= 0.5
@@ -207,7 +234,7 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
             converged = True
             break
         rel = (R - Rv) / max(R, 1e-300)
-        u_prev, g_prev = u, g
+        u_prev, g_prev, d_prev = u, g, d
         u, R, g = v, Rv, gv
         trace.append(R)
         if rel < tol:
@@ -221,6 +248,8 @@ def quotient_value_grad(grid: Grid, mask: Optional[np.ndarray], s: float,
                         ) -> tuple[float, np.ndarray]:
     """Discrete Rayleigh quotient and its gradient at a field, as the
     solver evaluates them."""
+    if mode not in ("domain", "whole_space"):
+        raise DomainError(f"unknown mode {mode!r}")
     symbol = grid.multiplier(s)
     if mode == "whole_space":
         symbol = symbol + 1.0

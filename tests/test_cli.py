@@ -186,3 +186,27 @@ class TestOutputFile:
     def test_usage_error_exit_2(self, capsys):
         assert run(["nonsense-command"]) == 2
         assert run([]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])
+def test_bad_grid_is_usage_error(capsys, cmd):
+    # a GridError is a usage error, not a traceback
+    code, out, err = run_capture(capsys, [cmd, "--grid", "1000"])
+    assert code == 2
+    assert out == ""
+    assert "error: points must be a power of two" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--q", "abc"],
+    ["sweep", "--q", "3,,4"],
+    ["sandwich", "--q", "abc"],
+    ["constants", "--q", "abc", "--which", "frac-isoperimetric"],
+    ["thresholds", "--q", "3,4"],
+])
+def test_unparsable_number_list_is_usage_error(capsys, argv):
+    # float() of a bad --q entry is a usage error, not a traceback
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "--q" in err

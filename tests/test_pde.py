@@ -218,6 +218,21 @@ class TestGroundState:
                                 SolverConfig(max_iters=20000, quotient_tol=1e-13))
         assert rel(2.0 * I0, res.estimate) < 1e-9
 
+    @pytest.mark.parametrize("M", [2048, 16384])
+    def test_iterations_stable_under_rounding_perturbation(self, M):
+        # the work of a solve must not hang on rounding: a start perturbed
+        # in its last bit takes (nearly) the same number of iterations
+        grid = Grid(half_width=40.0, points=M)
+        V = Field(grid, np.ones(grid.points))
+        Q = Field.from_function(grid, lambda x: 1.0 + 2.0 * np.exp(-x * x))
+        start = np.exp(-grid.x ** 2)
+        _, _, rep = ground_state_solve(grid, 0.5, 4.0, V, Q, u0=start)
+        _, _, rep_p = ground_state_solve(
+            grid, 0.5, 4.0, V, Q, u0=start * (1.0 + 2.0 ** -52 * np.cos(grid.x)))
+        assert rep.converged and rep_p.converged
+        assert abs(rep.iterations - rep_p.iterations) <= 2
+        assert rep.iterations <= 100
+
     def test_zero_initial_rejected(self):
         grid = Grid(half_width=10.0, points=256)
         ones = Field(grid, np.ones(256))

@@ -120,6 +120,45 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
+        with pytest.raises(DomainError):
+            quotient_value_grad(grid, None, 0.25, 3.0, "bogus", np.ones(64))
+
+
+# estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
+# q = 32 limiting ladder on rn:10, M -> estimate, and the s = 0.75, q = 3
+# solve on (-1, 1) with L = 8, M = 8192
+LADDER_BEFORE = {2048: 0.7252687777586253, 4096: 0.676496480821527,
+                 8192: 0.6382063650005916, 16384: 0.607717936332116}
+DOMAIN_BEFORE = 1.8048948334060189
+
+
+class TestPreconditionedDescent:
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return {M: minimize_quotient(Grid(half_width=10.0, points=M), None, 0.5,
+                                     32.0, "whole_space")
+                for M in LADDER_BEFORE}
+
+    def test_iterations_do_not_grow_with_the_grid(self, ladder):
+        its = {M: res.iterations for M, res in ladder.items()}
+        assert all(res.converged for res in ladder.values())
+        assert its[16384] <= 100
+        assert its[16384] <= 3 * its[2048]
+
+    @pytest.mark.parametrize("M", sorted(LADDER_BEFORE))
+    def test_ladder_estimates_unchanged(self, ladder, M):
+        # the preconditioned descent may stop a little lower, never higher
+        est = ladder[M].estimate
+        assert rel(est, LADDER_BEFORE[M]) < 1e-4
+        assert est <= LADDER_BEFORE[M] * (1.0 + 1e-9)
+
+    def test_domain_estimate_unchanged(self):
+        grid = Grid(half_width=8.0, points=8192)
+        mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
+        res = minimize_quotient(grid, mask, 0.75, 3.0, "domain")
+        assert res.converged
+        assert rel(res.estimate, DOMAIN_BEFORE) < 1e-4
+        assert res.estimate <= DOMAIN_BEFORE * (1.0 + 1e-9)
 
 
 class TestSandwich:
