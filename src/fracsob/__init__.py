@@ -38,7 +38,6 @@ from .rayleigh import (
 )
 from .varmin import SandwichReport, SolverConfig, minimize_quotient, sandwich, sweep
 from .pde import (
-    ThresholdReport,
     coupling_alpha,
     coupling_lambda_interval,
     existence_thresholds,

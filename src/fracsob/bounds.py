@@ -166,21 +166,34 @@ def young_lower(lambda_exp: float, S_crit: float) -> tuple[float, float]:
     return eps, rho
 
 
-def _require(params: Params, regime: Regime, allow_critical: bool = False) -> None:
-    r = params.regime()
-    if r is regime:
+def _require(params: Params, regime: Regime) -> None:
+    """Admit params inside `regime` (BORDERLINE or HILBERT), or on its family
+    at exactly-critical q, where the bounds are evaluated as a limit."""
+    family = params.p == 1 if regime is Regime.BORDERLINE else (
+        params.p == 2 and params.N > 2 * params.s)
+    if params.regime() is regime or (family and params.q == params.critical_exponent):
         return
-    if allow_critical and r is Regime.OUT_OF_SCOPE:
-        # exactly-critical q is admitted as a limit accessor
-        try:
-            crit = params.critical_exponent
-        except DomainError:
-            raise RegimeError(f"params {params} outside the {regime.value} regime")
-        ok_p = (regime is Regime.BORDERLINE and params.p == 1) or \
-               (regime is Regime.HILBERT and params.p == 2 and params.N > 2 * params.s)
-        if ok_p and params.q == crit:
-            return
     raise RegimeError(f"params {params} outside the {regime.value} regime")
+
+
+def _pair(params: Params, domain: DomainSpec, key: str, lo: float, up: float,
+          rel: float = _EVAL_EPS, floor: float = 0.0) -> BoundPair:
+    """The bracket [lo, up] with provenances key-lower / key-upper and error
+    estimates rel * value + floor."""
+    return BoundPair(
+        ConstantValue(lo, ConstantKind.BOUND_LOWER, f"{key}-lower",
+                      error_estimate=rel * lo + floor),
+        ConstantValue(up, ConstantKind.BOUND_UPPER, f"{key}-upper",
+                      error_estimate=rel * up + floor),
+        params, domain)
+
+
+def _exact_one(params: Params, domain: DomainSpec, key: str) -> BoundPair:
+    """The exact bracket [1, 1], both ends with provenance key."""
+    return BoundPair(
+        ConstantValue(1.0, ConstantKind.BOUND_LOWER, key, error_estimate=_EVAL_EPS),
+        ConstantValue(1.0, ConstantKind.BOUND_UPPER, key, error_estimate=_EVAL_EPS),
+        params, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +202,7 @@ def _require(params: Params, regime: Regime, allow_critical: bool = False) -> No
 def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     """p=1 bounds on a bounded domain; they coincide when the domain is a
     ball, where the constant is attained by a characteristic function."""
-    _require(params, Regime.BORDERLINE, allow_critical=True)
+    _require(params, Regime.BORDERLINE)
     if not domain.bounded:
         raise RegimeError("borderline_domain_bounds needs a bounded domain")
     if domain.dim != params.N:
@@ -199,13 +212,8 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     ball_measure = unit_ball_volume(params.N) * domain.inradius ** params.N
     lo = S.value * _powz(domain.measure, e)
     up = S.value * _powz(ball_measure, e)
-    rel = S.error_estimate / S.value
-    return BoundPair(
-        ConstantValue(lo, ConstantKind.BOUND_LOWER, "borderline-domain-lower",
-                      error_estimate=rel * lo + _EVAL_EPS),
-        ConstantValue(up, ConstantKind.BOUND_UPPER, "borderline-domain-upper",
-                      error_estimate=rel * up + _EVAL_EPS),
-        params, domain)
+    return _pair(params, domain, "borderline-domain", lo, up,
+                 rel=S.error_estimate / S.value, floor=_EVAL_EPS)
 
 
 def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = None
@@ -213,18 +221,14 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
     """p=1 whole-space bounds.  q=1 gives exactly 1; for 1 < q < crit the
     interpolation lower bound and the char-ball upper bound are evaluated
     independently (they agree analytically, pinning the constant)."""
-    _require(params, Regime.BORDERLINE, allow_critical=True)
+    _require(params, Regime.BORDERLINE)
     if domain is None:
         domain = DomainSpec.whole_space()
     if domain.bounded:
         raise RegimeError("borderline_wholespace_bounds needs the whole space")
     N, s, q = params.N, params.s, params.q
     if q == 1.0:
-        one_lo = ConstantValue(1.0, ConstantKind.BOUND_LOWER, "borderline-rn-q1",
-                               error_estimate=_EVAL_EPS)
-        one_up = ConstantValue(1.0, ConstantKind.BOUND_UPPER, "borderline-rn-q1",
-                               error_estimate=_EVAL_EPS)
-        return BoundPair(one_lo, one_up, params, domain)
+        return _exact_one(params, domain, "borderline-rn-q1")
     crit = params.critical_exponent
     S = frac_isoperimetric(N, s)
     gap = _inv_gap(q, crit)          # 1/q - 1/crit > 0
@@ -236,12 +240,7 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
           * _powz(gap1, -N / s * gap1)
           * _powz(S.value, N / s * gap1))
     rel = (N / s * gap1) * S.error_estimate / S.value
-    return BoundPair(
-        ConstantValue(lo, ConstantKind.BOUND_LOWER, "borderline-rn-lower",
-                      error_estimate=abs(rel) * lo + _EVAL_EPS),
-        ConstantValue(up, ConstantKind.BOUND_UPPER, "borderline-rn-upper",
-                      error_estimate=abs(rel) * up + _EVAL_EPS),
-        params, domain)
+    return _pair(params, domain, "borderline-rn", lo, up, rel=abs(rel), floor=_EVAL_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
 def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     """p=2 bounds on a bounded domain: Hoelder lower bound against the
     critical constant, bump-profile upper bound through the inradius."""
-    _require(params, Regime.HILBERT, allow_critical=True)
+    _require(params, Regime.HILBERT)
     if not domain.bounded:
         raise RegimeError("hilbert_domain_bounds needs a bounded domain")
     if domain.dim != params.N:
@@ -263,19 +262,14 @@ def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     up = (2.0 ** (2.0 * s + 2.0 / q) * (w * N) ** (1.0 - 2.0 / q) / (N + 2.0 * s)
           * gamma_fn(s + 1.0) ** 2 * beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
           * _powz(domain.inradius, 2.0 * N * _inv_gap(crit, q)))
-    return BoundPair(
-        ConstantValue(lo, ConstantKind.BOUND_LOWER, "hilbert-domain-lower",
-                      error_estimate=_EVAL_EPS * lo),
-        ConstantValue(up, ConstantKind.BOUND_UPPER, "hilbert-domain-upper",
-                      error_estimate=_EVAL_EPS * up),
-        params, domain)
+    return _pair(params, domain, "hilbert-domain", lo, up)
 
 
 def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
                               ) -> BoundPair:
     """p=2 whole-space bounds for 2 <= q < crit: q=2 is exactly 1; otherwise
     the Young-interpolation lower bound and the bump-family upper bound."""
-    _require(params, Regime.HILBERT, allow_critical=True)
+    _require(params, Regime.HILBERT)
     if domain is None:
         domain = DomainSpec.whole_space()
     if domain.bounded:
@@ -284,12 +278,7 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
     if q < 2.0:
         raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
     if q == 2.0:
-        return BoundPair(
-            ConstantValue(1.0, ConstantKind.BOUND_LOWER, "hilbert-rn-q2",
-                          error_estimate=_EVAL_EPS),
-            ConstantValue(1.0, ConstantKind.BOUND_UPPER, "hilbert-rn-q2",
-                          error_estimate=_EVAL_EPS),
-            params, domain)
+        return _exact_one(params, domain, "hilbert-rn-q2")
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
     gap = _inv_gap(q, crit)            # 1/q - 1/crit
@@ -299,24 +288,14 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
           * _powz(Ss, N / s * gap2))
     if q == crit:
         # at criticality both bounds collapse onto the critical constant
-        return BoundPair(
-            ConstantValue(Ss, ConstantKind.BOUND_LOWER, "hilbert-rn-lower",
-                          error_estimate=_EVAL_EPS * Ss),
-            ConstantValue(Ss, ConstantKind.BOUND_UPPER, "hilbert-rn-upper",
-                          error_estimate=_EVAL_EPS * Ss),
-            params, domain)
+        return _pair(params, domain, "hilbert-rn", Ss, Ss)
     w = unit_ball_volume(N)
     up = (w ** (1.0 - 2.0 / q) * s
           * ((2.0 ** (2.0 * s + 1.0 - 2.0 * s / N) * gamma_fn(s + 1.0) ** 2)
              / ((N + 2.0 * s) * gap2)) ** (N / s * gap2)
           * (N * beta_fn(N / 2.0, q * s + 1.0)) ** (-2.0 / q)
           * _powz(beta_fn(N / 2.0, 2.0 * s + 1.0) / gap, N / s * gap))
-    return BoundPair(
-        ConstantValue(lo, ConstantKind.BOUND_LOWER, "hilbert-rn-lower",
-                      error_estimate=_EVAL_EPS * lo),
-        ConstantValue(up, ConstantKind.BOUND_UPPER, "hilbert-rn-upper",
-                      error_estimate=_EVAL_EPS * up),
-        params, domain)
+    return _pair(params, domain, "hilbert-rn", lo, up)
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +380,12 @@ def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 
     if regime is Regime.LIMITING:
         q = params.q
         if domain.bounded:
-            lo = limiting_domain_lower(q, domain.measure, C1)
-            up = limiting_domain_upper(q, domain.inradius)
-            return BoundPair(lo, up, params, domain)
+            return BoundPair(limiting_domain_lower(q, domain.measure, C1),
+                             limiting_domain_upper(q, domain.inradius), params, domain)
         if q == 2.0:
-            lo = ConstantValue(1.0, ConstantKind.BOUND_LOWER, "limiting-rn-q2",
-                               error_estimate=_EVAL_EPS)
-            up = ConstantValue(1.0, ConstantKind.BOUND_UPPER, "limiting-rn-q2",
-                               error_estimate=_EVAL_EPS)
-            return BoundPair(lo, up, params, domain)
+            return _exact_one(params, domain, "limiting-rn-q2")
         if q < 2.0:
             raise RegimeError("limiting whole-space bounds need q >= 2")
-        lo = limiting_wholespace_lower(q, C2)
-        up = limiting_wholespace_upper(q)
-        return BoundPair(lo, up, params, domain)
+        return BoundPair(limiting_wholespace_lower(q, C2), limiting_wholespace_upper(q),
+                         params, domain)
     raise RegimeError(f"no bounds available: params {params} out of scope")

@@ -1,11 +1,15 @@
 """Batch command-line front end.
 
 Subcommands: constants, bounds, sandwich, sweep, thresholds, groundstate,
-validate.  Output is a single JSON document by default, or CSV rows with
---format csv; numeric fields are serialized with 17 significant digits so
-values round-trip losslessly.  Identical invocations with identical seeds
-produce byte-identical output (pass --timing to include wall time, which
-breaks that determinism).
+validate.  sweep takes comma-separated --s and --q lists and runs their
+s-major product; the others take one --s and one --q.  Each subcommand
+returns its params, domain, result, provenance and exit code, and `run`
+builds the one record from them.  Output is that record as a JSON document
+by default, or with --format csv one row per result item, derived from the
+same result (the columns are `_CSV_COLUMNS`); numeric fields are serialized
+with 17 significant digits so values round-trip losslessly.  Identical
+invocations with identical seeds produce byte-identical output (pass
+--timing to include wall time, which breaks that determinism).
 
 Domain grammar: ball:R | interval:a,b | rn:L  (L = truncation half-width).
 
@@ -19,11 +23,12 @@ import io
 import math
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, bounds, constants, pde, varmin
-from .constants import ConstantValue, Params
+from .constants import ConstantValue, Params, Regime
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
 from .validate import run_validation
@@ -168,6 +173,7 @@ def _domain_payload(d: bounds.DomainSpec) -> dict:
 
 def _sandwich_payload(r: varmin.SandwichReport) -> dict:
     return {
+        "params": _params_payload(r.params),
         "lower": _constant_payload(r.lower),
         "numeric": _constant_payload(r.numeric) if r.numeric else None,
         "upper": _constant_payload(r.upper),
@@ -179,50 +185,190 @@ def _sandwich_payload(r: varmin.SandwichReport) -> dict:
     }
 
 
-def _sandwich_row(reports, args) -> list[dict]:
+class _Outcome(NamedTuple):
+    """What a subcommand computed; `run` turns it into the record."""
+
+    params: dict | None
+    domain: dict | None
+    result: dict | list
+    provenance: list[str]
+    code: int = 0
+
+
+def _csv_rows(args, out: _Outcome) -> list[dict]:
+    """One row per result item (the result itself, or each entry of a list):
+    the argv fields, then the record's params, then the item, with nested
+    params spread out and each constant payload under key flattened to
+    <key> (its value) and <key>_provenance."""
     rows = []
-    for rep in reports:
-        if isinstance(rep, Exception):
+    for item in out.result if isinstance(out.result, list) else [out.result]:
+        if "error" in item:   # a sweep point that raised
             rows.append({"N": args.N, "domain": args.domain, "pass": False,
-                         "note": f"error: {type(rep).__name__}: {rep}"})
+                         "note": f"error: {item['error']}"})
             continue
-        p = rep.params
-        rows.append({
-            "N": p.N, "s": p.s, "p": p.p, "q": p.q, "domain": args.domain,
-            "lower": rep.lower.value,
-            "numeric": rep.numeric.value if rep.numeric else None,
-            "upper": rep.upper.value,
-            "rel_slack_lower": rep.rel_slack_lower,
-            "rel_slack_upper": rep.rel_slack_upper,
-            "pass": rep.passed, "note": rep.note,
-        })
+        row = {**vars(args), **(out.params or {})}
+        for key, val in item.items():
+            if key == "params":
+                row.update(val)
+            elif isinstance(val, dict):
+                row[key], row[f"{key}_provenance"] = val["value"], val["provenance"]
+            else:
+                row[key] = val
+        rows.append(row)
     return rows
 
 
-def _emit(args, record: dict, csv_rows: list[dict], columns: list[str]) -> None:
+def _emit(args, record: dict, out: _Outcome) -> None:
     if args.format == "csv":
+        columns = _CSV_COLUMNS[args.cmd]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
-                                lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for row in csv_rows:
+        for row in _csv_rows(args, out):
             writer.writerow({k: ("" if row.get(k) is None else _fmt(row.get(k)))
                              for k in columns})
         text = buf.getvalue()
     else:
         text = _dumps(record) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    path = getattr(args, "out", None)   # validate has no --out
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _warn_tm_constants(args) -> None:
-    if getattr(args, "c1", 1.0) == 1.0 and getattr(args, "c2", 1.0) == 1.0:
+def _warn_tm_constants(args, points: list[Params]) -> None:
+    """Limiting-case lower bounds carry C1/C2; say so when they are defaulted."""
+    if (getattr(args, "c1", 1.0) == 1.0 and args.c2 == 1.0
+            and any(p.regime() is Regime.LIMITING for p in points)):
         print("warning: Trudinger-Moser constants --c1/--c2 defaulted to 1.0; "
               "limiting-case lower bounds are normalized, not certified",
               file=sys.stderr)
+
+
+def _constants(args) -> _Outcome:
+    params = {"N": args.N, "s": _number(args.s, "--s"), "p": args.p,
+              "q": _number(args.q, "--q")}
+    c = _CONSTANT_DISPATCH[args.which](argparse.Namespace(**params))
+    return _Outcome(params, None, _constant_payload(c), [c.provenance])
+
+
+def _bounds(args) -> _Outcome:
+    params = Params(args.N, _number(args.s, "--s"), args.p, _number(args.q, "--q"))
+    _warn_tm_constants(args, [params])
+    domain = _parse_domain(args.domain, args.N)
+    pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
+    return _Outcome(_params_payload(params), _domain_payload(domain),
+                    {"lower": _constant_payload(pair.lower),
+                     "upper": _constant_payload(pair.upper)},
+                    [pair.lower.provenance, pair.upper.provenance])
+
+
+def _sandwich(args) -> _Outcome:
+    """sandwich (one point) and sweep (the s-major product of the lists)."""
+    ss, qs = _numbers(args.s, "--s"), _numbers(args.q, "--q")
+    if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
+        raise DomainError("sandwich takes a single (s, q); use sweep for lists")
+    plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
+    _warn_tm_constants(args, plist)
+    domain = _parse_domain(args.domain, args.N)
+    grid = varmin.default_grid(domain, args.grid, args.box)
+    cfg = varmin.SolverConfig(max_iters=args.max_iters, seed=args.seed)
+    reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
+                           C1=args.c1, C2=args.c2)
+    payloads, prov = [], []
+    for rep in reports:
+        if isinstance(rep, Exception):
+            payloads.append({"error": f"{type(rep).__name__}: {rep}"})
+        else:
+            payloads.append(_sandwich_payload(rep))
+            prov += [c.provenance for c in (rep.lower, rep.upper, rep.numeric) if c]
+    if args.cmd == "sweep":
+        bad = any(isinstance(r, Exception) or not r.passed for r in reports)
+        return _Outcome({"N": args.N, "s": ss, "p": args.p, "q": qs},
+                        _domain_payload(domain), payloads, prov, 1 if bad else 0)
+    rep = reports[0]
+    if isinstance(rep, Exception):
+        print(f"error: {rep}", file=sys.stderr)
+        code = 2
+    else:
+        code = 0 if rep.passed else 1
+    return _Outcome(_params_payload(plist[0]), _domain_payload(domain), payloads[0],
+                    prov, code)
+
+
+def _thresholds(args) -> _Outcome:
+    s, q = _number(args.s, "--s"), _number(args.q, "--q")
+    params = Params(args.N, s, 2.0, q)
+    regime = params.regime()
+    S = args.S
+    note = "caller-supplied S"
+    if S is None:
+        if regime is Regime.HILBERT:
+            S = bounds.hilbert_wholespace_bounds(params).lower.value
+            note = "S = certified whole-space lower bound"
+        elif regime is Regime.LIMITING:
+            _warn_tm_constants(args, [params])
+            S = bounds.limiting_wholespace_lower(q, args.c2).value
+            note = "S = whole-space lower bound at supplied C2"
+        else:
+            raise RegimeError(f"no default S available in regime {regime.value}")
+    c_star = pde.ps_level(s, q, S)
+    hthr, lthr = pde.existence_thresholds(q, S)
+    f3 = pde.growth_coefficient(q, S) if regime is Regime.LIMITING else None
+    alpha = lam_lo = None
+    if regime is Regime.HILBERT:
+        alpha = pde.coupling_alpha(args.N, s, q, S)
+        if 0.0 < alpha < 1.0:
+            lam_lo = pde.coupling_lambda_interval(alpha)[0]
+    return _Outcome(_params_payload(params), None,
+                    {"S": S, "S_note": note, "c_star": c_star,
+                     "h_norm_threshold": hthr, "lq_norm_threshold": lthr,
+                     "f3_coeff": f3, "alpha": alpha, "lambda_lower": lam_lo}, [])
+
+
+def _groundstate(args) -> _Outcome:
+    s, q = _number(args.s, "--s"), _number(args.q, "--q")
+    box = args.box if args.box is not None else 40.0
+    grid = Grid(half_width=box, points=args.grid)
+    V = _parse_field(args.V, grid)
+    Q = _parse_field(args.Q, grid)
+    if np.max(np.abs(Q.values - 1.0)) > 1e-12:
+        pde.check_weight_hypotheses(Q)
+    if np.max(np.abs(V.values - 1.0)) > 1e-12:
+        pde.check_potential_hypotheses(V)
+    res = varmin.minimize_quotient(grid, None, s, q, "whole_space",
+                                   varmin.SolverConfig(max_iters=args.max_iters,
+                                                       seed=args.seed))
+    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters,
+                                         S_reference=res.estimate)
+    result = {
+        "I0": I0, "iterations": rep.iterations, "converged": rep.converged,
+        "residual": rep.residual, "residual_rel": rep.residual_rel,
+        "residual_ok": rep.residual_ok,
+        "h_norm_sq": rep.h_norm_sq, "h_threshold": rep.h_threshold,
+        "lq_norm": rep.lq_norm, "lq_threshold": rep.lq_threshold,
+        "S_numeric": res.estimate,
+        "thresholds_satisfied": bool(rep.h_norm_sq < rep.h_threshold
+                                     and rep.lq_norm < rep.lq_threshold),
+    }
+    return _Outcome({"N": 1, "s": s, "p": 2.0, "q": q},
+                    {"kind": "whole_space", "dim": 1, "truncation": box},
+                    result, ["rayleigh-numeric"],
+                    0 if (rep.converged and rep.residual_ok) else 1)
+
+
+def _validate(args) -> _Outcome:
+    results = run_validation()
+    checks = [{"check": r.name, "passed": r.passed, "detail": r.detail}
+              for r in results]
+    return _Outcome(None, None, checks, [], 0 if all(r.passed for r in results) else 1)
+
+
+_COMMANDS = {"constants": _constants, "bounds": _bounds, "sandwich": _sandwich,
+             "sweep": _sandwich, "thresholds": _thresholds,
+             "groundstate": _groundstate, "validate": _validate}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,16 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fracsob {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, params=True, solver=False):
+    def common(p, solver=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
         p.add_argument("--timing", action="store_true",
                        help="include wall time (breaks byte-identical output)")
-        if params:
-            p.add_argument("--N", type=int, default=1)
-            p.add_argument("--s", type=float, default=0.5)
-            p.add_argument("--p", type=float, default=2.0)
-            p.add_argument("--q", type=str, default="2")
+        p.add_argument("--N", type=int, default=1)
+        p.add_argument("--s", type=str, default="0.5")
+        p.add_argument("--p", type=float, default=2.0)
+        p.add_argument("--q", type=str, default="2")
         if solver:
             p.add_argument("--grid", type=int, default=4096,
                            help="grid points (power of two)")
@@ -252,30 +397,25 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="grid half-width (default: domain-derived)")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--max-iters", type=int, default=20000)
+
+    def bracket(p, solver=False):
+        common(p, solver=solver)
+        if solver:
             p.add_argument("--tol", type=float, default=0.02,
                            help="sandwich acceptance tolerance")
+        p.add_argument("--domain", default="rn:200")
+        p.add_argument("--c1", type=float, default=1.0)
+        p.add_argument("--c2", type=float, default=1.0)
 
     pc = sub.add_parser("constants", help="evaluate one exact constant")
     common(pc)
     pc.add_argument("--which", required=True, choices=sorted(_CONSTANT_DISPATCH))
 
-    pb = sub.add_parser("bounds", help="lower/upper bounds at one point")
-    common(pb)
-    pb.add_argument("--domain", default="rn:200")
-    pb.add_argument("--c1", type=float, default=1.0)
-    pb.add_argument("--c2", type=float, default=1.0)
-
-    ps = sub.add_parser("sandwich", help="bounds + numeric estimate + check")
-    common(ps, solver=True)
-    ps.add_argument("--domain", default="rn:200")
-    ps.add_argument("--c1", type=float, default=1.0)
-    ps.add_argument("--c2", type=float, default=1.0)
-
-    pw = sub.add_parser("sweep", help="sandwich over comma-separated s/q lists")
-    common(pw, solver=True)
-    pw.add_argument("--domain", default="rn:200")
-    pw.add_argument("--c1", type=float, default=1.0)
-    pw.add_argument("--c2", type=float, default=1.0)
+    bracket(sub.add_parser("bounds", help="lower/upper bounds at one point"))
+    bracket(sub.add_parser("sandwich", help="bounds + numeric estimate + check"),
+            solver=True)
+    bracket(sub.add_parser("sweep", help="sandwich over comma-separated s/q lists"),
+            solver=True)
 
     pt = sub.add_parser("thresholds", help="PDE threshold constants from S")
     common(pt)
@@ -301,198 +441,23 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        return _dispatch(args, argv if argv is not None else sys.argv[1:], t0)
+        out = _COMMANDS[args.cmd](args)
     except (DomainError, RegimeError, GridError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         ap.print_usage(sys.stderr)
         return 2
-
-
-def _record(args, argv, t0, params, domain, result, provenance) -> dict:
-    return {
-        "command": ["fracsob"] + list(argv),
-        "params": params,
-        "domain": domain,
-        "result": result,
-        "provenance": sorted(set(provenance)),
-        "wall_time_s": (time.perf_counter() - t0) if args.timing else None,
-    }
-
-
-def _dispatch(args, argv, t0) -> int:
+    command = ["fracsob"] + list(argv if argv is not None else sys.argv[1:])
     if args.cmd == "validate":
-        results = run_validation()
-        ok = all(r.passed for r in results)
-        npass = sum(r.passed for r in results)
-        record = {
-            "command": ["fracsob"] + list(argv),
-            "checks": [{"check": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in results],
-            "passed": npass,
-            "failed": len(results) - npass,
-        }
-        class _A:  # minimal emit shim: validate has no --out/--timing
-            format = args.format
-            out = None
-        _emit(_A, record, record["checks"], _CSV_COLUMNS["validate"])
-        return 0 if ok else 1
-
-    if args.cmd == "constants":
-        q = _number(args.q, "--q")
-        c = _CONSTANT_DISPATCH[args.which](
-            argparse.Namespace(N=args.N, s=args.s, p=args.p, q=q))
-        record = _record(args, argv, t0,
-                         {"N": args.N, "s": args.s, "p": args.p, "q": q},
-                         None, _constant_payload(c), [c.provenance])
-        _emit(args, record, [{"which": args.which, "N": args.N, "s": args.s,
-                              "p": args.p, "q": q, "value": c.value,
-                              "kind": c.kind.value,
-                              "error_estimate": c.error_estimate,
-                              "provenance": c.provenance}],
-              _CSV_COLUMNS["constants"])
-        return 0
-
-    if args.cmd == "bounds":
-        _warn_tm_constants(args)
-        params = Params(args.N, args.s, args.p, _number(args.q, "--q"))
-        domain = _parse_domain(args.domain, args.N)
-        pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
-        record = _record(args, argv, t0, _params_payload(params),
-                         _domain_payload(domain),
-                         {"lower": _constant_payload(pair.lower),
-                          "upper": _constant_payload(pair.upper)},
-                         [pair.lower.provenance, pair.upper.provenance])
-        _emit(args, record,
-              [{"N": params.N, "s": params.s, "p": params.p, "q": params.q,
-                "domain": args.domain, "lower": pair.lower.value,
-                "upper": pair.upper.value,
-                "lower_provenance": pair.lower.provenance,
-                "upper_provenance": pair.upper.provenance}],
-              _CSV_COLUMNS["bounds"])
-        return 0
-
-    if args.cmd in ("sandwich", "sweep"):
-        _warn_tm_constants(args)
-        domain = _parse_domain(args.domain, args.N)
-        box = args.box if args.box is not None else (
-            domain.truncation if not domain.bounded else 8.0 * domain.inradius)
-        grid = Grid(half_width=box, points=args.grid)
-        cfg = varmin.SolverConfig(max_iters=args.max_iters, seed=args.seed)
-        qs = _numbers(args.q, "--q")
-        ss = _numbers(args.s, "--s")
-        if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
-            raise DomainError("sandwich takes a single (s, q); use sweep for lists")
-        plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
-        reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
-                               C1=args.c1, C2=args.c2)
-        rows = _sandwich_row(reports, args)
-        prov = []
-        payloads = []
-        for rep in reports:
-            if isinstance(rep, Exception):
-                payloads.append({"error": f"{type(rep).__name__}: {rep}"})
-            else:
-                payloads.append(dict(params=_params_payload(rep.params),
-                                     **_sandwich_payload(rep)))
-                prov += [rep.lower.provenance, rep.upper.provenance]
-                if rep.numeric:
-                    prov.append(rep.numeric.provenance)
-        result = payloads[0] if args.cmd == "sandwich" else payloads
-        pp = (_params_payload(plist[0]) if args.cmd == "sandwich"
-              else {"N": args.N, "s": ss, "p": args.p, "q": qs})
-        record = _record(args, argv, t0, pp, _domain_payload(domain), result, prov)
-        _emit(args, record, rows, _CSV_COLUMNS[args.cmd])
-        if args.cmd == "sandwich":
-            rep = reports[0]
-            if isinstance(rep, Exception):
-                print(f"error: {rep}", file=sys.stderr)
-                return 2
-            return 0 if rep.passed else 1
-        bad = any(isinstance(r, Exception) or not r.passed for r in reports)
-        return 1 if bad else 0
-
-    if args.cmd == "thresholds":
-        q = _number(args.q, "--q")
-        params = Params(args.N, args.s, 2.0, q)
-        regime = params.regime()
-        S = args.S
-        note = "caller-supplied S"
-        if S is None:
-            if regime is constants.Regime.HILBERT:
-                S = bounds.hilbert_wholespace_bounds(params).lower.value
-                note = "S = certified whole-space lower bound"
-            elif regime is constants.Regime.LIMITING:
-                _warn_tm_constants(args)
-                S = bounds.limiting_wholespace_lower(q, args.c2).value
-                note = "S = whole-space lower bound at supplied C2"
-            else:
-                raise RegimeError(f"no default S available in regime {regime.value}")
-        c_star = pde.ps_level(args.s, q, S)
-        hthr, lthr = pde.existence_thresholds(q, S)
-        f3 = pde.growth_coefficient(q, S) if regime is constants.Regime.LIMITING else None
-        alpha = lam_lo = None
-        if regime is constants.Regime.HILBERT:
-            alpha = pde.coupling_alpha(args.N, args.s, q, S)
-            if 0.0 < alpha < 1.0:
-                lam_lo = pde.coupling_lambda_interval(alpha)[0]
-        rep = pde.ThresholdReport(c_star=c_star, h_norm_threshold=hthr,
-                                  lq_norm_threshold=lthr, f3_coeff=f3,
-                                  alpha=alpha, lambda_lower=lam_lo)
-        result = {"S": S, "S_note": note, "c_star": rep.c_star,
-                  "h_norm_threshold": rep.h_norm_threshold,
-                  "lq_norm_threshold": rep.lq_norm_threshold,
-                  "f3_coeff": rep.f3_coeff, "alpha": rep.alpha,
-                  "lambda_lower": rep.lambda_lower}
-        record = _record(args, argv, t0, _params_payload(params), None, result, [])
-        _emit(args, record,
-              [{"N": args.N, "s": args.s, "q": q, "S": S, "c_star": rep.c_star,
-                "h_norm_threshold": rep.h_norm_threshold,
-                "lq_norm_threshold": rep.lq_norm_threshold,
-                "f3_coeff": rep.f3_coeff, "alpha": rep.alpha,
-                "lambda_lower": rep.lambda_lower}],
-              _CSV_COLUMNS["thresholds"])
-        return 0
-
-    if args.cmd == "groundstate":
-        q = _number(args.q, "--q")
-        box = args.box if args.box is not None else 40.0
-        grid = Grid(half_width=box, points=args.grid)
-        V = _parse_field(args.V, grid)
-        Q = _parse_field(args.Q, grid)
-        if np.max(np.abs(Q.values - 1.0)) > 1e-12:
-            pde.check_weight_hypotheses(Q)
-        if np.max(np.abs(V.values - 1.0)) > 1e-12:
-            pde.check_potential_hypotheses(V)
-        res = varmin.minimize_quotient(grid, None, args.s, q, "whole_space",
-                                       varmin.SolverConfig(max_iters=args.max_iters,
-                                                           seed=args.seed))
-        u0, I0, rep = pde.ground_state_solve(grid, args.s, q, V, Q,
-                                             max_iters=args.max_iters,
-                                             S_reference=res.estimate)
-        result = {
-            "I0": I0, "iterations": rep.iterations, "converged": rep.converged,
-            "residual": rep.residual, "residual_rel": rep.residual_rel,
-            "residual_ok": rep.residual_ok,
-            "h_norm_sq": rep.h_norm_sq, "h_threshold": rep.h_threshold,
-            "lq_norm": rep.lq_norm, "lq_threshold": rep.lq_threshold,
-            "S_numeric": res.estimate,
-            "thresholds_satisfied": bool(rep.h_norm_sq < rep.h_threshold
-                                         and rep.lq_norm < rep.lq_threshold),
-        }
-        record = _record(args, argv, t0,
-                         {"N": 1, "s": args.s, "p": 2.0, "q": q},
-                         {"kind": "whole_space", "dim": 1, "truncation": box},
-                         result, ["rayleigh-numeric"])
-        _emit(args, record,
-              [{"s": args.s, "q": q, "I0": I0, "residual_rel": rep.residual_rel,
-                "h_norm_sq": rep.h_norm_sq, "h_threshold": rep.h_threshold,
-                "lq_norm": rep.lq_norm, "lq_threshold": rep.lq_threshold,
-                "iterations": rep.iterations, "converged": rep.converged}],
-              _CSV_COLUMNS["groundstate"])
-        return 0 if (rep.converged and rep.residual_ok) else 1
-
-    raise DomainError(f"unknown subcommand {args.cmd!r}")
+        npass = sum(c["passed"] for c in out.result)
+        record = {"command": command, "checks": out.result, "passed": npass,
+                  "failed": len(out.result) - npass}
+    else:
+        record = {"command": command, "params": out.params, "domain": out.domain,
+                  "result": out.result, "provenance": sorted(set(out.provenance)),
+                  "wall_time_s": (time.perf_counter() - t0) if args.timing else None}
+    _emit(args, record, out)
+    return out.code
 
 
 def main() -> None:

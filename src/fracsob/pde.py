@@ -22,7 +22,6 @@ from .grids import Field, Grid
 from .varmin import _apply, _descend
 
 __all__ = [
-    "ThresholdReport",
     "ps_level",
     "existence_thresholds",
     "growth_coefficient",
@@ -35,19 +34,6 @@ __all__ = [
     "GroundStateReport",
     "ground_state_solve",
 ]
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Threshold constants at one parameter point (entries inapplicable to
-    the regime are None)."""
-
-    c_star: float
-    h_norm_threshold: float
-    lq_norm_threshold: float
-    f3_coeff: Optional[float] = None
-    alpha: Optional[float] = None
-    lambda_lower: Optional[float] = None
 
 
 def ps_level(s: float, q: float, S: float) -> float:

@@ -39,6 +39,7 @@ __all__ = [
     "domain_mask",
     "quotient_value_grad",
     "minimize_quotient",
+    "default_grid",
     "sandwich",
     "sweep",
 ]
@@ -322,6 +323,16 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
 _DEFAULT_TOL = 0.02
 
 
+def default_grid(domain: DomainSpec, points: int = 4096,
+                 half_width: float | None = None) -> Grid:
+    """The sandwich grid: `points` nodes on [-half_width, half_width], by
+    default 8 x the inradius of a bounded domain or the whole-space
+    truncation."""
+    if half_width is None:
+        half_width = 8.0 * domain.inradius if domain.bounded else domain.truncation
+    return Grid(half_width=half_width, points=points)
+
+
 def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None,
              grid: Grid | None = None, tol: float = _DEFAULT_TOL,
              C1: float = 1.0, C2: float = 1.0) -> SandwichReport:
@@ -334,61 +345,46 @@ def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None
     """
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
-    regime = params.regime()
-
-    if regime is Regime.BORDERLINE:
-        if domain.bounded:
-            # every bounded 1-D domain is an interval (= ball); in higher
-            # dimension only balls admit the exact value
-            is_ball = domain.kind == "ball" or domain.dim == 1
-            if is_ball:
-                numeric = ConstantValue(lo.value, ConstantKind.NUMERIC_ESTIMATE,
-                                        "char-ball-exact",
-                                        error_estimate=lo.error_estimate + 1e-30)
-                sl = (numeric.value - lo.value) / lo.value
-                su = (up.value - numeric.value) / up.value
-                passed = (numeric.value >= lo.value * (1 - tol)
-                          and numeric.value <= up.value * (1 + tol))
-                return SandwichReport(params, domain, lo, up, numeric, sl, su,
-                                      tol, passed, note="exact char-function value")
-            return SandwichReport(params, domain, lo, up, None, None, None, tol,
-                                  passed=lo.value <= up.value,
-                                  note="bound-only: p=1 numeric limited to balls")
-        return SandwichReport(params, domain, lo, up, None, None, None, tol,
-                              passed=lo.value <= up.value,
-                              note="bound-only: whole-space p=1 attainability unknown")
-
-    if params.N != 1:
-        return SandwichReport(params, domain, lo, up, None, None, None, tol,
-                              passed=lo.value <= up.value,
-                              note="bound-only: spectral solver is one-dimensional")
-
-    if cfg is None:
-        cfg = SolverConfig()
-    if grid is None:
-        if domain.bounded:
-            grid = Grid(half_width=8.0 * domain.inradius, points=4096)
+    numeric = None
+    if params.regime() is Regime.BORDERLINE:
+        if not domain.bounded:
+            note = "bound-only: whole-space p=1 attainability unknown"
+        # every bounded 1-D domain is an interval (= ball); in higher
+        # dimension only balls admit the exact value
+        elif domain.kind == "ball" or domain.dim == 1:
+            numeric = ConstantValue(lo.value, ConstantKind.NUMERIC_ESTIMATE,
+                                    "char-ball-exact",
+                                    error_estimate=lo.error_estimate + 1e-30)
+            note = "exact char-function value"
         else:
-            grid = Grid(half_width=domain.truncation, points=4096)
-
-    if domain.bounded:
-        res = minimize_quotient(grid, domain_mask(grid, domain), params.s,
-                                params.q, "domain", cfg)
+            note = "bound-only: p=1 numeric limited to balls"
+    elif params.N != 1:
+        note = "bound-only: spectral solver is one-dimensional"
     else:
-        res = minimize_quotient(grid, None, params.s, params.q, "whole_space", cfg)
+        if grid is None:
+            grid = default_grid(domain)
+        if domain.bounded:
+            res = minimize_quotient(grid, domain_mask(grid, domain), params.s,
+                                    params.q, "domain", cfg)
+        else:
+            res = minimize_quotient(grid, None, params.s, params.q, "whole_space", cfg)
+        err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + tol * res.estimate
+        numeric = ConstantValue(res.estimate, ConstantKind.NUMERIC_ESTIMATE,
+                                "rayleigh-numeric", error_estimate=err)
+        notes = []
+        if not res.converged:
+            notes.append("solver hit max_iters")
+        if res.tail_mass_warning:
+            notes.append("tail mass near truncation boundary")
+        note = "; ".join(notes)
 
-    err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + tol * res.estimate
-    numeric = ConstantValue(res.estimate, ConstantKind.NUMERIC_ESTIMATE,
-                            "rayleigh-numeric", error_estimate=err)
+    if numeric is None:
+        return SandwichReport(params, domain, lo, up, None, None, None, tol,
+                              passed=lo.value <= up.value, note=note)
     sl = (numeric.value - lo.value) / lo.value
     su = (up.value - numeric.value) / up.value
     passed = (numeric.value >= lo.value * (1 - tol)
               and numeric.value <= up.value * (1 + tol))
-    note = ""
-    if not res.converged:
-        note = "solver hit max_iters"
-    if res.tail_mass_warning:
-        note = (note + "; " if note else "") + "tail mass near truncation boundary"
     return SandwichReport(params, domain, lo, up, numeric, sl, su, tol, passed, note)
 
 

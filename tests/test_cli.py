@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fracsob.cli import run
+from fracsob.cli import _fmt, run
 
 
 def run_capture(capsys, argv):
@@ -128,6 +132,16 @@ class TestSweepCommand:
         qcol = [float(line.split(",")[3]) for line in lines[1:]]
         assert qcol == [2.5, 3.0, 3.5]
 
+    def test_s_list_rows_are_s_major(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.3",
+                     "--q", "2.5,3", "--domain", "rn:100", "--grid", "1024",
+                     "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(float(r["s"]), float(r["q"])) for r in rows] == [
+            (0.25, 2.5), (0.25, 3.0), (0.3, 2.5), (0.3, 3.0)]
+
 
 class TestThresholdsCommand:
     def test_hilbert_defaults(self, capsys):
@@ -210,3 +224,107 @@ def test_unparsable_number_list_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error: " in err and "--q" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--s", "abc", "--which", "lieb"],
+    ["bounds", "--s", "0.25,0.3"],
+    ["sweep", "--s", "0.25,x"],
+])
+def test_unparsable_s_is_usage_error(capsys, argv):
+    # --s is parsed like --q: a list on sweep, one number everywhere else
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--s" in err
+
+
+def test_groundstate_has_no_tol(capsys):
+    # --tol is the sandwich acceptance tolerance; groundstate never read it
+    code, out, err = run_capture(capsys, ["groundstate", "--tol", "0.1"])
+    assert code == 2
+    assert "unrecognized arguments: --tol" in err
+
+
+_TM_WARNING = "warning: Trudinger-Moser constants --c1/--c2 defaulted"
+
+
+@pytest.mark.parametrize("argv, warns", [
+    (["bounds", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3"], False),
+    (["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2",
+      "--domain", "ball:1"], False),
+    (["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3"], True),
+    (["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3", "--c2", "2"], False),
+    (["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.5", "--q", "3",
+      "--domain", "rn:30", "--grid", "1024"], True),
+])
+def test_tm_warning_only_at_limiting_points(capsys, argv, warns):
+    # C1/C2 enter only the limiting-case lower bounds
+    code, _, err = run_capture(capsys, argv)
+    assert code == 0
+    if warns:
+        assert err.startswith(_TM_WARNING)
+    else:
+        assert err == ""
+
+
+def _json_field(doc: dict, item: dict, column: str, argv: list[str]):
+    """The value in the JSON record that a CSV column names."""
+    if column in ("which", "domain"):
+        return argv[argv.index("--" + column) + 1]
+    if column.endswith("_provenance"):
+        return item[column[:-len("_provenance")]]["provenance"]
+    for source in (item, item.get("params", {}), doc.get("params") or {}):
+        if column in source:
+            value = source[column]
+            return value["value"] if isinstance(value, dict) else value
+    raise KeyError(column)
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--N", "3", "--s", "0.5", "--which", "lieb"],
+    ["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2", "--domain", "ball:1"],
+    ["sandwich", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3",
+     "--domain", "interval:-1,1", "--grid", "1024", "--box", "8"],
+    ["sandwich", "--p", "2", "--N", "1", "--s", "0.7", "--q", "3",
+     "--domain", "rn:100", "--grid", "1024"],
+    ["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.3", "--q", "2.5,5",
+     "--domain", "rn:100", "--grid", "1024"],
+    ["thresholds", "--N", "1", "--s", "0.25", "--q", "3"],
+    ["groundstate", "--s", "0.5", "--q", "4", "--grid", "1024", "--box", "30"],
+    ["validate"],
+])
+def test_csv_cells_match_json_fields(capsys, argv):
+    # every CSV cell is the 17-digit text of the JSON field its column names;
+    # a sweep point that raised has only N, domain, pass and note
+    code, out, _ = run_capture(capsys, argv)
+    code_csv, out_csv, _ = run_capture(capsys, argv + ["--format", "csv"])
+    assert code_csv == code
+    doc = json.loads(out)
+    items = doc["checks"] if argv[0] == "validate" else doc["result"]
+    items = items if isinstance(items, list) else [items]
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    assert len(rows) == len(items)
+    for item, row in zip(items, rows):
+        for column, cell in row.items():
+            if "error" in item:
+                value = {"N": doc["params"]["N"], "domain": argv[argv.index("--domain") + 1],
+                         "pass": False, "note": "error: " + item["error"]}.get(column)
+            else:
+                value = _json_field(doc, item, column, argv)
+            assert cell == ("" if value is None else _fmt(value)), column
+
+
+def _readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fracsob ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 7
+    for line in lines:
+        code, out, _ = run_capture(capsys, shlex.split(line)[1:])
+        assert code == 0, line
+        assert out
