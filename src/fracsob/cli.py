@@ -203,7 +203,7 @@ def _csv_rows(args, out: _Outcome) -> list[dict]:
     rows = []
     for item in out.result if isinstance(out.result, list) else [out.result]:
         if "error" in item:   # a sweep point that raised
-            rows.append({"N": args.N, "domain": args.domain, "pass": False,
+            rows.append({**item["params"], "domain": args.domain, "pass": False,
                          "note": f"error: {item['error']}"})
             continue
         row = {**vars(args), **(out.params or {})}
@@ -278,9 +278,10 @@ def _sandwich(args) -> _Outcome:
     reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
                            C1=args.c1, C2=args.c2)
     payloads, prov = [], []
-    for rep in reports:
+    for point, rep in zip(plist, reports):
         if isinstance(rep, Exception):
-            payloads.append({"error": f"{type(rep).__name__}: {rep}"})
+            payloads.append({"params": _params_payload(point),
+                             "error": f"{type(rep).__name__}: {rep}"})
         else:
             payloads.append(_sandwich_payload(rep))
             prov += [c.provenance for c in (rep.lower, rep.upper, rep.numeric) if c]

@@ -1,4 +1,4 @@
-"""Exact embedding constants: closed forms and singular-quadrature values.
+"""Exact embedding constants and literature bounds, all in closed form.
 
 Every constant is returned as a `ConstantValue` carrying a provenance key
 from `PROVENANCE_KEYS`, its evaluation kind and an error estimate.  The
@@ -8,12 +8,12 @@ as `Params`.
 from __future__ import annotations
 
 import enum
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import QuadratureConfig, integrate, ln_gamma
+from .specfun import ln_gamma
 
 __all__ = [
     "Regime",
@@ -24,7 +24,6 @@ __all__ = [
     "unit_ball_volume",
     "classical_sobolev",
     "isoperimetric",
-    "frac_iso_kernel",
     "hardy_sobolev_A",
     "frac_isoperimetric",
     "lieb_constant",
@@ -172,93 +171,26 @@ def isoperimetric(N: int) -> ConstantValue:
                          ConstantKind.CLOSED_FORM, "isoperimetric")
 
 
-def _kernel_from_gap(N: int, s: float, gap):
-    """frac_iso_kernel expressed through gap = 1 - r (arithmetic-stable form;
-    gap may be a numpy array when N = 1)."""
-    if N == 1:
-        return gap ** (-1.0 - s) + (2.0 - gap) ** (-1.0 - s)
-    import numpy as np
-
-    gap = float(gap)  # the angular quadrature handles one radius at a time
-    pref = (N - 1) * unit_ball_volume(N - 1)
-    r = 1.0 - gap
-    gap_sq = gap * gap
-
-    def f(theta):
-        dist_sq = gap_sq + 4.0 * r * np.sin(0.5 * theta) ** 2
-        y = np.sin(theta) ** (N - 2) * dist_sq ** (-(N + s) / 2.0)
-        if not math.isfinite(y.sum()):
-            # an inf or nan node would be dropped by the quadrature, which
-            # then returns a wrong value with a small error estimate
-            raise DomainError(f"the angular kernel overflows a double at N={N}, "
-                              f"s={s}, 1-r={gap:.3g}")
-        return y
-
-    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=2000)
-    with np.errstate(over="ignore", invalid="ignore"):  # f raises instead
-        val, _ = integrate(f, 0.0, math.pi, cfg)
-    return pref * val
-
-
-def frac_iso_kernel(N: int, s: float, r: float) -> float:
-    """Angular kernel of the nonlocal perimeter of the unit ball.
-
-    N = 1 has the closed form (1-r)^(-1-s) + (1+r)^(-1-s).  For N >= 2 the
-    angular integral is taken in the polar angle, where the inverse-distance
-    factor has the cancellation-free form (1-r)^2 + 4 r sin^2(theta/2); this
-    absorbs the (1-t^2)^((N-3)/2) endpoint singularity of the t variable
-    analytically (t = cos theta) and stays accurate arbitrarily close to
-    r = 1, where the integrand peaks like (1-r)^(-1-s).
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"kernel argument r must lie in [0,1), got {r}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
-    return _kernel_from_gap(N, s, 1.0 - r)
-
-
-@functools.lru_cache(maxsize=128)
-def _hardy_A(N: int, s: float) -> tuple[float, float]:
-    import numpy as np
-
-    def f(r):
-        return (r ** (s - 1.0) * -np.expm1((N - s) * np.log(r))
-                * _kernel_from_gap(N, s, 1.0 - r))
-
-    cfg_left = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=600,
-                                left_singularity_exponent=1.0 - s)
-    v1, e1 = integrate(f, 0.0, 0.9, cfg_left)
-
-    # right piece: the (1-r)^(-s) behavior is removed by r = 1 - t^(1/(1-s)),
-    # applied by hand so the gap 1 - r = t^p stays exact in double precision
-    p = 1.0 / (1.0 - s)
-
-    def g(t):
-        gap = t ** p
-        r = 1.0 - gap
-        return (r ** (s - 1.0) * -np.expm1((N - s) * np.log1p(-gap))
-                * _kernel_from_gap(N, s, gap) * p * t ** (p - 1.0))
-
-    cfg_right = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=600)
-    v2, e2 = integrate(g, 0.0, 0.1 ** (1.0 - s), cfg_right)
-    return 2.0 * (v1 + v2), 2.0 * (e1 + e2) + _EVAL_EPS
-
-
 def hardy_sobolev_A(N: int, s: float) -> ConstantValue:
     """Sharp constant A(N,s) of the fractional Hardy-Sobolev inequality,
-    by singular quadrature of 2 int_0^1 r^(s-1)(1 - r^(N-s)) K(r) dr.
 
-    Near r = 1 the integrand behaves like (1-r)^(-s); the quadrature is
-    split at r = 0.9 so that the right-endpoint substitution acts only
-    where that behavior is local.  Values are cached per (N, s).
+        A(N,s) = 2^(2-s) pi^((N-1)/2) Gamma((1-s)/2) / (s Gamma((N-s)/2)),
+
+    the p = 1 case of the sharp Hardy constant of Frank and Seiringer
+    (J. Funct. Anal. 255, 2008), i.e. 2 int_0^1 r^(s-1)(1 - r^(N-s)) K(r) dr
+    with K the angular kernel of the nonlocal perimeter of the unit ball.
+    Evaluated in log space; raises DomainError where A falls below the
+    smallest normal double (near N = 440).
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    val, err = _hardy_A(int(N), float(s))
-    return ConstantValue(val, ConstantKind.QUADRATURE, "hardy-sobolev",
-                         error_estimate=err)
+    val = math.exp((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
+                   + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0))
+    if val < sys.float_info.min:
+        raise DomainError(f"A(N,s) underflows a double at N={N}, s={s}")
+    return ConstantValue(val, ConstantKind.CLOSED_FORM, "hardy-sobolev")
 
 
 def frac_isoperimetric(N: int, s: float) -> ConstantValue:
@@ -266,9 +198,7 @@ def frac_isoperimetric(N: int, s: float) -> ConstantValue:
     W^{s,1} -> L^{N/(N-s)} embedding, attained by balls."""
     A = hardy_sobolev_A(N, s)
     pref = unit_ball_volume(N) ** (s / N) * N / (N - s)
-    return ConstantValue(pref * A.value, ConstantKind.QUADRATURE,
-                         "frac-isoperimetric",
-                         error_estimate=pref * A.error_estimate + _EVAL_EPS)
+    return ConstantValue(pref * A.value, ConstantKind.CLOSED_FORM, "frac-isoperimetric")
 
 
 def lieb_constant(N: int, s: float) -> ConstantValue:

@@ -56,8 +56,6 @@ class SolverConfig:
     quotient_tol: float = 1e-9
     seed: int = 0
     verify_projection: bool = False        # per-step numerator check (slow)
-    tail_fraction: float = 0.05
-    tail_mass_limit: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1 or self.quotient_tol <= 0:
@@ -158,6 +156,10 @@ def _normalize(v: np.ndarray, h: float, q: float,
 
 
 _ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+# a whole-space minimizer warns when more than _TAIL_MASS_LIMIT of its q-mass
+# lies in the outer _TAIL_FRACTION of the box
+_TAIL_FRACTION = 0.05
+_TAIL_MASS_LIMIT = 1e-6
 
 
 def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
@@ -309,9 +311,9 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     tail_warning = False
     if mode == "whole_space":
         x = grid.x
-        edge = np.abs(x) >= (1.0 - cfg.tail_fraction) * grid.half_width
+        edge = np.abs(x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
         mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
-        tail_warning = bool(mass > cfg.tail_mass_limit)
+        tail_warning = bool(mass > _TAIL_MASS_LIMIT)
 
     return SolveResult(estimate=trace[-1], minimizer=Field(grid, u),
                        trace=np.asarray(trace), converged=converged,

@@ -84,13 +84,24 @@ def test_large_dimension_bounds_stay_finite(capsys):
     assert math.isfinite(res["upper"]["value"])
 
 
-def test_large_dimension_frac_isoperimetric_is_refused(capsys):
-    # the Hardy A quadrature cannot resolve N = 300: a usage error, no traceback
-    code, _, err = run_capture(
+def test_large_dimension_frac_isoperimetric_is_finite(capsys):
+    # A(N,s) is a closed form evaluated in log space: N = 300 is finite
+    code, out, _ = run_capture(
         capsys, ["constants", "--N", "300", "--s", "0.3", "--which",
                  "frac-isoperimetric"])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert math.isfinite(res["value"]) and res["value"] > 0.0
+    assert res["kind"] == "closed_form" and res["error_estimate"] == 0.0
+
+
+def test_large_dimension_frac_isoperimetric_is_refused(capsys):
+    # A(500, 0.3) is below the smallest normal double: a usage error
+    code, _, err = run_capture(
+        capsys, ["constants", "--N", "500", "--s", "0.3", "--which",
+                 "frac-isoperimetric"])
     assert code == 2
-    assert "overflows" in err
+    assert "underflows" in err
 
 
 class TestSandwichCommand:
@@ -141,6 +152,23 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [(float(r["s"]), float(r["q"])) for r in rows] == [
             (0.25, 2.5), (0.25, 3.0), (0.3, 2.5), (0.3, 3.0)]
+
+
+    def test_error_rows_name_their_point(self, capsys):
+        # q = 5 is above the critical exponent 4 of s = 0.25: that point raises
+        argv = ["sweep", "--s", "0.25", "--q", "3,5", "--domain", "rn:100",
+                "--grid", "1024"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 1
+        err = json.loads(out)["result"][1]
+        assert err["error"].startswith("RegimeError")
+        assert err["params"] == {"N": 1, "s": 0.25, "p": 2.0, "q": 5.0,
+                                 "regime": "out-of-scope"}
+        code, out, _ = run_capture(capsys, argv + ["--format", "csv"])
+        assert code == 1
+        row = list(csv.DictReader(io.StringIO(out)))[1]
+        assert (row["N"], row["s"], row["p"], row["q"]) == ("1", "0.25", "2", "5")
+        assert row["pass"] == "False" and row["note"].startswith("error: RegimeError")
 
 
 class TestThresholdsCommand:
@@ -296,7 +324,7 @@ def _json_field(doc: dict, item: dict, column: str, argv: list[str]):
 ])
 def test_csv_cells_match_json_fields(capsys, argv):
     # every CSV cell is the 17-digit text of the JSON field its column names;
-    # a sweep point that raised has only N, domain, pass and note
+    # a sweep point that raised has only its params, domain, pass and note
     code, out, _ = run_capture(capsys, argv)
     code_csv, out_csv, _ = run_capture(capsys, argv + ["--format", "csv"])
     assert code_csv == code
@@ -308,7 +336,7 @@ def test_csv_cells_match_json_fields(capsys, argv):
     for item, row in zip(items, rows):
         for column, cell in row.items():
             if "error" in item:
-                value = {"N": doc["params"]["N"], "domain": argv[argv.index("--domain") + 1],
+                value = {**item["params"], "domain": argv[argv.index("--domain") + 1],
                          "pass": False, "note": "error: " + item["error"]}.get(column)
             else:
                 value = _json_field(doc, item, column, argv)

@@ -10,7 +10,6 @@ from fracsob.constants import (
     Params,
     Regime,
     classical_sobolev,
-    frac_iso_kernel,
     frac_isoperimetric,
     frac_sobolev_hilbert,
     hardy_sobolev_A,
@@ -23,6 +22,7 @@ from fracsob.constants import (
 )
 from fracsob.bounds import limiting_wholespace_upper
 from fracsob.errors import DomainError
+from quadrature_oracles import frac_iso_kernel, hardy_A_quadrature
 
 
 def rel(a, b):
@@ -101,19 +101,55 @@ class TestHardySobolevA:
         # giving A(1,s) = 4 * 2^(-s)/s
         for s in (0.25, 0.5):
             got = hardy_sobolev_A(1, s)
-            assert got.kind is ConstantKind.QUADRATURE
+            assert got.kind is ConstantKind.CLOSED_FORM
             assert rel(got.value, 4.0 * 2.0 ** (-s) / s) < 1e-10
 
     def test_2d_vs_independent_perimeter_oracle(self):
         got = hardy_sobolev_A(2, 0.5)
         assert rel(got.value, PERIM_2D_ORACLE_A) < 1e-4
 
+    @pytest.mark.parametrize("N,s", [(1, 0.1), (2, 0.3), (2, 0.9), (3, 0.5), (3, 0.7),
+                                     (4, 0.2), (5, 0.6), (10, 0.4), (10, 0.9)])
+    def test_closed_form_vs_nested_quadrature(self, N, s):
+        want, _ = hardy_A_quadrature(N, s)
+        assert rel(hardy_sobolev_A(N, s).value, want) < 1e-10
+
     @pytest.mark.parametrize("N,s", [(3, 0.97), (20, 0.9), (300, 0.3)])
     def test_overflowing_kernel_is_refused(self, N, s):
-        # the angular integrand overflows near r = 1 here; dropping those
-        # nodes gave values off by 0.5% (N=3), 3% (N=20) and 30% (N=300)
+        # the nested quadrature's angular integrand overflows a double here,
+        # so the oracle refuses these points; the closed form is finite
         with pytest.raises(DomainError, match="overflows"):
-            hardy_sobolev_A(N, s)
+            hardy_A_quadrature(N, s)
+        got = hardy_sobolev_A(N, s)
+        assert got.kind is ConstantKind.CLOSED_FORM and got.error_estimate == 0.0
+        assert math.isfinite(got.value) and got.value > 0.0
+        if (N, s) == (3, 0.97):
+            assert rel(got.value, _hardy_A_3d_mpmath(s)) < 1e-12
+
+    def test_underflow_is_refused(self):
+        hardy_sobolev_A(439, 0.5)
+        with pytest.raises(DomainError, match="underflows"):
+            hardy_sobolev_A(440, 0.5)
+
+
+def _hardy_A_3d_mpmath(s):
+    """A(3,s) = 2 int_0^1 r^(s-1)(1 - r^(3-s)) K(r) dr with the elementary
+    N = 3 kernel K(r) = 2 pi ((1-r)^(-1-s) - (1+r)^(-1-s)) / (r (1+s)), by
+    tanh-sinh quadrature at 40 digits.  On [1/2, 1] the (1-r)^(-s) endpoint
+    behaviour is removed by 1 - r = t^(1/(1-s)), with the gap kept exact."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        p = 1 / (1 - s)
+
+        def f(gap):
+            r = 1 - gap
+            kern = 2 * mpmath.pi * (gap ** (-1 - s) - (2 - gap) ** (-1 - s)) / (r * (1 + s))
+            return r ** (s - 1) * -mpmath.expm1((3 - s) * mpmath.log1p(-gap)) * kern
+
+        left = mpmath.quad(lambda r: f(1 - r), [0, 0.5])
+        right = mpmath.quad(lambda t: f(t ** p) * p * t ** (p - 1), [0, 0.5 ** (1 - s)])
+        return float(2 * (left + right))
 
 
 class TestFracIsoperimetric:

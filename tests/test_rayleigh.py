@@ -19,6 +19,7 @@ from fracsob.rayleigh import (
     objective_value,
 )
 from fracsob.specfun import QuadratureConfig, bessel_j, gamma_fn, integrate
+from quadrature_oracles import moser_nested_quadrature
 
 
 def rel(a, b):
@@ -28,6 +29,7 @@ def rel(a, b):
 BUMP_SEMI_1_025_1 = 1.5491586698003223
 BUMP_LQ_1_025_3_1 = 1.1286595643220031
 CHAR_GAG_1_05 = 22.627416997969521  # 4 (2k)^(1-s)/(s(1-s)) at k=1, s=1/2
+ZETA_3 = 1.2020569031595942          # zeta(3), Apery's constant
 
 
 def spectral_energy_oracle(values: np.ndarray, half_width: float, s: float,
@@ -235,3 +237,25 @@ class TestMoserBoundCheck:
     def test_domain(self):
         with pytest.raises(DomainError):
             moser_bound_check(1.0, 0.5)
+
+    @pytest.mark.parametrize("k,K", [(0.95, 1.0), (0.01, 0.9), (math.exp(-8.0), 1.0)])
+    def test_matches_nested_quadrature(self, k, K):
+        numeric, bound, _ = moser_bound_check(k, K)
+        want, want_bound, _ = moser_nested_quadrature(k, K)
+        assert bound == want_bound
+        assert rel(numeric, want) < 1e-8
+
+    @pytest.mark.parametrize("k,K", [(math.exp(-2.0), 1.0), (math.exp(-8.0), 1.0),
+                                     (math.exp(-16.0), 1.0), (0.05, 0.5), (0.35, 0.8),
+                                     (0.5, 1.0)])
+    def test_slack_closed_form(self, k, K):
+        # d chi_3(t)/dt = chi_2(t)/t and chi_3(1) = 7 zeta(3)/8 give
+        # slack = (7 zeta(3) - 8 chi_3(k/K)) / pi
+        t = k / K
+        chi3 = sum(t ** (2 * j + 1) / (2 * j + 1) ** 3 for j in range(60))
+        want = (7.0 * ZETA_3 - 8.0 * chi3) / math.pi
+        assert rel(moser_bound_check(k, K)[2], want) < 1e-8
+
+    def test_nearly_degenerate_interval(self):
+        numeric, bound, slack = moser_bound_check(1.0, 1.0 + 1e-6)
+        assert numeric >= 0.0 and slack >= 0.0

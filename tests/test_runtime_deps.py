@@ -1,0 +1,28 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fracsob
+
+_PROBE = """
+import importlib, json, pkgutil, sys
+import fracsob
+for mod in pkgutil.iter_modules(fracsob.__path__):
+    importlib.import_module("fracsob." + mod.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_runtime_imports_no_test_oracle():
+    # scipy and mpmath are test-only oracles: importing fracsob and every
+    # submodule (cli and validate included) must not pull them in
+    src = str(Path(fracsob.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    modules = json.loads(out)
+    assert {"fracsob.cli", "fracsob.validate", "fracsob.specfun"} <= set(modules)
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "mpmath")] == []
