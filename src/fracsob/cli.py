@@ -8,8 +8,8 @@ builds the one record from them.  Output is that record as a JSON document
 by default, or with --format csv one row per result item, derived from the
 same result (the columns are `_CSV_COLUMNS`); numeric fields are serialized
 with 17 significant digits so values round-trip losslessly.  Identical
-invocations with identical seeds produce byte-identical output (pass
---timing to include wall time, which breaks that determinism).
+invocations produce byte-identical output (pass --timing to include wall
+time, which breaks that determinism).
 
 Domain grammar: ball:R | interval:a,b | rn:L  (L = truncation half-width).
 
@@ -274,7 +274,7 @@ def _sandwich(args) -> _Outcome:
     _warn_tm_constants(args, plist)
     domain = _parse_domain(args.domain, args.N)
     grid = varmin.default_grid(domain, args.grid, args.box)
-    cfg = varmin.SolverConfig(max_iters=args.max_iters, seed=args.seed)
+    cfg = varmin.SolverConfig(max_iters=args.max_iters)
     reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
                            C1=args.c1, C2=args.c2)
     payloads, prov = [], []
@@ -340,8 +340,7 @@ def _groundstate(args) -> _Outcome:
     if np.max(np.abs(V.values - 1.0)) > 1e-12:
         pde.check_potential_hypotheses(V)
     res = varmin.minimize_quotient(grid, None, s, q, "whole_space",
-                                   varmin.SolverConfig(max_iters=args.max_iters,
-                                                       seed=args.seed))
+                                   varmin.SolverConfig(max_iters=args.max_iters))
     u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters,
                                          S_reference=res.estimate)
     result = {
@@ -396,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="grid points (power of two)")
             p.add_argument("--box", type=float, default=None,
                            help="grid half-width (default: domain-derived)")
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--max-iters", type=int, default=20000)
 
     def bracket(p, solver=False):

@@ -144,12 +144,22 @@ class ConstantValue:
             raise DomainError("only closed-form constants may claim zero error")
 
 
-def unit_ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N: pi^(N/2)/Gamma(N/2+1), evaluated in
-    log space so that N >= 342, where Gamma(N/2+1) overflows, stays finite."""
+def _ln_unit_ball_volume(N: int) -> float:
+    """log omega_N = (N/2) log pi - log Gamma(N/2+1)."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    return math.exp(N / 2.0 * math.log(math.pi) - ln_gamma(N / 2.0 + 1.0))
+    return N / 2.0 * math.log(math.pi) - ln_gamma(N / 2.0 + 1.0)
+
+
+def unit_ball_volume(N: int) -> float:
+    """Volume of the unit ball in R^N: pi^(N/2)/Gamma(N/2+1), evaluated in
+    log space so that N >= 342, where Gamma(N/2+1) overflows, stays finite.
+    Raises DomainError from N = 436 on, where it falls below the smallest
+    normal double."""
+    val = math.exp(_ln_unit_ball_volume(N))
+    if val < sys.float_info.min:
+        raise DomainError(f"unit_ball_volume underflows a double at N={N}")
+    return val
 
 
 def classical_sobolev(N: int, p: float) -> ConstantValue:
@@ -164,10 +174,10 @@ def classical_sobolev(N: int, p: float) -> ConstantValue:
 
 
 def isoperimetric(N: int) -> ConstantValue:
-    """N * omega_N^(1/N), the sharp constant of the p=1 critical embedding."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    return ConstantValue(N * unit_ball_volume(N) ** (1.0 / N),
+    """N * omega_N^(1/N), the sharp constant of the p=1 critical embedding;
+    the root is taken in log space, so it stays exact where omega_N
+    underflows."""
+    return ConstantValue(N * math.exp(_ln_unit_ball_volume(N) / N),
                          ConstantKind.CLOSED_FORM, "isoperimetric")
 
 
@@ -197,7 +207,7 @@ def frac_isoperimetric(N: int, s: float) -> ConstantValue:
     """omega_N^(s/N) * N/(N-s) * A(N,s): the sharp constant of the
     W^{s,1} -> L^{N/(N-s)} embedding, attained by balls."""
     A = hardy_sobolev_A(N, s)
-    pref = unit_ball_volume(N) ** (s / N) * N / (N - s)
+    pref = math.exp(_ln_unit_ball_volume(N) * s / N) * N / (N - s)
     return ConstantValue(pref * A.value, ConstantKind.CLOSED_FORM, "frac-isoperimetric")
 
 
@@ -242,14 +252,22 @@ def frac_sobolev_hilbert(N: int, s: float) -> ConstantValue:
 
 def mazya_lower(N: int, s: float, p: float) -> ConstantValue:
     """Maz'ya-Shaposhnikova lower bound for the critical W^{s,p} constant,
-    valid for N > sp.  Assumed to refer to the Gagliardo-seminorm quotient."""
+
+        omega_N N (N-sp)^(p-1) / (2^((N+1)(N+2)) s (1-s) p^(p+2) (N+2p)^(3p)),
+
+    valid for N > sp.  Assumed to refer to the Gagliardo-seminorm quotient.
+    The power of two is applied as an exact binary-exponent shift; raises
+    DomainError where the bound falls below the smallest normal double
+    (from N = 30 on)."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not (p >= 1.0 and N > s * p):
         raise DomainError(f"mazya_lower requires p >= 1 and N > sp, got N={N}, s={s}, p={p}")
-    val = (unit_ball_volume(N) * N * (N - s * p) ** (p - 1.0)
-           / (2.0 ** ((N + 1.0) * (N + 2.0)) * s * (1.0 - s)
-              * p ** (p + 2.0) * (N + 2.0 * p) ** (3.0 * p)))
+    val = math.ldexp(math.exp(_ln_unit_ball_volume(N)) * N * (N - s * p) ** (p - 1.0)
+                     / (s * (1.0 - s) * p ** (p + 2.0) * (N + 2.0 * p) ** (3.0 * p)),
+                     -(N + 1) * (N + 2))
+    if val < sys.float_info.min:
+        raise DomainError(f"mazya_lower underflows a double at N={N}, s={s}, p={p}")
     return ConstantValue(val, ConstantKind.BOUND_LOWER, "mazya-lower",
                          error_estimate=_EVAL_EPS * val)
 

@@ -240,21 +240,17 @@ def _difference_lp(profile: RadialProfile, p: float, t: float,
     r = profile.support_radius
     pts = sorted(set(profile.breakpoints()
                      + [b - t for b in profile.breakpoints()] + [-r - t, r]))
-    pts = [x for x in pts if -r - t <= x <= r]
     total = 0.0
-    inner_cfg = QuadratureConfig(abs_tol=cfg.abs_tol * 1e-2, rel_tol=cfg.rel_tol,
-                                 max_subdivisions=cfg.max_subdivisions)
     for x0, x1 in zip(pts[:-1], pts[1:]):
         if x1 - x0 < 1e-300:
             continue
         v, _ = integrate(lambda x: np.abs(profile(x + t) - profile(x)) ** p,
-                         x0, x1, inner_cfg)
+                         x0, x1, cfg)
         total += v
     return total
 
 
-def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float,
-                          cfg: QuadratureConfig | None = None) -> float:
+def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     """Gagliardo seminorm (to the p-th power) of a 1-D profile by adaptive
     double quadrature:
 
@@ -263,7 +259,10 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float,
 
     The diagonal band t < 1e-4 is handled by the profile's smoothness
     modulus (D(t) ~ C t^beta anchored at t = delta); t beyond the support
-    diameter contributes the exact disjoint-support tail.
+    diameter contributes the exact disjoint-support tail D(diam) diam^(-sp)/sp.
+    Every inner piece of D(t) ends at a kink of u(x) or u(x+t); for the cap
+    profile these kinks are (x - x0)^s powers, which the inner quadrature
+    removes by declaring the endpoint exponent 1 - s on both ends.
     """
     if p not in (1, 2, 1.0, 2.0):
         raise DomainError(f"p must be 1 or 2, got {p}")
@@ -275,8 +274,10 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float,
             f"characteristic functions are not in W^(s,p) for sp >= 1 (sp={sp})")
     if profile.amplitude == 0.0:
         return 0.0
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
+    kink = 1.0 - profile.s if profile.kind == "bump" else None
+    inner = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-8, max_subdivisions=400,
+                             left_singularity_exponent=kink,
+                             right_singularity_exponent=kink)
 
     diam = 2.0 * profile.support_radius
     delta = min(_DELTA, 0.5 * diam)
@@ -288,17 +289,16 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float,
         beta_exp = min(2.0, 1.0 + 2.0 * profile.s)
     else:
         beta_exp = 2.0
-    d_delta = _difference_lp(profile, p, delta, cfg)
+    d_delta = _difference_lp(profile, p, delta, inner)
     near = d_delta / delta ** beta_exp * delta ** (beta_exp - sp) / (beta_exp - sp)
 
-    mid, _ = integrate(lambda t: _difference_lp(profile, p, t, cfg) * t ** (-1.0 - sp),
-                       delta, diam, cfg)
+    mid, _ = integrate(
+        lambda ts: np.array([_difference_lp(profile, p, t, inner) for t in ts])
+        * ts ** (-1.0 - sp),
+        delta, diam, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400))
 
-    lp_p, _ = integrate(lambda x: np.abs(profile(x)) ** p,
-                        -profile.support_radius, profile.support_radius,
-                        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11,
-                                         max_subdivisions=200))
-    tail = 2.0 * lp_p * diam ** (-sp) / sp
+    # the supports of u and u(. + diam) are disjoint: D(diam) = 2 ||u||_p^p
+    tail = _difference_lp(profile, p, diam, inner) * diam ** (-sp) / sp
 
     return 2.0 * (near + mid + tail)
 
@@ -329,8 +329,7 @@ def _chi2_gap(t: np.ndarray) -> np.ndarray:
     return np.where(low, math.pi ** 2 / 8.0 - chi2, landen + chi2)
 
 
-def moser_bound_check(k: float, K: float, cfg: QuadratureConfig | None = None
-                      ) -> tuple[float, float, float]:
+def moser_bound_check(k: float, K: float) -> tuple[float, float, float]:
     """Quantify the slack in the truncated-log energy estimate.
 
     Returns (numeric_seminorm, bound, slack) where
@@ -341,15 +340,14 @@ def moser_bound_check(k: float, K: float, cfg: QuadratureConfig | None = None
     and slack = bound - numeric_seminorm is nonnegative because the inner
     logarithmic integral never exceeds pi^2/2.  That integral is
     int_k^y ln((y+x)/(y-x)) dx/x = 2 (pi^2/8 - chi_2(k/y)), so with t = k/y
-    the seminorm is one quadrature, taken with `cfg`:
+    the seminorm is one quadrature (absolute tolerance 1e-9, relative 1e-8):
 
         numeric_seminorm = (8/pi) int_{k/K}^1 (pi^2/8 - chi_2(t)) dt/t.
     """
     if not 0.0 < k < K:
         raise DomainError(f"need 0 < k < K, got k={k}, K={K}")
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
-    val, _ = integrate(lambda t: _chi2_gap(t) / t, k / K, 1.0, cfg)
+    val, _ = integrate(lambda t: _chi2_gap(t) / t, k / K, 1.0,
+                       QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400))
     numeric = (8.0 / math.pi) * val
     bound = math.pi * math.log(K / k)
     return numeric, bound, bound - numeric

@@ -1,11 +1,10 @@
-"""Special functions and adaptive quadrature with endpoint-singularity handling.
+"""Gamma/Beta and adaptive quadrature with endpoint-singularity handling.
 
-Gamma and log Gamma come from the standard library.  Bessel J_v combines
-the defining power series with the large-argument Hankel expansion.
-`integrate` is an adaptive Gauss-Kronrod 15(7) scheme; declared endpoint
-singularities of power type (x-a)^{-alpha} are removed by the substitution
-x = a + t^{1/(1-alpha)} before any subdivision, and an infinite upper limit
-is mapped to (0,1) by t = a + u/(1-u).
+Gamma and log Gamma come from the standard library.  `integrate` is an
+adaptive Gauss-Kronrod 15(7) scheme over a finite interval, for integrands
+vectorized over numpy arrays; declared endpoint singularities of power type
+(x-a)^{-alpha} are removed by the substitution x = a + t^{1/(1-alpha)}
+before any subdivision.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ __all__ = [
     "ln_gamma",
     "beta_fn",
     "ln_beta",
-    "bessel_j",
     "integrate",
 ]
 
@@ -65,65 +63,6 @@ def ln_beta(a: float, b: float) -> float:
 def beta_fn(a: float, b: float) -> float:
     """Beta function Gamma(a)Gamma(b)/Gamma(a+b), evaluated in log space."""
     return math.exp(ln_beta(a, b))
-
-
-# ---------------------------------------------------------------------------
-# Bessel J_v, v >= -1/2
-
-
-def _bessel_series(v: float, t: float) -> float:
-    # J_v(t) = sum_k (-1)^k (t/2)^(v+2k) / (k! Gamma(v+k+1))
-    half = 0.5 * t
-    if half == 0.0:
-        return 1.0 if v == 0.0 else 0.0
-    term = math.exp(v * math.log(half) - ln_gamma(v + 1.0))
-    acc = term
-    x2 = half * half
-    for k in range(1, 400):
-        term *= -x2 / (k * (v + k))
-        acc += term
-        if abs(term) < 1e-17 * abs(acc) + 1e-300 and k > half:
-            break
-    return acc
-
-
-def _bessel_asymptotic(v: float, t: float) -> float:
-    # Hankel expansion: J_v(t) ~ sqrt(2/(pi t)) [P cos chi - Q sin chi]
-    chi = t - (0.5 * v + 0.25) * math.pi
-    mu = 4.0 * v * v
-    p, q = 1.0, 0.0
-    term = 1.0
-    for k in range(1, 30):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * t)
-        if k % 2 == 1:
-            q += term * (-1) ** ((k - 1) // 2)
-        else:
-            p += term * (-1) ** (k // 2)
-        if abs(term) < 1e-17:
-            break
-    return math.sqrt(2.0 / (math.pi * t)) * (p * math.cos(chi) - q * math.sin(chi))
-
-
-def bessel_j(v: float, t: float) -> float:
-    """Bessel function of the first kind J_v(t) for v >= -1/2, t >= 0.
-
-    v = -1/2 uses the closed form sqrt(2/(pi t)) cos t; other orders switch
-    from the power series to the Hankel asymptotic form at t = max(12, 2|v|)
-    to control cancellation in double precision.
-    """
-    v, t = float(v), float(t)
-    if v < -0.5:
-        raise DomainError(f"bessel_j requires v >= -1/2, got v={v}")
-    if t < 0.0:
-        raise DomainError(f"bessel_j requires t >= 0, got t={t}")
-    if v == -0.5:
-        if t == 0.0:
-            return math.inf
-        return math.sqrt(2.0 / (math.pi * t)) * math.cos(t)
-    switch = max(12.0, 2.0 * abs(v))
-    if t < switch:
-        return _bessel_series(v, t)
-    return _bessel_asymptotic(v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +109,9 @@ class QuadratureConfig:
 
     Singularity exponents alpha declare that the integrand behaves like
     (x - a)^(-alpha) (resp. (b - x)^(-alpha)) at the endpoint; alpha must be
-    in [0, 1) for integrability.
+    in [0, 1) for integrability.  A declared alpha is the substitution
+    x = a + t^(1/(1-alpha)) (resp. x = b - t^(1/(1-alpha))), which maps
+    (x - a)^(1-alpha) onto t: it also removes an endpoint kink of that power.
     """
 
     abs_tol: float = 1e-10
@@ -190,84 +131,62 @@ class QuadratureConfig:
                     f"singularity exponent must lie in [0,1), got {e}")
 
 
-def _eval(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError
-        return y
-    except Exception:
-        return np.array([float(f(float(xi))) for xi in x])
-
-
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    y = _eval(f, c + hw * _NODES)
+    x = c + hw * _NODES
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise DomainError(f"integrand must map nodes of shape {x.shape} to values of "
+                          f"the same shape, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
-        # a node landed on an undeclared singular point; drop it and let the
-        # inflated Kronrod-Gauss discrepancy drive further subdivision
-        y = np.where(np.isfinite(y), y, 0.0)
+        raise QuadratureError(f"non-finite integrand value on the panel [{a!r}, {b!r}]")
     k = hw * float(_WK @ y)
     g = hw * float(_WGAUSS @ y)
     return k, abs(k - g)
 
 
+def _endpoint_map(f, x0: float, direction: float, alpha: float):
+    """f(x0 + direction t^p) p t^(p-1), p = 1/(1-alpha): the integrand in the
+    variable t that removes a (x - x0)^(-alpha) endpoint singularity."""
+    p = 1.0 / (1.0 - alpha)
+
+    def g(t):
+        return f(x0 + direction * t ** p) * p * t ** (p - 1.0)
+
+    return g
+
+
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
               ) -> tuple[float, float]:
-    """Adaptive quadrature of f over (a, b); returns (value, error_estimate).
+    """Adaptive quadrature of f over the finite interval (a, b); returns
+    (value, error_estimate).
 
-    b may be +inf.  f may be vectorized over numpy arrays (preferred) or
-    scalar.  Declared endpoint power singularities are removed by
-    substitution before subdivision.  Raises QuadratureError if the error
+    f must be vectorized: it maps a numpy array of nodes to an array of the
+    same shape (DomainError otherwise).  Declared endpoint power
+    singularities are removed by substitution before subdivision.  Raises
+    QuadratureError at a non-finite integrand value, and if the error
     estimate is still above tolerance when max_subdivisions is exhausted.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    a = float(a)
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integrate requires a finite interval, got a={a}, b={b}")
     if not a < b:
         raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
 
-    g = f
-    lo, hi = a, b
-    right_exp = cfg.right_singularity_exponent
-
-    if math.isinf(b):
-        if right_exp is not None:
-            raise DomainError("right singularity exponent with infinite upper limit")
-        base = g
-
-        def g(u, _base=base, _a=a):
-            t = _a + u / (1.0 - u)
-            return _base(t) / (1.0 - u) ** 2
-
-        lo, hi = 0.0, 1.0
-
-    pieces = []
     alpha = cfg.left_singularity_exponent
-    beta = right_exp if not math.isinf(b) else None
+    beta = cfg.right_singularity_exponent
     if alpha or beta:
-        mid = 0.5 * (lo + hi)
-        if alpha:
-            p = 1.0 / (1.0 - alpha)
-
-            def gl(t, _g=g, _lo=lo, _p=p, _al=alpha):
-                return _g(_lo + t ** _p) * _p * t ** (_p - 1.0)
-
-            pieces.append((gl, 0.0, (mid - lo) ** (1.0 - alpha)))
-        else:
-            pieces.append((g, lo, mid))
-        if beta:
-            p = 1.0 / (1.0 - beta)
-
-            def gr(t, _g=g, _hi=hi, _p=p, _be=beta):
-                return _g(_hi - t ** _p) * _p * t ** (_p - 1.0)
-
-            pieces.append((gr, 0.0, (hi - mid) ** (1.0 - beta)))
-        else:
-            pieces.append((g, mid, hi))
+        mid = 0.5 * (a + b)
+        left = ((_endpoint_map(f, a, 1.0, alpha), 0.0, (mid - a) ** (1.0 - alpha))
+                if alpha else (f, a, mid))
+        right = ((_endpoint_map(f, b, -1.0, beta), 0.0, (b - mid) ** (1.0 - beta))
+                 if beta else (f, mid, b))
+        pieces = [left, right]
     else:
-        pieces.append((g, lo, hi))
+        pieces = [(f, a, b)]
 
     # adaptive loop over a worst-first interval heap shared by all pieces
     heap: list[tuple[float, int, float, float, float, float, object]] = []

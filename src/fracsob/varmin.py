@@ -47,14 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the projected-gradient quotient minimizer.
-
-    seed is accepted and ignored: the solver draws no random numbers.
-    """
+    """Iteration controls for the projected-gradient quotient minimizer."""
 
     max_iters: int = 20000
     quotient_tol: float = 1e-9
-    seed: int = 0
     verify_projection: bool = False        # per-step numerator check (slow)
 
     def __post_init__(self):
@@ -392,14 +388,11 @@ def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None
 
 def sweep(param_list: list[Params], domain: DomainSpec,
           cfg: SolverConfig | None = None, grid: Grid | None = None,
-          tol: float = _DEFAULT_TOL, C1: float = 1.0, C2: float = 1.0,
-          threads: int = 1) -> list[SandwichReport | Exception]:
-    """One sandwich per parameter point; per-point failures are recorded as
-    exceptions and do not interrupt the sweep.  Reports keep input order.
-
-    threads is accepted and ignored: the points run serially, which measured
-    as fast as running them on a thread pool.
-    """
+          tol: float = _DEFAULT_TOL, C1: float = 1.0, C2: float = 1.0
+          ) -> list[SandwichReport | Exception]:
+    """One sandwich per parameter point, run serially; per-point failures are
+    recorded as exceptions and do not interrupt the sweep.  Reports keep
+    input order."""
     def run(p: Params):
         try:
             return sandwich(p, domain, cfg, grid, tol, C1, C2)

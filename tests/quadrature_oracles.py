@@ -15,6 +15,11 @@ from fracsob.errors import DomainError
 from fracsob.specfun import QuadratureConfig, integrate
 
 
+def _nodewise(f):
+    """A scalar integrand mapped over the node arrays `integrate` passes."""
+    return lambda xs: np.array([f(float(x)) for x in xs])
+
+
 def _kernel_from_gap(N: int, s: float, gap):
     """frac_iso_kernel expressed through gap = 1 - r (arithmetic-stable form;
     gap may be a numpy array when N = 1)."""
@@ -73,6 +78,8 @@ def hardy_A_quadrature(N: int, s: float) -> tuple[float, float]:
 
     cfg_left = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=600,
                                 left_singularity_exponent=1.0 - s)
+    if N > 1:  # the angular quadrature takes one radius at a time
+        f = _nodewise(f)
     v1, e1 = integrate(f, 0.0, 0.9, cfg_left)
 
     # right piece: the (1-r)^(-s) behavior is removed by r = 1 - t^(1/(1-s)),
@@ -86,6 +93,8 @@ def hardy_A_quadrature(N: int, s: float) -> tuple[float, float]:
                 * _kernel_from_gap(N, s, gap) * p * t ** (p - 1.0))
 
     cfg_right = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=600)
+    if N > 1:
+        g = _nodewise(g)
     v2, e2 = integrate(g, 0.0, 0.1 ** (1.0 - s), cfg_right)
     return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
 
@@ -107,7 +116,7 @@ def moser_nested_quadrature(k: float, K: float, cfg: QuadratureConfig | None = N
         return v / y
 
     # exploit symmetry: double the lower triangle
-    val, _ = integrate(inner, k, K, cfg)
+    val, _ = integrate(_nodewise(inner), k, K, cfg)
     numeric = (2.0 / math.pi) * 2.0 * val
     bound = math.pi * math.log(K / k)
     return numeric, bound, bound - numeric

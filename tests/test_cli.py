@@ -104,6 +104,28 @@ def test_large_dimension_frac_isoperimetric_is_refused(capsys):
     assert "underflows" in err
 
 
+@pytest.mark.parametrize("which,N,code", [
+    ("mazya-lower", 29, 0), ("mazya-lower", 30, 2), ("mazya-lower", 31, 2),
+    ("unit-ball-volume", 435, 0), ("unit-ball-volume", 436, 2)])
+def test_underflow_is_refused(capsys, which, N, code):
+    # the last N whose value is a normal double, then the first refused ones;
+    # 2^((N+1)(N+2)) overflowed a double at N = 31 before it was an exponent shift
+    got, out, err = run_capture(
+        capsys, ["constants", "--N", str(N), "--s", "0.5", "--which", which])
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["result"]["value"] >= 2.2250738585072014e-308
+    else:
+        assert "underflows" in err
+
+
+@pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])
+def test_seed_flag_is_gone(capsys, cmd):
+    code, _, err = run_capture(capsys, [cmd, "--seed", "1"])
+    assert code == 2
+    assert "--seed" in err
+
+
 class TestSandwichCommand:
     def test_interval_pass(self, capsys):
         code, out, _ = run_capture(
@@ -116,7 +138,7 @@ class TestSandwichCommand:
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sandwich", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3",
-                "--domain", "rn:100", "--grid", "1024", "--seed", "11"]
+                "--domain", "rn:100", "--grid", "1024"]
         _, out1, _ = run_capture(capsys, argv)
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2

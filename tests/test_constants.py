@@ -79,6 +79,15 @@ class TestIsoperimetric:
         assert rel(isoperimetric(2).value, 2.0 * math.sqrt(math.pi)) < 1e-14
         assert rel(isoperimetric(3).value, ISO_3) < 1e-13
 
+    @pytest.mark.parametrize("N", [452, 453])
+    def test_large_dimension_vs_mpmath(self, N):
+        # the root of omega_N is taken in log space, past omega_N's underflow
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ln_w = N * mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(mpmath.mpf(N) / 2 + 1)
+            want = float(N * mpmath.exp(ln_w / N))
+        assert rel(isoperimetric(N).value, want) < 1e-12
+
 
 class TestKernel:
     def test_1d_closed_values(self):
