@@ -15,7 +15,8 @@ Three regimes are covered (see `constants.Regime`):
 All q-dependent exponents are evaluated through `_inv_gap` as fused
 differences to avoid cancellation near the critical exponent, and every
 formula degrades gracefully at q equal to the critical exponent, where both
-bounds collapse onto the critical constant.
+bounds collapse onto the critical constant (there factors x ** (-x) are
+0.0 ** -0.0, which Python's float power evaluates to their limit 1).
 """
 from __future__ import annotations
 
@@ -73,6 +74,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "interval", "whole_space"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
+        for name in ("radius", "a", "b", "truncation"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise DomainError(f"{self.kind} {name} must be finite, got {v}")
         if self.kind == "whole_space":
             if not (self.truncation and self.truncation > 0):
                 raise DomainError("whole_space needs a positive truncation half-width")
@@ -126,13 +131,6 @@ class BoundPair:
 def _inv_gap(q: float, q_crit: float) -> float:
     """1/q - 1/q_crit as a fused expression (cancellation-safe near q_crit)."""
     return (q_crit - q) / (q * q_crit)
-
-
-def _powz(base: float, expo: float) -> float:
-    """base**expo with the quadrature-limit convention 0**0 = 1."""
-    if expo == 0.0:
-        return 1.0
-    return base ** expo
 
 
 def dilation_transfer(S: float, lam: float, params: Params) -> float:
@@ -210,8 +208,8 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     S = frac_isoperimetric(params.N, params.s)
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
     ball_measure = unit_ball_volume(params.N) * domain.inradius ** params.N
-    lo = S.value * _powz(domain.measure, e)
-    up = S.value * _powz(ball_measure, e)
+    lo = S.value * domain.measure ** e
+    up = S.value * ball_measure ** e
     return _pair(params, domain, "borderline-domain", lo, up,
                  rel=S.error_estimate / S.value, floor=_EVAL_EPS)
 
@@ -233,12 +231,12 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
     S = frac_isoperimetric(N, s)
     gap = _inv_gap(q, crit)          # 1/q - 1/crit > 0
     gap1 = 1.0 - 1.0 / q
-    lo = (_powz(N / s * gap, -N / s * gap)
-          * _powz(N / s * gap1, -N / s * gap1)
-          * _powz(S.value, N / s * gap1))
-    up = (s / N * _powz(gap, -N / s * gap)
-          * _powz(gap1, -N / s * gap1)
-          * _powz(S.value, N / s * gap1))
+    lo = ((N / s * gap) ** (-N / s * gap)
+          * (N / s * gap1) ** (-N / s * gap1)
+          * S.value ** (N / s * gap1))
+    up = (s / N * gap ** (-N / s * gap)
+          * gap1 ** (-N / s * gap1)
+          * S.value ** (N / s * gap1))
     rel = (N / s * gap1) * S.error_estimate / S.value
     return _pair(params, domain, "borderline-rn", lo, up, rel=abs(rel), floor=_EVAL_EPS)
 
@@ -258,10 +256,10 @@ def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
     w = unit_ball_volume(N)
-    lo = Ss * _powz(domain.measure, 2.0 * _inv_gap(crit, q))
+    lo = Ss * domain.measure ** (2.0 * _inv_gap(crit, q))
     up = (2.0 ** (2.0 * s + 2.0 / q) * (w * N) ** (1.0 - 2.0 / q) / (N + 2.0 * s)
           * gamma_fn(s + 1.0) ** 2 * beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
-          * _powz(domain.inradius, 2.0 * N * _inv_gap(crit, q)))
+          * domain.inradius ** (2.0 * N * _inv_gap(crit, q)))
     return _pair(params, domain, "hilbert-domain", lo, up)
 
 
@@ -283,9 +281,9 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
     Ss = frac_sobolev_hilbert(N, s).value
     gap = _inv_gap(q, crit)            # 1/q - 1/crit
     gap2 = _inv_gap(q, 2.0) * (-1.0)   # 1/2 - 1/q
-    lo = (_powz(N / s * gap, -N / s * gap)
-          * _powz(N / s * gap2, -N / s * gap2)
-          * _powz(Ss, N / s * gap2))
+    lo = ((N / s * gap) ** (-N / s * gap)
+          * (N / s * gap2) ** (-N / s * gap2)
+          * Ss ** (N / s * gap2))
     if q == crit:
         # at criticality both bounds collapse onto the critical constant
         return _pair(params, domain, "hilbert-rn", Ss, Ss)
@@ -294,7 +292,7 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
           * ((2.0 ** (2.0 * s + 1.0 - 2.0 * s / N) * gamma_fn(s + 1.0) ** 2)
              / ((N + 2.0 * s) * gap2)) ** (N / s * gap2)
           * (N * beta_fn(N / 2.0, q * s + 1.0)) ** (-2.0 / q)
-          * _powz(beta_fn(N / 2.0, 2.0 * s + 1.0) / gap, N / s * gap))
+          * (beta_fn(N / 2.0, 2.0 * s + 1.0) / gap) ** (N / s * gap))
     return _pair(params, domain, "hilbert-rn", lo, up)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 import time
@@ -33,15 +34,15 @@ from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
 from .validate import run_validation
 
+_SANDWICH_COLUMNS = ["N", "s", "p", "q", "domain", "lower", "numeric", "upper",
+                     "rel_slack_lower", "rel_slack_upper", "pass", "note"]
 _CSV_COLUMNS = {
     "constants": ["which", "N", "s", "p", "q", "value", "kind", "error_estimate",
                   "provenance"],
     "bounds": ["N", "s", "p", "q", "domain", "lower", "upper", "lower_provenance",
                "upper_provenance"],
-    "sandwich": ["N", "s", "p", "q", "domain", "lower", "numeric", "upper",
-                 "rel_slack_lower", "rel_slack_upper", "pass", "note"],
-    "sweep": ["N", "s", "p", "q", "domain", "lower", "numeric", "upper",
-              "rel_slack_lower", "rel_slack_upper", "pass", "note"],
+    "sandwich": _SANDWICH_COLUMNS,
+    "sweep": _SANDWICH_COLUMNS,
     "thresholds": ["N", "s", "q", "S", "c_star", "h_norm_threshold",
                    "lq_norm_threshold", "f3_coeff", "alpha", "lambda_lower"],
     "groundstate": ["s", "q", "I0", "residual_rel", "h_norm_sq", "h_threshold",
@@ -80,8 +81,7 @@ def _dumps(obj, indent: int = 0) -> str:
         return format(obj, ".17g")
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def _numbers(text: str, flag: str) -> list[float]:
@@ -381,14 +381,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fracsob {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, solver=False):
+    def common(p, solver=False, N=True, exponent_p=True):
+        """The shared flags; --N and --p only where the subcommand reads them."""
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
         p.add_argument("--timing", action="store_true",
                        help="include wall time (breaks byte-identical output)")
-        p.add_argument("--N", type=int, default=1)
+        if N:
+            p.add_argument("--N", type=int, default=1)
         p.add_argument("--s", type=str, default="0.5")
-        p.add_argument("--p", type=float, default=2.0)
+        if exponent_p:
+            p.add_argument("--p", type=float, default=2.0)
         p.add_argument("--q", type=str, default="2")
         if solver:
             p.add_argument("--grid", type=int, default=4096,
@@ -417,13 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
             solver=True)
 
     pt = sub.add_parser("thresholds", help="PDE threshold constants from S")
-    common(pt)
+    common(pt, exponent_p=False)
     pt.add_argument("--S", type=float, default=None,
                     help="embedding constant (default: certified lower bound)")
     pt.add_argument("--c2", type=float, default=1.0)
 
     pg = sub.add_parser("groundstate", help="constrained ground-state solve")
-    common(pg, solver=True)
+    common(pg, solver=True, N=False, exponent_p=False)
     pg.add_argument("--V", default="const:1", help="potential field")
     pg.add_argument("--Q", default="bump:1,2,1", help="weight field")
 

@@ -118,7 +118,6 @@ class Params:
 
 class ConstantKind(enum.Enum):
     CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
     BOUND_LOWER = "bound_lower"
     BOUND_UPPER = "bound_upper"
     NUMERIC_ESTIMATE = "numeric_estimate"
@@ -144,6 +143,20 @@ class ConstantValue:
             raise DomainError("only closed-form constants may claim zero error")
 
 
+_LN_MAX = math.log(sys.float_info.max)
+
+
+def _exp_normal(ln_val: float, name: str, where: str) -> float:
+    """exp(ln_val); a DomainError naming `name` and `where` if that leaves
+    the normal double range."""
+    if ln_val > _LN_MAX:
+        raise DomainError(f"{name} overflows a double at {where}")
+    val = math.exp(ln_val)
+    if val < sys.float_info.min:
+        raise DomainError(f"{name} underflows a double at {where}")
+    return val
+
+
 def _ln_unit_ball_volume(N: int) -> float:
     """log omega_N = (N/2) log pi - log Gamma(N/2+1)."""
     if N < 1:
@@ -156,10 +169,7 @@ def unit_ball_volume(N: int) -> float:
     log space so that N >= 342, where Gamma(N/2+1) overflows, stays finite.
     Raises DomainError from N = 436 on, where it falls below the smallest
     normal double."""
-    val = math.exp(_ln_unit_ball_volume(N))
-    if val < sys.float_info.min:
-        raise DomainError(f"unit_ball_volume underflows a double at N={N}")
-    return val
+    return _exp_normal(_ln_unit_ball_volume(N), "unit_ball_volume", f"N={N}")
 
 
 def classical_sobolev(N: int, p: float) -> ConstantValue:
@@ -196,10 +206,9 @@ def hardy_sobolev_A(N: int, s: float) -> ConstantValue:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    val = math.exp((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
-                   + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0))
-    if val < sys.float_info.min:
-        raise DomainError(f"A(N,s) underflows a double at N={N}, s={s}")
+    val = _exp_normal((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
+                      + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0),
+                      "A(N,s)", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "hardy-sobolev")
 
 
@@ -213,26 +222,38 @@ def frac_isoperimetric(N: int, s: float) -> ConstantValue:
 
 def lieb_constant(N: int, s: float) -> ConstantValue:
     """Sharp constant of the critical W^{s,2} embedding in the Gagliardo
-    seminorm normalization (N > 2s)."""
+    seminorm normalization (N > 2s),
+
+        2 pi^(N/2+s) Gamma(2-s) / (s (1-s) Gamma(N/2-s)) [Gamma(N/2)/Gamma(N)]^(2s/N),
+
+    evaluated in log space; raises DomainError where it falls below the
+    smallest normal double (from N = 439 on at s = 1/2)."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not N > 2 * s:
         raise DomainError(f"lieb_constant requires N > 2s, got N={N}, s={s}")
-    val = (2.0 * math.pi ** (N / 2.0 + s) / (s * (1.0 - s))
-           * math.exp(ln_gamma(2.0 - s) - ln_gamma(N / 2.0 - s)
-                      + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N)))))
+    val = _exp_normal(math.log(2.0) + (N / 2.0 + s) * math.log(math.pi)
+                      - math.log(s * (1.0 - s)) + ln_gamma(2.0 - s) - ln_gamma(N / 2.0 - s)
+                      + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N))),
+                      "lieb_constant", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "lieb")
 
 
 def norm_bridge(N: int, s: float) -> ConstantValue:
     """Factor B(N,s) converting between the Gagliardo seminorm squared and
-    the half-Laplacian L^2 norm squared: [u]^2 = (2/B) ||(-Lap)^(s/2) u||^2."""
+    the half-Laplacian L^2 norm squared: [u]^2 = (2/B) ||(-Lap)^(s/2) u||^2,
+
+        B(N,s) = 2^(2s) s Gamma(N/2+s) / (pi^(N/2) Gamma(1-s)),
+
+    evaluated in log space; raises DomainError where it exceeds the largest
+    double (from N = 438 on at s = 1/2)."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    val = (2.0 ** (2.0 * s) * s / math.pi ** (N / 2.0)
-           * math.exp(ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s)))
+    val = _exp_normal(2.0 * s * math.log(2.0) + math.log(s) - N / 2.0 * math.log(math.pi)
+                      + ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s),
+                      "norm_bridge", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "norm-bridge")
 
 

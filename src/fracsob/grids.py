@@ -1,6 +1,7 @@
 """Uniform periodic 1-D grids and real-valued fields for the spectral solver."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ class Grid:
     points: int
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise GridError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise GridError(
+                f"grid half_width must be finite and positive, got {self.half_width}")
         M = self.points
         if M < 2 or (M & (M - 1)) != 0:
             raise GridError(f"points must be a power of two >= 2, got {M}")
@@ -73,6 +75,3 @@ class Field:
 
     def lq_norm(self, q: float) -> float:
         return float((self.grid.spacing * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))
-
-    def integral(self) -> float:
-        return self.grid.spacing * float(np.sum(self.values))

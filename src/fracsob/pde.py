@@ -184,6 +184,9 @@ def check_potential_hypotheses(V: Field, tol: float = 1e-12) -> None:
 # ---------------------------------------------------------------------------
 # constrained ground-state solver
 
+# relative quotient decrease at which the ground-state descent stops
+_GROUND_STATE_TOL = 1e-13
+
 
 @dataclass
 class GroundStateReport:
@@ -201,7 +204,7 @@ class GroundStateReport:
 
 
 def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
-                       max_iters: int = 50000, tol: float = 1e-13,
+                       max_iters: int = 50000,
                        S_reference: float | None = None,
                        u0: Optional[np.ndarray] = None
                        ) -> tuple[Field, float, GroundStateReport]:
@@ -240,7 +243,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
         if not np.any(u != 0.0):
             raise DomainError("initial field must be nonzero")
     # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    u, trace, converged, _ = _descend(u, mult, h, q, max_iters, tol, V=Vv, Q=Qv)
+    u, trace, converged = _descend(u, mult, h, q, max_iters, _GROUND_STATE_TOL,
+                                   V=Vv, Q=Qv)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum

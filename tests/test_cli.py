@@ -119,6 +119,58 @@ def test_underflow_is_refused(capsys, which, N, code):
         assert "underflows" in err
 
 
+@pytest.mark.parametrize("which,N,word", [("lieb", 1240, "underflows"),
+                                          ("norm-bridge", 440, "overflows")])
+def test_out_of_double_range_is_refused(capsys, which, N, word):
+    # these raised a raw OverflowError (exit 1) before the log-space sums
+    code, out, err = run_capture(
+        capsys, ["constants", "--N", str(N), "--s", "0.5", "--which", which])
+    assert code == 2
+    assert out == "" and word in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--p", "1"],
+    ["groundstate", "--N", "3"],
+    ["groundstate", "--p", "1"],
+])
+def test_unread_flags_are_refused(capsys, argv):
+    # thresholds always runs p = 2 and groundstate N = 1, p = 2: a flag that
+    # would be ignored is an argparse usage error
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["sandwich", "--tol", "inf"], "tol"),
+    (["sandwich", "--tol", "nan"], "tol"),
+    (["sandwich", "--tol", "-3"], "tol"),
+    (["sweep", "--tol", "inf"], "tol"),
+    (["sandwich", "--domain", "rn:inf"], "truncation"),
+    (["sandwich", "--box", "inf"], "half_width"),
+    (["groundstate", "--box", "inf"], "half_width"),
+    (["sandwich", "--domain", "interval:-inf,1"], "interval a"),
+    (["bounds", "--domain", "ball:inf"], "ball radius"),
+])
+def test_nonfinite_inputs_are_refused(capsys, argv, word):
+    # refused where they enter, before any solve: no numpy warning, no
+    # misleading downstream message, and never "pass": true
+    point = ["--s", "0.25", "--q", "3"] + ["--grid", "256"] * (argv[0] != "bounds")
+    code, out, err = run_capture(capsys, argv + point)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err
+
+
+def test_control_characters_in_argv_stay_valid_json(capsys):
+    # float() strips the newline, so the command runs; its echo must escape it
+    code, out, _ = run_capture(
+        capsys, ["constants", "--N", "2", "--s", "0.3\n", "--which", "lieb"])
+    assert code == 0
+    assert json.loads(out)["command"][5] == "0.3\n"
+
+
 @pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])
 def test_seed_flag_is_gone(capsys, cmd):
     code, _, err = run_capture(capsys, [cmd, "--seed", "1"])

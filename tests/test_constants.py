@@ -192,6 +192,29 @@ class TestLiebAndBridge:
         with pytest.raises(DomainError):
             lieb_constant(1, 0.5)
 
+    @pytest.mark.parametrize("fn,N", [(lieb_constant, 350), (lieb_constant, 356),
+                                      (norm_bridge, 343)])
+    def test_large_dimension_vs_mpmath(self, fn, N):
+        # one log-space sum: the Lieb constant used to lose 5% at N = 356 (a
+        # subnormal intermediate), the bridge overflowed from N = 343 on
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            s, n = mpmath.mpf(0.5), mpmath.mpf(N)
+            if fn is lieb_constant:
+                want = (2 * mpmath.pi ** (n / 2 + s) / (s * (1 - s)) * mpmath.gamma(2 - s)
+                        / mpmath.gamma(n / 2 - s)
+                        * (mpmath.gamma(n / 2) / mpmath.gamma(n)) ** (2 * s / n))
+            else:
+                want = (2 ** (2 * s) * s * mpmath.gamma(n / 2 + s)
+                        / (mpmath.pi ** (n / 2) * mpmath.gamma(1 - s)))
+            assert rel(fn(N, 0.5).value, float(want)) < 1e-12
+
+    @pytest.mark.parametrize("fn,N,word", [(lieb_constant, 440, "underflows"),
+                                           (norm_bridge, 438, "overflows")])
+    def test_out_of_double_range_is_refused(self, fn, N, word):
+        with pytest.raises(DomainError, match=word):
+            fn(N, 0.5)
+
 
 class TestHilbertConstant:
     def test_values(self):
@@ -271,7 +294,7 @@ class TestConstantValue:
         with pytest.raises(DomainError):
             ConstantValue(1.0, ConstantKind.CLOSED_FORM, "not-a-key")
         with pytest.raises(DomainError):
-            ConstantValue(1.0, ConstantKind.QUADRATURE, "lieb", error_estimate=0.0)
+            ConstantValue(1.0, ConstantKind.NUMERIC_ESTIMATE, "lieb", error_estimate=0.0)
         assert "lieb" in PROVENANCE_KEYS
 
     def test_every_emitted_provenance_registered(self):

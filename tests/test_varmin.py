@@ -10,9 +10,11 @@ from fracsob.grids import Field, Grid
 from fracsob.rayleigh import halflap_norm_sq
 from fracsob.varmin import (
     SolverConfig,
+    _apply,
+    _dot,
+    _quotient,
     domain_mask,
     minimize_quotient,
-    quotient_value_grad,
     sandwich,
     sweep,
 )
@@ -48,26 +50,40 @@ class TestGridField:
         assert rel(halflap_norm_sq(f, 0.0), f.l2_norm_sq()) < 1e-12
 
 
+def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
+    """<grad R(u), d> against the central difference of `_quotient` on 10
+    random (masked) fields u and directions d."""
+    rng = np.random.default_rng(123)
+    for _ in range(10):
+        u = rng.normal(size=symbol.size) + 2.0
+        d = rng.normal(size=symbol.size)
+        if mask is not None:
+            u, d = np.where(mask, u, 0.0), np.where(mask, d, 0.0)
+        _, g = _quotient(u, symbol, h, q, V, Q)
+        eps = 1e-6
+        Rp, _ = _quotient(u + eps * d, symbol, h, q, V, Q)
+        Rm, _ = _quotient(u - eps * d, symbol, h, q, V, Q)
+        fd = (Rp - Rm) / (2.0 * eps)
+        assert abs(float(g @ d) - fd) / max(abs(fd), 1e-10) < 1e-5
+
+
 class TestGradient:
     def test_directional_derivative_matches_fd(self):
         grid = Grid(half_width=10.0, points=256)
-        rng = np.random.default_rng(123)
-        for mode in ("whole_space", "domain"):
-            mask = (np.abs(grid.x) < 4.0) if mode == "domain" else None
-            for _ in range(10):
-                u = rng.normal(size=256) + 2.0
-                if mask is not None:
-                    u = np.where(mask, u, 0.0)
-                d = rng.normal(size=256)
-                if mask is not None:
-                    d = np.where(mask, d, 0.0)
-                R, g = quotient_value_grad(grid, mask, 0.4, 3.0, mode, u)
-                eps = 1e-6
-                Rp, _ = quotient_value_grad(grid, mask, 0.4, 3.0, mode, u + eps * d)
-                Rm, _ = quotient_value_grad(grid, mask, 0.4, 3.0, mode, u - eps * d)
-                fd = (Rp - Rm) / (2.0 * eps)
-                dd = float(g @ d)
-                assert abs(dd - fd) / max(abs(fd), 1e-10) < 1e-5
+        symbol = grid.multiplier(0.4)
+        # whole space: the mass term is the symbol's + 1; domain: the mask
+        assert_gradient_matches_fd(symbol + 1.0, grid.spacing, 3.0)
+        assert_gradient_matches_fd(symbol, grid.spacing, 3.0, mask=np.abs(grid.x) < 4.0)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole-space", "masked"])
+    def test_ground_state_quotient_matches_fd(self, masked):
+        # the quotient of pde.ground_state_solve: potential V, weight Q
+        grid = Grid(half_width=10.0, points=256)
+        x = grid.x
+        V = 1.0 - 0.4 * np.exp(-x * x)
+        Q = 1.0 + 2.0 * np.exp(-(x / 2.0) ** 2)
+        assert_gradient_matches_fd(grid.multiplier(0.4), grid.spacing, 3.5,
+                                   mask=(np.abs(x) < 4.0) if masked else None, V=V, Q=Q)
 
 
 class TestMinimizer:
@@ -102,12 +118,23 @@ class TestMinimizer:
         masked_once = np.where(mask, res.minimizer.values, 0.0)
         assert np.array_equal(masked_once, res.minimizer.values)
 
-    def test_positivity_projection_checked(self):
-        grid = Grid(half_width=8.0, points=1024)
-        mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
-        res = minimize_quotient(grid, mask, 0.25, 3.0, "domain",
-                                SolverConfig(max_iters=300, verify_projection=True))
-        assert res.projection_violations == 0
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5])
+    def test_positivity_projection_is_a_contraction(self, s):
+        # E(v) = h sum_ij k_(i-j) v_i v_j with k the periodic kernel of the
+        # multiplier; k_j <= 0 off the diagonal gives E(|v|) <= E(v) for
+        # every field, so the descent's projection |.| never raises the
+        # numerator.  The sign holds for s <= 1/2 only: for s > 1/2 the
+        # entries k_2, k_4, ... are positive.
+        rng = np.random.default_rng(7)
+        for M, L in ((64, 1.0), (1024, 8.0), (16384, 10.0)):
+            grid = Grid(half_width=L, points=M)
+            symbol = grid.multiplier(s)
+            k = np.fft.ifft(symbol).real
+            assert np.all(k[1:] <= 1e-12 * k[0])
+            for v in rng.normal(size=(20, M)):
+                E = grid.spacing * _dot(v, _apply(symbol, v))
+                a = np.abs(v)
+                assert grid.spacing * _dot(a, _apply(symbol, a)) <= E * (1.0 + 1e-12)
 
     def test_positive_minimizer(self):
         grid = Grid(half_width=200.0, points=2048)
@@ -120,8 +147,6 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
-        with pytest.raises(DomainError):
-            quotient_value_grad(grid, None, 0.25, 3.0, "bogus", np.ones(64))
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
