@@ -30,6 +30,7 @@ from .constants import (
     ConstantValue,
     Params,
     Regime,
+    _ln_unit_ball_volume,
     frac_isoperimetric,
     frac_sobolev_hilbert,
     unit_ball_volume,
@@ -53,6 +54,16 @@ __all__ = [
     "limiting_wholespace_lower",
     "bounds_for",
 ]
+
+
+def _ball_measure(N: int, radius: float) -> float:
+    """omega_N R^N in log space (R^N alone can overflow while the product is
+    finite); inf where the product overflows."""
+    try:
+        return math.exp(_ln_unit_ball_volume(N) + N * math.log(radius))
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -82,6 +93,11 @@ class DomainSpec:
             if not (self.truncation and self.truncation > 0):
                 raise DomainError("whole_space needs a positive truncation half-width")
             return
+        if self.measure is not None and not math.isfinite(self.measure):
+            shape = ", ".join(f"{k}={getattr(self, k):g}" for k in ("radius", "a", "b")
+                              if getattr(self, k) is not None)
+            raise DomainError(f"{self.kind} ({shape}) in R^{self.dim}: "
+                              "measure overflows a double")
         if not (self.measure and self.measure > 0 and self.inradius and self.inradius > 0):
             raise DomainError("bounded domains need positive measure and inradius")
         cap = (self.measure / unit_ball_volume(self.dim)) ** (1.0 / self.dim)
@@ -94,8 +110,7 @@ class DomainSpec:
         if radius <= 0:
             raise DomainError("ball radius must be positive")
         return DomainSpec(kind="ball", dim=N, radius=radius,
-                          measure=unit_ball_volume(N) * radius ** N,
-                          inradius=radius)
+                          measure=_ball_measure(N, radius), inradius=radius)
 
     @staticmethod
     def interval(a: float, b: float) -> "DomainSpec":
@@ -207,7 +222,7 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
         raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
     S = frac_isoperimetric(params.N, params.s)
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
-    ball_measure = unit_ball_volume(params.N) * domain.inradius ** params.N
+    ball_measure = _ball_measure(params.N, domain.inradius)
     lo = S.value * domain.measure ** e
     up = S.value * ball_measure ** e
     return _pair(params, domain, "borderline-domain", lo, up,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -371,7 +372,11 @@ _COMMANDS = {"constants": _constants, "bounds": _bounds, "sandwich": _sandwich,
              "groundstate": _groundstate, "validate": _validate}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `run` and shared by every later
+    call in the process (parsing leaves it unchanged); importing this module
+    builds none."""
     ap = argparse.ArgumentParser(
         prog="fracsob",
         description="Fractional Sobolev embedding constants: exact values, "

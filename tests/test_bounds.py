@@ -19,7 +19,12 @@ from fracsob.bounds import (
     limiting_wholespace_upper,
     young_lower,
 )
-from fracsob.constants import Params, frac_isoperimetric, frac_sobolev_hilbert
+from fracsob.constants import (
+    Params,
+    frac_isoperimetric,
+    frac_sobolev_hilbert,
+    unit_ball_volume,
+)
 from fracsob.errors import DomainError, RegimeError
 from fracsob.rayleigh import bump_lq_norm, bump_seminorm_sq
 
@@ -39,6 +44,20 @@ class TestDomainSpec:
     def test_interval(self):
         d = DomainSpec.interval(-1.0, 1.0)
         assert d.measure == 2.0 and d.inradius == 1.0
+
+    def test_measure_in_log_space(self):
+        # R^40 overflows a double here, omega_40 R^40 does not; log space
+        # costs about |ln measure| ulps
+        R = 5.7e7
+        direct = unit_ball_volume(40) * (R / 10.0) ** 40 * 1e40
+        assert rel(DomainSpec.ball(R, 40).measure, direct) < 2e-13
+        assert DomainSpec.ball(1.0, 3).measure == unit_ball_volume(3)
+
+    def test_overflowing_measure(self):
+        with pytest.raises(DomainError, match=r"ball \(radius=1e\+200\) in R\^2"):
+            DomainSpec.ball(1e200, 2)
+        with pytest.raises(DomainError, match="measure overflows a double"):
+            DomainSpec.interval(-1e308, 1e308)
 
     def test_inradius_cap(self):
         with pytest.raises(DomainError):

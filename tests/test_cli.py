@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fracsob
 from fracsob.cli import _fmt, run
 
 
@@ -140,6 +144,30 @@ def test_unread_flags_are_refused(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == "" and f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("domain", ["ball:1e200", "interval:-1e308,1e308"])
+def test_overflowing_domain_measure_is_refused(capsys, domain):
+    # R^N raised a raw OverflowError (exit 1), and the infinite interval length
+    # was refused only as "constant must be finite and positive, got 0.0"
+    code, out, err = run_capture(
+        capsys, ["bounds", "--N", "2", "--p", "2", "--s", "0.25", "--q", "3",
+                 "--domain", domain])
+    assert code == 2
+    assert out == ""
+    assert f"bad domain '{domain}'" in err and "measure overflows a double" in err
+
+
+def test_ball_with_overflowing_radius_power_stays_finite(capsys):
+    # R^40 overflows a double but omega_40 R^40 does not: the borderline
+    # bounds used to raise OverflowError on the ball measure at the inradius
+    code, out, _ = run_capture(
+        capsys, ["bounds", "--N", "40", "--p", "1", "--s", "0.25", "--q", "1.001",
+                 "--domain", "ball:5.7e7"])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert 0.0 < res["lower"]["value"] < math.inf
+    assert abs(res["upper"]["value"] / res["lower"]["value"] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("argv,word", [
@@ -430,3 +458,61 @@ def test_readme_cli_examples_run(capsys):
         code, out, _ = run_capture(capsys, shlex.split(line)[1:])
         assert code == 0, line
         assert out
+
+
+def _subprocess_env() -> dict:
+    src = str(Path(fracsob.__file__).resolve().parents[1])
+    return {**os.environ, "COLUMNS": "80",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+# the parser is built by the first `run` of a process and reused by the later
+# ones, so each run of a mixed sequence must print what it prints alone
+_SEQUENCE = [
+    ["groundstate", "--s", "0.5", "--q", "4", "--grid", "256", "--box", "20"],
+    ["sandwich", "--s", "0.25", "--q", "3", "--domain", "interval:-1,1",
+     "--grid", "256", "--box", "8"],
+    ["--help"],
+    ["sandwich", "--s", "0.25", "--bogus"],
+    ["sweep", "--s", "0.25,0.3", "--q", "3", "--domain", "interval:-1,1",
+     "--grid", "256", "--box", "8"],
+]
+
+
+def test_shared_parser_carries_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # --help wraps at the terminal width
+    in_process = [run_capture(capsys, argv)[:2] for argv in _SEQUENCE]
+    fresh = []
+    for argv in _SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "fracsob.cli", *argv],
+                              env=_subprocess_env(), capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 0]
+    assert in_process == fresh
+
+
+_COUNT_PARSERS = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import fracsob.cli
+counts = [len(built)]
+for argv in (["constants", "--N", "1", "--s", "0.5", "--which", "lieb"], ["--version"]):
+    fracsob.cli.run(argv)
+    counts.append(len(built))
+print(json.dumps(counts), file=sys.stderr)
+"""
+
+
+def test_parser_built_once_on_first_run():
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PARSERS],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          check=True)
+    at_import, first, second = json.loads(proc.stderr.splitlines()[-1])
+    assert at_import == 0
+    assert first > 0      # the parser and one subparser per command
+    assert second == first

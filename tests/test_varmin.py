@@ -86,7 +86,81 @@ class TestGradient:
                                    mask=(np.abs(x) < 4.0) if masked else None, V=V, Q=Q)
 
 
+class TestRealApply:
+    """`_apply` runs rfft/irfft on the first M/2 + 1 symbol entries; it must
+    agree with the full complex-FFT formula to rounding."""
+
+    @pytest.mark.parametrize("M", [2, 64, 4096, 16384])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_matches_complex_fft(self, M, s):
+        grid = Grid(half_width=8.0, points=M)
+        sym = grid.multiplier(s)
+        rng = np.random.default_rng(M)
+        u = rng.normal(size=M)
+        # the domain-mode symbol, the whole-space one, and the preconditioner
+        for symbol in (sym, sym + 1.0, 1.0 / (sym + 1.0)):
+            Au = _apply(symbol, u)
+            full = np.fft.ifft(symbol * np.fft.fft(u)).real
+            assert np.max(np.abs(Au - full)) <= 1e-13 * np.max(np.abs(full))
+
+    def test_symbol_is_even_in_frequency(self):
+        # bins j and M - j carry bitwise-equal symbols, Nyquist included,
+        # which is what makes the half symbol exact
+        for M in (2, 64, 4096):
+            sym = Grid(half_width=8.0, points=M).multiplier(0.3)
+            assert np.array_equal(sym[1:], sym[1:][::-1])
+
+
+# parent-commit estimates and iteration counts of the complex-FFT descent with
+# three powers per trial point: (mode, s, q, estimate, iterations), domain
+# (-1, 1) on L = 8 and whole space on L = 10, both at M = 1024
+PINNED_SOLVES = [
+    ("domain", 0.25, 3.0, 1.081290527389284, 14),
+    ("domain", 0.75, 1.0, 0.9316391834500621, 17),
+    ("domain", 0.5, 1.5, 0.9632613992819389, 13),
+    ("whole_space", 0.5, 4.0, 2.209985960475102, 13),
+    ("whole_space", 0.1, 6.0, 0.23519340299477545, 24),
+    ("whole_space", 0.25, 1.5, 0.3684031498640726, 13),
+]
+
+
+class TestPinnedEstimates:
+    """The real-FFT apply and the shared |u|^q move every estimate by
+    rounding only (stated tolerance 1e-12 relative) and no iteration count."""
+
+    @pytest.mark.parametrize("mode,s,q,estimate,iterations", PINNED_SOLVES)
+    def test_solve(self, mode, s, q, estimate, iterations):
+        if mode == "domain":
+            grid = Grid(half_width=8.0, points=1024)
+            mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
+        else:
+            grid, mask = Grid(half_width=10.0, points=1024), None
+        res = minimize_quotient(grid, mask, s, q, mode)
+        assert res.converged
+        assert res.iterations == iterations
+        assert rel(res.estimate, estimate) < 1e-12
+
+    def test_ground_state(self):
+        from fracsob.pde import ground_state_solve
+        grid = Grid(half_width=20.0, points=1024)
+        bump = np.exp(-grid.x ** 2)
+        _, I0, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
+                                        Field(grid, 1.0 + 2.0 * bump))
+        assert rep.converged
+        assert rep.iterations == 14
+        assert rel(I0, 0.5076669573250614) < 1e-12
+
+
 class TestMinimizer:
+    def test_q1_whole_space_with_subnormal_tail(self):
+        # exp(-x^2) is subnormal for |x| > 26.6: |u|^(q-2) u used to overflow
+        # there at q = 1, and the descent stopped at its start.  The minimum
+        # on the box is 1/(2L), attained by a constant (Cauchy-Schwarz)
+        grid = Grid(half_width=40.0, points=1024)
+        res = minimize_quotient(grid, None, 0.25, 1.0, "whole_space")
+        assert res.converged and res.iterations > 0
+        assert rel(res.estimate, 1.0 / 80.0) < 1e-9
+
     def test_whole_space_q2_is_one(self):
         grid = Grid(half_width=200.0, points=4096)
         res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space",
