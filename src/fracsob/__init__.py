@@ -31,7 +31,6 @@ from .rayleigh import (
     bump_lq_norm,
     bump_seminorm_sq,
     gagliardo_seminorm_1d,
-    halflap_norm_sq,
     moser_bound_check,
     objective_minimizer,
     objective_value,

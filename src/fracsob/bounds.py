@@ -50,7 +50,6 @@ __all__ = [
     "limiting_domain_upper",
     "limiting_domain_lower",
     "limiting_wholespace_upper",
-    "limiting_wholespace_q2",
     "limiting_wholespace_lower",
     "bounds_for",
 ]
@@ -69,14 +68,12 @@ def _ball_measure(N: int, radius: float) -> float:
 class DomainSpec:
     """A ball, an interval, or the whole space with a truncation half-width.
 
-    Bounded domains carry their measure and inradius; for a ball of radius R
-    in R^N these are omega_N R^N and R exactly.
+    A domain is its shape: the measure and inradius of a bounded domain are
+    computed from it (omega_N R^N and R for a ball of radius R in R^N).
     """
 
     kind: str                      # "ball" | "interval" | "whole_space"
     dim: int
-    measure: Optional[float] = None
-    inradius: Optional[float] = None
     radius: Optional[float] = None
     a: Optional[float] = None
     b: Optional[float] = None
@@ -85,6 +82,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "interval", "whole_space"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "ball" and self.radius <= 0:
+            raise DomainError("ball radius must be positive")
+        if self.kind == "interval" and not self.a < self.b:
+            raise DomainError(f"interval requires a < b, got ({self.a}, {self.b})")
         for name in ("radius", "a", "b", "truncation"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
@@ -92,40 +93,45 @@ class DomainSpec:
         if self.kind == "whole_space":
             if not (self.truncation and self.truncation > 0):
                 raise DomainError("whole_space needs a positive truncation half-width")
-            return
-        if self.measure is not None and not math.isfinite(self.measure):
-            shape = ", ".join(f"{k}={getattr(self, k):g}" for k in ("radius", "a", "b")
-                              if getattr(self, k) is not None)
-            raise DomainError(f"{self.kind} ({shape}) in R^{self.dim}: "
-                              "measure overflows a double")
-        if not (self.measure and self.measure > 0 and self.inradius and self.inradius > 0):
-            raise DomainError("bounded domains need positive measure and inradius")
-        cap = (self.measure / unit_ball_volume(self.dim)) ** (1.0 / self.dim)
-        if self.inradius > cap * (1 + 1e-12):
-            raise DomainError(
-                f"inradius {self.inradius} exceeds the ball value {cap} at this measure")
+        elif not math.isfinite(self.measure):
+            raise DomainError(f"{self}: measure overflows a double")
+
+    def __str__(self) -> str:
+        shape = ", ".join(f"{k}={getattr(self, k):g}" for k in ("radius", "a", "b")
+                          if getattr(self, k) is not None)
+        return f"{self.kind} ({shape}) in R^{self.dim}"
 
     @staticmethod
     def ball(radius: float, N: int) -> "DomainSpec":
-        if radius <= 0:
-            raise DomainError("ball radius must be positive")
-        return DomainSpec(kind="ball", dim=N, radius=radius,
-                          measure=_ball_measure(N, radius), inradius=radius)
+        return DomainSpec(kind="ball", dim=N, radius=radius)
 
     @staticmethod
     def interval(a: float, b: float) -> "DomainSpec":
-        if not a < b:
-            raise DomainError(f"interval requires a < b, got ({a}, {b})")
-        return DomainSpec(kind="interval", dim=1, a=a, b=b,
-                          measure=b - a, inradius=(b - a) / 2.0)
+        return DomainSpec(kind="interval", dim=1, a=a, b=b)
 
     @staticmethod
-    def whole_space(truncation: float = 200.0) -> "DomainSpec":
-        return DomainSpec(kind="whole_space", dim=1, truncation=truncation)
+    def whole_space(truncation: float = 200.0, N: int = 1) -> "DomainSpec":
+        return DomainSpec(kind="whole_space", dim=N, truncation=truncation)
 
     @property
     def bounded(self) -> bool:
         return self.kind != "whole_space"
+
+    @property
+    def measure(self) -> Optional[float]:
+        if self.kind == "ball":
+            return _ball_measure(self.dim, self.radius)
+        if self.kind == "interval":
+            return self.b - self.a
+        return None
+
+    @property
+    def inradius(self) -> Optional[float]:
+        if self.kind == "ball":
+            return self.radius
+        if self.kind == "interval":
+            return (self.b - self.a) / 2.0
+        return None
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
     independently (they agree analytically, pinning the constant)."""
     _require(params, Regime.BORDERLINE)
     if domain is None:
-        domain = DomainSpec.whole_space()
+        domain = DomainSpec.whole_space(N=params.N)
     if domain.bounded:
         raise RegimeError("borderline_wholespace_bounds needs the whole space")
     N, s, q = params.N, params.s, params.q
@@ -284,7 +290,7 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
     the Young-interpolation lower bound and the bump-family upper bound."""
     _require(params, Regime.HILBERT)
     if domain is None:
-        domain = DomainSpec.whole_space()
+        domain = DomainSpec.whole_space(N=params.N)
     if domain.bounded:
         raise RegimeError("hilbert_wholespace_bounds needs the whole space")
     N, s, q = params.N, params.s, params.q
@@ -346,17 +352,12 @@ def limiting_wholespace_upper(q: float) -> ConstantValue:
     """Truncated-log whole-space upper bound
     2^(1-4/q) pi^(1-2/q) q (q-2)^(4/q-2) e^((q-2)/q), q > 2."""
     if not q > 2.0:
-        raise DomainError(f"q must be > 2 (use limiting_wholespace_q2 at q=2), got {q}")
+        raise DomainError(f"q must be > 2 (at q = 2 the constant is exactly 1; "
+                          f"see bounds_for), got {q}")
     val = (2.0 ** (1.0 - 4.0 / q) * math.pi ** (1.0 - 2.0 / q) * q
            * (q - 2.0) ** (4.0 / q - 2.0) * math.exp((q - 2.0) / q))
     return ConstantValue(val, ConstantKind.BOUND_UPPER, "limiting-rn-upper",
                          error_estimate=_EVAL_EPS * val)
-
-
-def limiting_wholespace_q2() -> ConstantValue:
-    """The exact whole-space constant at q = 2: the spreading family of
-    truncated logs drives the quotient to 1."""
-    return ConstantValue(1.0, ConstantKind.CLOSED_FORM, "limiting-rn-q2")
 
 
 def limiting_wholespace_lower(q: float, C2: float = 1.0) -> ConstantValue:

@@ -111,7 +111,7 @@ def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
             a, b = (float(v) for v in rest.split(","))
             return bounds.DomainSpec.interval(a, b)
         if kind == "rn":
-            return bounds.DomainSpec.whole_space(float(rest) if rest else 200.0)
+            return bounds.DomainSpec.whole_space(float(rest) if rest else 200.0, N)
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(f"bad domain {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -119,19 +119,26 @@ def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
 
 
 def _parse_field(text: str, grid: Grid) -> Field:
-    """Field grammar: const:c | bump:base,amp,width | well:base,depth,width."""
+    """Field grammar: const:c | bump:base,amp,width | well:base,depth,width,
+    with finite parameters and a positive width."""
     kind, _, rest = text.partition(":")
     try:
         vals = [float(v) for v in rest.split(",")] if rest else []
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("parameters must be finite")
         x = grid.x
         if kind == "const" and len(vals) == 1:
             return Field(grid, np.full(grid.points, vals[0]))
-        if kind == "bump" and len(vals) == 3:
-            base, amp, width = vals
-            return Field(grid, base + amp * np.exp(-((x / width) ** 2)))
-        if kind == "well" and len(vals) == 3:
-            base, depth, width = vals
-            return Field(grid, base - depth * np.exp(-((x / width) ** 2)))
+        if kind in ("bump", "well") and len(vals) == 3:
+            base, height, width = vals
+            if not width > 0:
+                raise ValueError("width must be positive")
+            # a narrow width overflows (x/width)^2 to inf, where exp(-inf) = 0
+            # is the limit; a sum that overflows is refused by Field
+            with np.errstate(over="ignore"):
+                bell = np.exp(-((x / width) ** 2))
+                return Field(grid, base + height * bell if kind == "bump"
+                             else base - height * bell)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad field {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -292,7 +299,7 @@ def _sandwich(args) -> _Outcome:
                         _domain_payload(domain), payloads, prov, 1 if bad else 0)
     rep = reports[0]
     if isinstance(rep, Exception):
-        print(f"error: {rep}", file=sys.stderr)
+        print(f"error: {payloads[0]['error']}", file=sys.stderr)
         code = 2
     else:
         code = 0 if rep.passed else 1
@@ -342,20 +349,19 @@ def _groundstate(args) -> _Outcome:
         pde.check_potential_hypotheses(V)
     res = varmin.minimize_quotient(grid, None, s, q, "whole_space",
                                    varmin.SolverConfig(max_iters=args.max_iters))
-    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters,
-                                         S_reference=res.estimate)
+    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters)
+    hthr, lthr = pde.existence_thresholds(q, res.estimate)
     result = {
         "I0": I0, "iterations": rep.iterations, "converged": rep.converged,
         "residual": rep.residual, "residual_rel": rep.residual_rel,
         "residual_ok": rep.residual_ok,
-        "h_norm_sq": rep.h_norm_sq, "h_threshold": rep.h_threshold,
-        "lq_norm": rep.lq_norm, "lq_threshold": rep.lq_threshold,
+        "h_norm_sq": rep.h_norm_sq, "h_threshold": hthr,
+        "lq_norm": rep.lq_norm, "lq_threshold": lthr,
         "S_numeric": res.estimate,
-        "thresholds_satisfied": bool(rep.h_norm_sq < rep.h_threshold
-                                     and rep.lq_norm < rep.lq_threshold),
+        "thresholds_satisfied": bool(rep.h_norm_sq < hthr and rep.lq_norm < lthr),
     }
     return _Outcome({"N": 1, "s": s, "p": 2.0, "q": q},
-                    {"kind": "whole_space", "dim": 1, "truncation": box},
+                    _domain_payload(bounds.DomainSpec.whole_space(box)),
                     result, ["rayleigh-numeric"],
                     0 if (rep.converged and rep.residual_ok) else 1)
 

@@ -5,6 +5,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy >= 2 imports numpy.fft on its first use, through numpy's module
+# __getattr__; a signal handler that calls np.fft while that first import
+# runs recurses there without bound (RecursionError).  So load it with
+# the grids, before any solve.
+import numpy.fft  # noqa: F401
 
 from .errors import GridError
 
@@ -62,16 +67,6 @@ class Field:
             raise GridError("field contains non-finite entries")
         self.values = v
 
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "Field":
-        return Field(grid, np.asarray(fn(grid.x), dtype=float))
-
     def same_grid(self, other: "Field") -> None:
         if self.grid != other.grid:
             raise GridError("fields live on different grids")
-
-    def l2_norm_sq(self) -> float:
-        return self.grid.spacing * float(np.sum(self.values ** 2))
-
-    def lq_norm(self, q: float) -> float:
-        return float((self.grid.spacing * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))

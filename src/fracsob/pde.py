@@ -36,38 +36,50 @@ __all__ = [
 ]
 
 
+def _check_q_S(q: float, S: float) -> None:
+    if not q > 2.0:
+        raise DomainError(f"q must be > 2, got {q}")
+    if not S > 0.0:
+        raise DomainError(f"S must be positive, got {S}")
+    if S == math.inf:
+        raise DomainError(f"S must be finite, got {S}")
+
+
+def _power(x: float, e: float, S: float, q: float) -> float:
+    """x ** e for x > 0, refused where it leaves the double range (overflows,
+    or underflows to 0): the message names the S and q that carried it."""
+    try:
+        r = x ** e
+    except OverflowError:
+        r = math.inf
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"{x!r} ** {e!r} leaves the double range at S={S!r}, q={q!r}")
+    return r
+
+
 def ps_level(s: float, q: float, S: float) -> float:
     """First non-compactness energy level (1/2 - 1/q) S^(q/(q-2)).
 
     Monotone in S, so evaluating at a lower bound for S gives a certified
     lower estimate of the true level.
     """
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
-    return (0.5 - 1.0 / q) * S ** (q / (q - 2.0))
+    _check_q_S(q, S)
+    return (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), S, q)
 
 
 def existence_thresholds(q: float, S: float) -> tuple[float, float]:
     """Norm thresholds satisfied by the constructed positive solution:
     ||u||_{H^s}^2 < S^(q/(q-2)) and ||u||_{L^q} < S^(1/(q-2))."""
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
-    return S ** (q / (q - 2.0)), S ** (1.0 / (q - 2.0))
+    _check_q_S(q, S)
+    return _power(S, q / (q - 2.0), S, q), _power(S, 1.0 / (q - 2.0), S, q)
 
 
 def growth_coefficient(q: float, S: float) -> float:
     """Coefficient (q/2) S^(q/2) of the power growth condition
     f(t) >= (q/2) S^(q/2) |t|^(q-2) t in the limiting-case scalar field
     equation; evaluating at an upper bound for S is conservative."""
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
-    return q / 2.0 * S ** (q / 2.0)
+    _check_q_S(q, S)
+    return q / 2.0 * _power(S, q / 2.0, S, q)
 
 
 def nonlinearity_threshold(N: int, s: float, q: float, S: float,
@@ -79,19 +91,16 @@ def nonlinearity_threshold(N: int, s: float, q: float, S: float,
     (default: the sharp H^s constant); branch N = 1, s = 1/2 is
     ((q-2)/q)^((q-2)/2) S^(q/2).
     """
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
+    _check_q_S(q, S)
     if N == 1 and s == 0.5:
-        return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * S ** (q / 2.0)
+        return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
     if N >= 2 and 0.0 < s < 1.0 and N > 2 * s:
         if S_crit is None:
             S_crit = frac_sobolev_hilbert(N, s).value
         sig = N / (2.0 * s)
         bracket = (N ** sig * (q - 2.0)
                    / (2.0 * s * q * S_crit ** sig * (N - 2.0 * s) ** (sig - 1.0)))
-        return bracket ** ((q - 2.0) / 2.0) * S ** (q / 2.0)
+        return bracket ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
     raise RegimeError(
         f"nonlinearity threshold needs N>=2 with N>2s, or (N,s)=(1,1/2); got N={N}, s={s}")
 
@@ -106,10 +115,7 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
     constant.  Raises at q/(q-2) = N/(2s) exactly (the critical q), where
     the exponent is singular.
     """
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
+    _check_q_S(q, S)
     if s == 1.0:
         if N <= 2:
             raise RegimeError("classical variant needs N >= 3")
@@ -123,8 +129,9 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
     if expo_den == 0.0:
         raise DomainError(
             "q/(q-2) equals N/(2s): alpha is singular at the critical exponent")
-    base = crit_const ** sig / ((N / s) * (0.5 - 1.0 / q) * S ** (q / (q - 2.0)))
-    return base ** (1.0 / expo_den)
+    level = (N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), S, q)
+    base = crit_const ** sig / level
+    return _power(base, 1.0 / expo_den, S, q)
 
 
 def coupling_lambda_interval(alpha: float) -> tuple[float, float]:
@@ -199,13 +206,10 @@ class GroundStateReport:
     residual_ok: bool
     h_norm_sq: float
     lq_norm: float
-    h_threshold: Optional[float] = None
-    lq_threshold: Optional[float] = None
 
 
 def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
                        max_iters: int = 50000,
-                       S_reference: float | None = None,
                        u0: Optional[np.ndarray] = None
                        ) -> tuple[Field, float, GroundStateReport]:
     """Minimize I(u) = 1/2 (||(-Lap)^(s/2)u||^2 + int V u^2) over the
@@ -266,8 +270,4 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
         energy_trace=trace, residual=rnorm, residual_rel=rel_res,
         residual_ok=rel_res <= 1e-4,
         h_norm_sq=hs_sq, lq_norm=lqn)
-    if S_reference is not None:
-        hthr, lthr = existence_thresholds(q, S_reference)
-        report.h_threshold = hthr
-        report.lq_threshold = lthr
     return Field(grid, u0_vals), I0, report

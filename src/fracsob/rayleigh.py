@@ -1,16 +1,16 @@
 """Test-function profiles, their closed-form norms, and the upper-bound
-objectives they generate, plus oracle-grade quadrature and spectral norms.
+objectives they generate, plus oracle-grade quadrature.
 
-Profiles (all radial, N = 1 for the quadrature oracles):
+Profiles (radial, N = 1 for the quadrature oracles):
 
 * char_ball(k): the characteristic function of [-k, k];
-* bump(k): the cap profile (k^2 - x^2)^s on |x| < k;
-* moser(k, K): the truncated logarithm, constant ln(K/k) on |x| <= k,
-  ln(K/|x|) on k <= |x| <= K, zero outside.
+* bump(k): the cap profile (k^2 - x^2)^s on |x| < k.
 
-Each profile family, inserted into the whole-space Rayleigh quotient,
+Each test-function family, inserted into the whole-space Rayleigh quotient,
 produces a one- or two-parameter objective whose closed-form minimum is the
-corresponding whole-space upper bound.
+corresponding whole-space upper bound; the two-parameter Moser objectives
+come from the truncated logarithm, constant ln(K/k) on |x| <= k and
+ln(K/|x|) on k <= |x| <= K.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import numpy as np
 from .bounds import _inv_gap
 from .constants import Params, Regime, frac_isoperimetric, unit_ball_volume
 from .errors import DomainError, RegimeError
-from .grids import Field, Grid
 from .specfun import QuadratureConfig, beta_fn, gamma_fn, integrate
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "objective_value",
     "objective_minimizer",
     "gagliardo_seminorm_1d",
-    "halflap_norm_sq",
     "moser_bound_check",
 ]
 
@@ -44,77 +42,32 @@ __all__ = [
 class RadialProfile:
     """A compactly supported radial test profile on the line."""
 
-    kind: str                     # "char_ball" | "bump" | "moser"
+    kind: str                     # "char_ball" | "bump"
     k: float
     s: Optional[float] = None     # cap exponent, bump only
-    K: Optional[float] = None     # outer radius, moser only
-    amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("char_ball", "bump", "moser"):
+        if self.kind not in ("char_ball", "bump"):
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if not self.k > 0:
             raise DomainError("profile radius k must be positive")
-        if self.amplitude < 0:
-            raise DomainError("amplitude must be nonnegative")
         if self.kind == "bump":
             if self.s is None or not 0.0 < self.s < 1.0:
                 raise DomainError("bump profile needs a cap exponent s in (0,1)")
-        if self.kind == "moser":
-            if self.K is None or not self.K > self.k:
-                raise DomainError("moser profile needs K > k")
 
     @staticmethod
-    def char_ball(k: float, amplitude: float = 1.0) -> "RadialProfile":
-        return RadialProfile("char_ball", k, amplitude=amplitude)
+    def char_ball(k: float) -> "RadialProfile":
+        return RadialProfile("char_ball", k)
 
     @staticmethod
-    def bump(k: float, s: float, amplitude: float = 1.0) -> "RadialProfile":
-        return RadialProfile("bump", k, s=s, amplitude=amplitude)
-
-    @staticmethod
-    def moser(k: float, K: float, amplitude: float = 1.0) -> "RadialProfile":
-        return RadialProfile("moser", k, K=K, amplitude=amplitude)
-
-    @property
-    def support_radius(self) -> float:
-        return self.K if self.kind == "moser" else self.k
-
-    def breakpoints(self) -> list[float]:
-        r = [self.k, -self.k]
-        if self.kind == "moser":
-            r += [self.K, -self.K]
-        return sorted(r)
+    def bump(k: float, s: float) -> "RadialProfile":
+        return RadialProfile("bump", k, s=s)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        a = np.abs(x)
         if self.kind == "char_ball":
-            v = (a < self.k).astype(float)
-        elif self.kind == "bump":
-            v = np.maximum(self.k ** 2 - x * x, 0.0) ** self.s
-        else:
-            v = np.zeros_like(a)
-            core = a <= self.k
-            ring = (a > self.k) & (a <= self.K)
-            v[core] = math.log(self.K / self.k)
-            v[ring] = np.log(self.K / a[ring])
-        return self.amplitude * v
-
-    def sample(self, grid: Grid) -> Field:
-        """Sample onto a grid; cells containing a kink of the truncated-log
-        profile receive cell-averaged values to tame Gibbs contamination."""
-        x = grid.x
-        vals = self(x)
-        if self.kind == "moser":
-            h = grid.spacing
-            kinks = np.array(self.breakpoints())
-            near = np.min(np.abs(x[:, None] - kinks[None, :]), axis=1) <= h / 2
-            if near.any():
-                offs = (np.arange(9) - 4.0) / 9.0 * h
-                sub = self(x[near][:, None] + offs[None, :])
-                vals[near] = sub.mean(axis=1)
-        return Field(grid, vals)
+            return (np.abs(x) < self.k).astype(float)
+        return np.maximum(self.k ** 2 - x * x, 0.0) ** self.s
 
 
 def bump_seminorm_sq(N: int, s: float, k: float) -> float:
@@ -236,10 +189,10 @@ _DELTA = 1e-4  # near-diagonal cut; below it the profile modulus model applies
 
 def _difference_lp(profile: RadialProfile, p: float, t: float,
                    cfg: QuadratureConfig) -> float:
-    """D(t) = int |u(x+t) - u(x)|^p dx, with splits at all kink locations."""
-    r = profile.support_radius
-    pts = sorted(set(profile.breakpoints()
-                     + [b - t for b in profile.breakpoints()] + [-r - t, r]))
+    """D(t) = int |u(x+t) - u(x)|^p dx, split at the kinks of u(x) and
+    u(x + t): +-k and +-k - t."""
+    k = profile.k
+    pts = sorted({-k, k, -k - t, k - t})
     total = 0.0
     for x0, x1 in zip(pts[:-1], pts[1:]):
         if x1 - x0 < 1e-300:
@@ -272,23 +225,19 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     if profile.kind == "char_ball" and sp >= 1.0:
         raise DomainError(
             f"characteristic functions are not in W^(s,p) for sp >= 1 (sp={sp})")
-    if profile.amplitude == 0.0:
-        return 0.0
     kink = 1.0 - profile.s if profile.kind == "bump" else None
     inner = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-8, max_subdivisions=400,
                              left_singularity_exponent=kink,
                              right_singularity_exponent=kink)
 
-    diam = 2.0 * profile.support_radius
+    diam = 2.0 * profile.k
     delta = min(_DELTA, 0.5 * diam)
 
     # smoothness exponent of D(t) as t -> 0
     if p == 1 or profile.kind == "char_ball":
         beta_exp = 1.0
-    elif profile.kind == "bump":
-        beta_exp = min(2.0, 1.0 + 2.0 * profile.s)
     else:
-        beta_exp = 2.0
+        beta_exp = min(2.0, 1.0 + 2.0 * profile.s)
     d_delta = _difference_lp(profile, p, delta, inner)
     near = d_delta / delta ** beta_exp * delta ** (beta_exp - sp) / (beta_exp - sp)
 
@@ -301,16 +250,6 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     tail = _difference_lp(profile, p, diam, inner) * diam ** (-sp) / sp
 
     return 2.0 * (near + mid + tail)
-
-
-def halflap_norm_sq(field: Field, s: float) -> float:
-    """Discrete ||(-Lap)^(s/2) u||_2^2: Plancherel sum of |2 pi xi|^(2s)
-    |u_hat(xi)|^2 over the grid frequencies, scaled to the continuum norm."""
-    if not 0.0 <= s < 1.0:
-        raise DomainError(f"s must lie in [0,1), got {s}")
-    g = field.grid
-    U = np.fft.fft(field.values)
-    return g.spacing / g.points * float(np.sum(g.multiplier(s) * np.abs(U) ** 2))
 
 
 _LANDEN = math.sqrt(2.0) - 1.0   # fixed point of t -> (1-t)/(1+t)

@@ -121,7 +121,8 @@ def run_validation() -> list[CheckResult]:
     ok = one.lower.value == 1.0 and one.upper.value == 1.0
     two = bounds.hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 2.0))
     ok = ok and two.lower.value == 1.0 and two.upper.value == 1.0
-    ok = ok and bounds.limiting_wholespace_q2().value == 1.0
+    lim = bounds.bounds_for(Params(1, 0.5, 2.0, 2.0), bounds.DomainSpec.whole_space())
+    ok = ok and lim.lower.value == 1.0 and lim.upper.value == 1.0
     check("exact-endpoints", ok, "q=1 (p=1), q=2 (p=2), q=2 (limiting)")
 
     # the p=1 whole-space bracket is exact (lower meets upper)

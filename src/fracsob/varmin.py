@@ -88,15 +88,25 @@ class SandwichReport:
 
 
 def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
-    """Boolean support indicator of a bounded 1-D domain on the grid."""
+    """Boolean support indicator of a bounded 1-D domain on the grid.
+
+    The domain must hold at least 3 nodes: on fewer, the start field
+    (k0^2 - (x-c)^2)_+^s of the solver vanishes on every node."""
     if not domain.bounded:
         raise DomainError("whole-space domains have no mask")
     if domain.dim != 1:
         raise GridError("the spectral solver is one-dimensional")
     x = grid.x
     if domain.kind == "interval":
-        return (x > domain.a) & (x < domain.b)
-    return np.abs(x) < domain.radius
+        mask = (x > domain.a) & (x < domain.b)
+    else:
+        mask = np.abs(x) < domain.radius
+    nodes = int(np.count_nonzero(mask))
+    if nodes < 3:
+        raise GridError(
+            f"{domain} holds {nodes} of the {grid.points} nodes on "
+            f"[-{grid.half_width:g}, {grid.half_width:g}); the solver needs at least 3")
+    return mask
 
 
 def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from fracsob.bounds import (
     limiting_domain_lower,
     limiting_domain_upper,
     limiting_wholespace_lower,
-    limiting_wholespace_q2,
     limiting_wholespace_upper,
     young_lower,
 )
@@ -59,9 +59,34 @@ class TestDomainSpec:
         with pytest.raises(DomainError, match="measure overflows a double"):
             DomainSpec.interval(-1e308, 1e308)
 
-    def test_inradius_cap(self):
-        with pytest.raises(DomainError):
-            DomainSpec(kind="ball", dim=2, measure=1.0, inradius=10.0, radius=10.0)
+    @pytest.mark.parametrize("N,R,measure", [
+        (1, 0.5, 1.0000000000000002), (1, 1.0, 2.0000000000000004),
+        (1, 2.0, 4.000000000000001),
+        (2, 0.5, 0.7853981633974484), (2, 1.0, 3.141592653589793),
+        (2, 2.0, 12.566370614359172),
+        (3, 0.5, 0.5235987755982988), (3, 1.0, 4.18879020478639),
+        (3, 2.0, 33.51032163829111)])
+    def test_ball_measure_and_inradius_from_shape(self, N, R, measure):
+        # bit for bit the values the ball factory stored when a domain
+        # carried its measure and inradius as fields
+        d = DomainSpec.ball(R, N)
+        assert d.measure == measure and d.inradius == R
+
+    def test_interval_measure_and_inradius_from_shape(self):
+        d = DomainSpec.interval(-1.0, 2.0)
+        assert d.measure == 3.0 and d.inradius == 1.5
+
+    def test_whole_space_has_no_measure(self):
+        d = DomainSpec.whole_space(50.0, 3)
+        assert d.measure is None and d.inradius is None
+        assert d.dim == 3 and DomainSpec.whole_space().dim == 1
+
+    def test_fields_are_the_shape(self):
+        # measure and inradius cannot be set, so they cannot disagree
+        assert [f.name for f in dataclasses.fields(DomainSpec)] == [
+            "kind", "dim", "radius", "a", "b", "truncation"]
+        with pytest.raises(TypeError):
+            DomainSpec(kind="ball", dim=2, radius=1.0, measure=1.0)
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -237,9 +262,6 @@ class TestLimiting:
         assert rel(v.value, 5.8445647306445557) < 1e-14
         with pytest.raises(DomainError):
             limiting_wholespace_upper(2.0)
-
-    def test_wholespace_q2_companion(self):
-        assert limiting_wholespace_q2().value == 1.0
 
     def test_wholespace_upper_asymptotics(self):
         # convergence is logarithmic: q (4 ln q + 2 - ln 16 pi^2)/q corrections

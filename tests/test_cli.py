@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,20 @@ class TestGroundstateCommand:
         assert doc["result"]["thresholds_satisfied"] is True
 
 
+    def test_thresholds_from_numeric_S(self, capsys):
+        # the thresholds are the existence thresholds at the solver's own S
+        from fracsob.pde import existence_thresholds
+        code, out, _ = run_capture(
+            capsys, ["groundstate", "--s", "0.5", "--q", "4", "--grid", "1024",
+                     "--box", "30"])
+        assert code == 0
+        doc = json.loads(out)
+        res = doc["result"]
+        assert (res["h_threshold"], res["lq_threshold"]) == existence_thresholds(
+            4.0, res["S_numeric"])
+        assert doc["domain"] == {"kind": "whole_space", "dim": 1, "truncation": 30.0}
+
+
 class TestValidateCommand:
     def test_all_pass(self, capsys):
         code, out, _ = run_capture(capsys, ["validate"])
@@ -516,3 +531,84 @@ def test_parser_built_once_on_first_run():
     assert at_import == 0
     assert first > 0      # the parser and one subparser per command
     assert second == first
+
+
+@pytest.mark.parametrize("S,word", [("1e300", "1e+300 ** 3.0 leaves the double range"),
+                                    ("inf", "S must be finite, got inf")])
+def test_thresholds_refuse_S_out_of_range(capsys, S, word):
+    # S = 1e300 raised a raw OverflowError (exit 1); S = inf printed "inf"
+    # for S, c_star and both thresholds with exit 0
+    code, out, err = run_capture(
+        capsys, ["thresholds", "--N", "1", "--s", "0.25", "--q", "3", "--S", S])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err
+    if S == "1e300":
+        assert "S=1e+300, q=3.0" in err
+
+
+@pytest.mark.parametrize("field,word", [
+    ("bump:1,2,0", "width must be positive"),
+    ("bump:1,2,-1", "width must be positive"),
+    ("well:1,0.5,0", "width must be positive"),
+    ("bump:1,2,nan", "parameters must be finite"),
+    ("bump:nan,2,1", "parameters must be finite"),
+    ("bump:1,inf,1", "parameters must be finite"),
+    ("well:1,inf,1", "parameters must be finite"),
+    ("const:nan", "parameters must be finite"),
+    ("bump:1e308,1e308,1", "field contains non-finite entries"),
+])
+def test_bad_field_parameters_are_refused_without_warnings(capsys, field, word):
+    # a zero width printed two numpy RuntimeWarnings before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(
+            capsys, ["groundstate", "--q", "3", "--grid", "256", "--box", "20",
+                     "--Q", field])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad field '{field}': {word}")
+
+
+def test_narrow_field_width_is_its_limit(capsys):
+    # (x/width)^2 overflows to inf off the origin, where the bell is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_capture(
+            capsys, ["groundstate", "--q", "3", "--grid", "256", "--box", "20",
+                     "--Q", "bump:1,2,1e-300"])
+    assert code in (0, 1)
+
+
+@pytest.mark.parametrize("argv,nodes", [
+    (["--domain", "interval:-1,1", "--grid", "16", "--box", "8"], "holds 1 of the 16"),
+    (["--domain", "interval:-1,1", "--grid", "4", "--box", "8"], "holds 1 of the 4"),
+    (["--domain", "interval:1e300,1.0000001e300"], "holds 0 of the 4096"),
+])
+def test_grid_too_coarse_for_domain(capsys, argv, nodes):
+    # these ended in "degenerate field: L^q norm underflow" or in numpy's
+    # "zero-size array to reduction operation maximum"
+    code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25", "--q", "3"] + argv)
+    assert code == 2
+    assert json.loads(out)["result"]["error"].startswith("GridError: interval")
+    assert err.startswith("error: GridError: interval") and nodes in err
+    assert "the solver needs at least 3" in err
+
+
+def test_three_domain_nodes_solve(capsys):
+    code, _, _ = run_capture(
+        capsys, ["sandwich", "--s", "0.25", "--q", "3", "--domain", "interval:-1,1",
+                 "--grid", "32", "--box", "8"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,N", [
+    (["bounds", "--N", "3", "--p", "2", "--s", "0.5", "--q", "2.5"], 3),
+    (["sandwich", "--N", "2", "--p", "1", "--s", "0.3", "--q", "1.1"], 2),
+    (["bounds", "--N", "1", "--p", "2", "--s", "0.25", "--q", "3"], 1),
+])
+def test_whole_space_record_has_the_dimension(capsys, argv, N):
+    code, out, _ = run_capture(capsys, argv + ["--domain", "rn:200"])
+    assert code == 0
+    assert json.loads(out)["domain"] == {"kind": "whole_space", "dim": N,
+                                         "truncation": 200.0}

@@ -26,3 +26,16 @@ def test_runtime_imports_no_test_oracle():
     modules = json.loads(out)
     assert {"fracsob.cli", "fracsob.validate", "fracsob.specfun"} <= set(modules)
     assert [m for m in modules if m.split(".")[0] in ("scipy", "mpmath")] == []
+
+
+def test_numpy_fft_loaded_on_import():
+    # numpy >= 2 imports numpy.fft lazily; a signal handler (such as a
+    # sampling profiler's) that calls np.fft while the first solve runs that
+    # import raised RecursionError inside numpy's module __getattr__
+    src = str(Path(fracsob.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fracsob; print('numpy.fft' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"

@@ -7,7 +7,6 @@ from fracsob.bounds import DomainSpec
 from fracsob.constants import ConstantKind, Params
 from fracsob.errors import DomainError, GridError
 from fracsob.grids import Field, Grid
-from fracsob.rayleigh import halflap_norm_sq
 from fracsob.varmin import (
     SolverConfig,
     _apply,
@@ -43,11 +42,6 @@ class TestGridField:
             Field(g, np.zeros(7))
         with pytest.raises(GridError):
             Field(g, np.full(8, np.nan))
-
-    def test_plancherel_consistency(self):
-        g = Grid(half_width=6.0, points=2048)
-        f = Field.from_function(g, lambda x: np.exp(-x * x))
-        assert rel(halflap_norm_sq(f, 0.0), f.l2_norm_sq()) < 1e-12
 
 
 def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
