@@ -35,7 +35,7 @@ from .rayleigh import (
     objective_minimizer,
     objective_value,
 )
-from .varmin import SandwichReport, SolverConfig, minimize_quotient, sandwich, sweep
+from .varmin import SandwichReport, minimize_quotient, sandwich, sweep
 from .pde import (
     coupling_alpha,
     coupling_lambda_interval,

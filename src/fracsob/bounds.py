@@ -140,8 +140,6 @@ class BoundPair:
 
     lower: ConstantValue
     upper: ConstantValue
-    params: Params
-    domain: DomainSpec
 
     def __post_init__(self):
         if self.lower.value > self.upper.value * (1 + 1e-12):
@@ -195,24 +193,22 @@ def _require(params: Params, regime: Regime) -> None:
     raise RegimeError(f"params {params} outside the {regime.value} regime")
 
 
-def _pair(params: Params, domain: DomainSpec, key: str, lo: float, up: float,
-          rel: float = _EVAL_EPS, floor: float = 0.0) -> BoundPair:
+def _pair(key: str, lo: float, up: float, rel: float = _EVAL_EPS,
+          floor: float = 0.0) -> BoundPair:
     """The bracket [lo, up] with provenances key-lower / key-upper and error
     estimates rel * value + floor."""
     return BoundPair(
         ConstantValue(lo, ConstantKind.BOUND_LOWER, f"{key}-lower",
                       error_estimate=rel * lo + floor),
         ConstantValue(up, ConstantKind.BOUND_UPPER, f"{key}-upper",
-                      error_estimate=rel * up + floor),
-        params, domain)
+                      error_estimate=rel * up + floor))
 
 
-def _exact_one(params: Params, domain: DomainSpec, key: str) -> BoundPair:
+def _exact_one(key: str) -> BoundPair:
     """The exact bracket [1, 1], both ends with provenance key."""
     return BoundPair(
         ConstantValue(1.0, ConstantKind.BOUND_LOWER, key, error_estimate=_EVAL_EPS),
-        ConstantValue(1.0, ConstantKind.BOUND_UPPER, key, error_estimate=_EVAL_EPS),
-        params, domain)
+        ConstantValue(1.0, ConstantKind.BOUND_UPPER, key, error_estimate=_EVAL_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +227,18 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     ball_measure = _ball_measure(params.N, domain.inradius)
     lo = S.value * domain.measure ** e
     up = S.value * ball_measure ** e
-    return _pair(params, domain, "borderline-domain", lo, up,
+    return _pair("borderline-domain", lo, up,
                  rel=S.error_estimate / S.value, floor=_EVAL_EPS)
 
 
-def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = None
-                                 ) -> BoundPair:
+def borderline_wholespace_bounds(params: Params) -> BoundPair:
     """p=1 whole-space bounds.  q=1 gives exactly 1; for 1 < q < crit the
     interpolation lower bound and the char-ball upper bound are evaluated
     independently (they agree analytically, pinning the constant)."""
     _require(params, Regime.BORDERLINE)
-    if domain is None:
-        domain = DomainSpec.whole_space(N=params.N)
-    if domain.bounded:
-        raise RegimeError("borderline_wholespace_bounds needs the whole space")
     N, s, q = params.N, params.s, params.q
     if q == 1.0:
-        return _exact_one(params, domain, "borderline-rn-q1")
+        return _exact_one("borderline-rn-q1")
     crit = params.critical_exponent
     S = frac_isoperimetric(N, s)
     gap = _inv_gap(q, crit)          # 1/q - 1/crit > 0
@@ -259,7 +250,7 @@ def borderline_wholespace_bounds(params: Params, domain: DomainSpec | None = Non
           * gap1 ** (-N / s * gap1)
           * S.value ** (N / s * gap1))
     rel = (N / s * gap1) * S.error_estimate / S.value
-    return _pair(params, domain, "borderline-rn", lo, up, rel=abs(rel), floor=_EVAL_EPS)
+    return _pair("borderline-rn", lo, up, rel=abs(rel), floor=_EVAL_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +272,18 @@ def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     up = (2.0 ** (2.0 * s + 2.0 / q) * (w * N) ** (1.0 - 2.0 / q) / (N + 2.0 * s)
           * gamma_fn(s + 1.0) ** 2 * beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
           * domain.inradius ** (2.0 * N * _inv_gap(crit, q)))
-    return _pair(params, domain, "hilbert-domain", lo, up)
+    return _pair("hilbert-domain", lo, up)
 
 
-def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
-                              ) -> BoundPair:
+def hilbert_wholespace_bounds(params: Params) -> BoundPair:
     """p=2 whole-space bounds for 2 <= q < crit: q=2 is exactly 1; otherwise
     the Young-interpolation lower bound and the bump-family upper bound."""
     _require(params, Regime.HILBERT)
-    if domain is None:
-        domain = DomainSpec.whole_space(N=params.N)
-    if domain.bounded:
-        raise RegimeError("hilbert_wholespace_bounds needs the whole space")
     N, s, q = params.N, params.s, params.q
     if q < 2.0:
         raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
     if q == 2.0:
-        return _exact_one(params, domain, "hilbert-rn-q2")
+        return _exact_one("hilbert-rn-q2")
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
     gap = _inv_gap(q, crit)            # 1/q - 1/crit
@@ -307,14 +293,14 @@ def hilbert_wholespace_bounds(params: Params, domain: DomainSpec | None = None
           * Ss ** (N / s * gap2))
     if q == crit:
         # at criticality both bounds collapse onto the critical constant
-        return _pair(params, domain, "hilbert-rn", Ss, Ss)
+        return _pair("hilbert-rn", Ss, Ss)
     w = unit_ball_volume(N)
     up = (w ** (1.0 - 2.0 / q) * s
           * ((2.0 ** (2.0 * s + 1.0 - 2.0 * s / N) * gamma_fn(s + 1.0) ** 2)
              / ((N + 2.0 * s) * gap2)) ** (N / s * gap2)
           * (N * beta_fn(N / 2.0, q * s + 1.0)) ** (-2.0 / q)
           * (beta_fn(N / 2.0, 2.0 * s + 1.0) / gap) ** (N / s * gap))
-    return _pair(params, domain, "hilbert-rn", lo, up)
+    return _pair("hilbert-rn", lo, up)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +325,10 @@ def limiting_domain_lower(q: float, measure: float, C1: float = 1.0) -> Constant
     literature provides existence, not a numeric value); defaults to 1."""
     if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
-    if not (measure > 0.0 and C1 > 0.0):
-        raise DomainError("measure and C1 must be positive")
+    if not measure > 0.0:
+        raise DomainError(f"measure must be positive, got {measure}")
+    if not 0.0 < C1 < math.inf:
+        raise DomainError(f"C1 must be finite and positive, got {C1}")
     val = (C1 ** (-2.0 / q) * math.pi
            * math.exp(-(2.0 / q) * ln_gamma(q / 2.0 + 1.0))
            * measure ** (-2.0 / q))
@@ -368,8 +356,8 @@ def limiting_wholespace_lower(q: float, C2: float = 1.0) -> ConstantValue:
     default 1)."""
     if not q > 2.0:
         raise DomainError(f"q must be > 2, got {q}")
-    if C2 < 0.0:
-        raise DomainError("C2 must be nonnegative")
+    if not 0.0 <= C2 < math.inf:
+        raise DomainError(f"C2 must be finite and nonnegative, got {C2}")
     # log-space evaluation keeps Gamma(q/2+1) usable at large q
     t1 = math.log(C2 + 2.0) - (q / 2.0) * math.log(math.pi) + ln_gamma(q / 2.0 + 1.0)
     t2 = (2.0 - q / 2.0) * math.log(2.0) - math.log(q - 2.0)
@@ -386,20 +374,19 @@ def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 
     if regime is Regime.BORDERLINE:
         if domain.bounded:
             return borderline_domain_bounds(params, domain)
-        return borderline_wholespace_bounds(params, domain)
+        return borderline_wholespace_bounds(params)
     if regime is Regime.HILBERT:
         if domain.bounded:
             return hilbert_domain_bounds(params, domain)
-        return hilbert_wholespace_bounds(params, domain)
+        return hilbert_wholespace_bounds(params)
     if regime is Regime.LIMITING:
         q = params.q
         if domain.bounded:
             return BoundPair(limiting_domain_lower(q, domain.measure, C1),
-                             limiting_domain_upper(q, domain.inradius), params, domain)
+                             limiting_domain_upper(q, domain.inradius))
         if q == 2.0:
-            return _exact_one(params, domain, "limiting-rn-q2")
+            return _exact_one("limiting-rn-q2")
         if q < 2.0:
             raise RegimeError("limiting whole-space bounds need q >= 2")
-        return BoundPair(limiting_wholespace_lower(q, C2), limiting_wholespace_upper(q),
-                         params, domain)
+        return BoundPair(limiting_wholespace_lower(q, C2), limiting_wholespace_upper(q))
     raise RegimeError(f"no bounds available: params {params} out of scope")

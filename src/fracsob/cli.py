@@ -154,14 +154,14 @@ _CONSTANT_DISPATCH = {
     "unit-ball-volume": lambda a: ConstantValue(
         constants.unit_ball_volume(a.N), constants.ConstantKind.CLOSED_FORM,
         "unit-ball-volume"),
-    "classical-sobolev": lambda a: constants.classical_sobolev(a.N, a.p or 2.0),
+    "classical-sobolev": lambda a: constants.classical_sobolev(a.N, a.p),
     "isoperimetric": lambda a: constants.isoperimetric(a.N),
     "hardy-sobolev-a": lambda a: constants.hardy_sobolev_A(a.N, a.s),
     "frac-isoperimetric": lambda a: constants.frac_isoperimetric(a.N, a.s),
     "lieb": lambda a: constants.lieb_constant(a.N, a.s),
     "norm-bridge": lambda a: constants.norm_bridge(a.N, a.s),
     "hilbert-sobolev": lambda a: constants.frac_sobolev_hilbert(a.N, a.s),
-    "mazya-lower": lambda a: constants.mazya_lower(a.N, a.s, a.p or 2.0),
+    "mazya-lower": lambda a: constants.mazya_lower(a.N, a.s, a.p),
     "lieb-loss-lower": lambda a: constants.lieb_loss_lower(a.q),
 }
 
@@ -240,8 +240,11 @@ def _emit(args, record: dict, out: _Outcome) -> None:
         text = _dumps(record) + "\n"
     path = getattr(args, "out", None)   # validate has no --out
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -282,8 +285,7 @@ def _sandwich(args) -> _Outcome:
     _warn_tm_constants(args, plist)
     domain = _parse_domain(args.domain, args.N)
     grid = varmin.default_grid(domain, args.grid, args.box)
-    cfg = varmin.SolverConfig(max_iters=args.max_iters)
-    reports = varmin.sweep(plist, domain, cfg, grid, tol=args.tol,
+    reports = varmin.sweep(plist, domain, args.max_iters, grid, tol=args.tol,
                            C1=args.c1, C2=args.c2)
     payloads, prov = [], []
     for point, rep in zip(plist, reports):
@@ -347,8 +349,7 @@ def _groundstate(args) -> _Outcome:
         pde.check_weight_hypotheses(Q)
     if np.max(np.abs(V.values - 1.0)) > 1e-12:
         pde.check_potential_hypotheses(V)
-    res = varmin.minimize_quotient(grid, None, s, q, "whole_space",
-                                   varmin.SolverConfig(max_iters=args.max_iters))
+    res = varmin.minimize_quotient(grid, None, s, q, "whole_space", args.max_iters)
     u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters)
     hthr, lthr = pde.existence_thresholds(q, res.estimate)
     result = {
@@ -453,23 +454,23 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.perf_counter()
+    command = ["fracsob"] + list(argv if argv is not None else sys.argv[1:])
     try:
         out = _COMMANDS[args.cmd](args)
+        if args.cmd == "validate":
+            npass = sum(c["passed"] for c in out.result)
+            record = {"command": command, "checks": out.result, "passed": npass,
+                      "failed": len(out.result) - npass}
+        else:
+            record = {"command": command, "params": out.params, "domain": out.domain,
+                      "result": out.result, "provenance": sorted(set(out.provenance)),
+                      "wall_time_s": (time.perf_counter() - t0) if args.timing else None}
+        _emit(args, record, out)
     except (DomainError, RegimeError, GridError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         ap.print_usage(sys.stderr)
         return 2
-    command = ["fracsob"] + list(argv if argv is not None else sys.argv[1:])
-    if args.cmd == "validate":
-        npass = sum(c["passed"] for c in out.result)
-        record = {"command": command, "checks": out.result, "passed": npass,
-                  "failed": len(out.result) - npass}
-    else:
-        record = {"command": command, "params": out.params, "domain": out.domain,
-                  "result": out.result, "provenance": sorted(set(out.provenance)),
-                  "wall_time_s": (time.perf_counter() - t0) if args.timing else None}
-    _emit(args, record, out)
     return out.code
 
 

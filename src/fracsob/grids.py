@@ -20,7 +20,7 @@ __all__ = ["Grid", "Field"]
 class Grid:
     """Periodic box [-L, L) sampled at M equispaced points (M a power of two).
 
-    Grid frequencies are the discrete set xi_j = j/(2L), j = -M/2 .. M/2-1.
+    The frequencies of its real transform are xi_j = j/(2L), j = 0 .. M/2.
     """
 
     half_width: float
@@ -42,13 +42,10 @@ class Grid:
     def x(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.points)
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.fft.fftfreq(self.points, d=self.spacing)
-
     def multiplier(self, s: float) -> np.ndarray:
-        """|2 pi xi|^(2s) on the grid frequencies."""
-        return np.abs(2.0 * np.pi * self.frequencies) ** (2.0 * s)
+        """|2 pi xi|^(2s) on the M/2 + 1 nonnegative frequencies of a real
+        transform (`rfft` order): the half spectrum of a real field."""
+        return (2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.spacing)) ** (2.0 * s)
 
 
 @dataclass

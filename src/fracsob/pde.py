@@ -19,7 +19,7 @@ import numpy as np
 from .constants import classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _descend
+from .varmin import _apply, _descend, _dot
 
 __all__ = [
     "ps_level",
@@ -197,7 +197,6 @@ _GROUND_STATE_TOL = 1e-13
 
 @dataclass
 class GroundStateReport:
-    I0: float
     iterations: int
     converged: bool
     energy_trace: np.ndarray
@@ -235,8 +234,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
         raise DomainError("V and Q must be positive fields")
 
     h = grid.spacing
-    # |2 pi xi|^(2s) is both the quadratic form of ||(-Lap)^(s/2) u||^2 and
-    # the symbol of (-Lap)^s in the residual
+    # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the descent, the residual
+    # and ||u0||_{H^s}^2 = h (<u0, A u0> + <u0, u0>)
     mult = grid.multiplier(s)
     Vv, Qv = V.values, Q.values
 
@@ -262,11 +261,10 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
                 math.sqrt(h * float(np.sum(nonlin ** 2))))
     rel_res = rnorm / scale if scale > 0 else math.inf
 
-    hs_sq = (h / grid.points
-             * float(np.sum((mult + 1.0) * np.abs(np.fft.fft(u0_vals)) ** 2)))
+    hs_sq = h * (_dot(u0_vals, Au0) + _dot(u0_vals, u0_vals))
     lqn = float((h * np.sum(np.abs(u0_vals) ** q)) ** (1.0 / q))
     report = GroundStateReport(
-        I0=I0, iterations=len(trace) - 1, converged=converged,
+        iterations=len(trace) - 1, converged=converged,
         energy_trace=trace, residual=rnorm, residual_rel=rel_res,
         residual_ok=rel_res <= 1e-4,
         h_norm_sq=hs_sq, lq_norm=lqn)

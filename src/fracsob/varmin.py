@@ -19,10 +19,11 @@ preconditioner makes the iteration count nearly independent of the grid
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
 and minimized by `_descend`; the ground-state solver in `pde` runs the same
-kernel with a potential V and a weight Q.  Each operator apply (energy,
-preconditioner, ground-state residual) is one real-to-complex FFT pair on
-half the symbol (`_apply`), and each trial point takes one power |v|^q,
-shared by its normalization and its quotient.
+kernel with a potential V and a weight Q.  Symbols live on the M/2 + 1
+nonnegative frequencies of a real transform, so each operator apply (energy,
+preconditioner, ground-state residual) is one rfft/irfft pair (`_apply`),
+and each trial point takes one power |v|^q, shared by its normalization and
+its quotient.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .errors import ConvergenceError, DomainError, GridError
 from .grids import Field, Grid
 
 __all__ = [
-    "SolverConfig",
     "SolveResult",
     "SandwichReport",
     "domain_mask",
@@ -47,18 +47,6 @@ __all__ = [
     "sandwich",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration controls for the projected-gradient quotient minimizer."""
-
-    max_iters: int = 20000
-    quotient_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.quotient_tol <= 0:
-            raise DomainError("max_iters and quotient_tol must be positive")
 
 
 @dataclass
@@ -76,7 +64,6 @@ class SandwichReport:
     """Bracket check: lower bound <= numeric estimate <= upper bound."""
 
     params: Params
-    domain: DomainSpec
     lower: ConstantValue
     upper: ConstantValue
     numeric: Optional[ConstantValue]
@@ -110,18 +97,9 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
 
 
 def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fourier multiplier with the given symbol, in `fftfreq` order, applied
-    to a real field by a real-to-complex transform pair.
-
-    Only the first M/2 + 1 entries of the symbol are read.  That is exact:
-    every symbol used here (|2 pi xi|^(2s), that plus 1, and 1/(that + c))
-    is a function of |xi|, and `fftfreq` gives bins j and M - j bitwise
-    equal magnitudes, the Nyquist bin included, so the full-length complex
-    product is Hermitian and its inverse is real.  The result agrees with
-    ifft(symbol * fft(u)).real to rounding (<= 1e-13 of max |Au|, tested).
-    """
-    M = u.shape[0]
-    return np.fft.irfft(symbol[:M // 2 + 1] * np.fft.rfft(u), n=M)
+    """Fourier multiplier with the given even symbol, held on the M/2 + 1
+    nonnegative `rfft` frequencies, applied to a real field of M samples."""
+    return np.fft.irfft(symbol * np.fft.rfft(u), n=u.shape[0])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -176,6 +154,7 @@ def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
 
 
 _ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+_QUOTIENT_TOL = 1e-9   # relative quotient decrease at which a solve stops
 # a whole-space minimizer warns when more than _TAIL_MASS_LIMIT of its q-mass
 # lies in the outer _TAIL_FRACTION of the box
 _TAIL_FRACTION = 0.05
@@ -270,7 +249,7 @@ def _initial_field(grid: Grid, s: float, mode: str,
 
 
 def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float,
-                      mode: str, cfg: SolverConfig | None = None) -> SolveResult:
+                      mode: str, max_iters: int = 20000) -> SolveResult:
     """Minimize the discrete Rayleigh quotient; returns the estimate, the
     minimizer field, and the (nonincreasing) quotient trace.
 
@@ -279,7 +258,7 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
-    periodic kernel ifft(grid.multiplier(s)) is nonpositive off the
+    periodic kernel irfft(grid.multiplier(s), n=M) is nonpositive off the
     diagonal (to rounding), so that is so.  For s > 1/2 it has positive
     entries at even offsets (k_2/k_0 = 0.07 at s = 0.75), so the cone
     minimum of the discrete quotient need not be its signed minimum; the
@@ -296,16 +275,14 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
-    if cfg is None:
-        cfg = SolverConfig()
+    _check_max_iters(max_iters)
 
     symbol = grid.multiplier(s)
     if mode == "whole_space":
         symbol = symbol + 1.0
         mask = None
     u, trace, converged = _descend(_initial_field(grid, s, mode, mask), symbol,
-                                   grid.spacing, q, cfg.max_iters, cfg.quotient_tol,
-                                   mask=mask)
+                                   grid.spacing, q, max_iters, _QUOTIENT_TOL, mask=mask)
 
     tail_warning = False
     if mode == "whole_space":
@@ -328,6 +305,11 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"sandwich tol must be finite and nonnegative, got {tol}")
 
 
+def _check_max_iters(max_iters: int) -> None:
+    if not max_iters >= 1:
+        raise DomainError(f"max_iters must be positive, got {max_iters}")
+
+
 def default_grid(domain: DomainSpec, points: int = 4096,
                  half_width: float | None = None) -> Grid:
     """The sandwich grid: `points` nodes on [-half_width, half_width], by
@@ -338,7 +320,7 @@ def default_grid(domain: DomainSpec, points: int = 4096,
     return Grid(half_width=half_width, points=points)
 
 
-def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None,
+def sandwich(params: Params, domain: DomainSpec, max_iters: int = 20000,
              grid: Grid | None = None, tol: float = _DEFAULT_TOL,
              C1: float = 1.0, C2: float = 1.0) -> SandwichReport:
     """Assemble lower/upper bounds and a numeric estimate for one parameter
@@ -349,6 +331,7 @@ def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None
     is reported bound-only.  p=2 runs the spectral minimizer (N = 1 grids).
     """
     _check_tol(tol)
+    _check_max_iters(max_iters)
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
     numeric = None
@@ -369,11 +352,9 @@ def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None
     else:
         if grid is None:
             grid = default_grid(domain)
-        if domain.bounded:
-            res = minimize_quotient(grid, domain_mask(grid, domain), params.s,
-                                    params.q, "domain", cfg)
-        else:
-            res = minimize_quotient(grid, None, params.s, params.q, "whole_space", cfg)
+        mask = domain_mask(grid, domain) if domain.bounded else None
+        mode = "domain" if domain.bounded else "whole_space"
+        res = minimize_quotient(grid, mask, params.s, params.q, mode, max_iters)
         err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + tol * res.estimate
         numeric = ConstantValue(res.estimate, ConstantKind.NUMERIC_ESTIMATE,
                                 "rayleigh-numeric", error_estimate=err)
@@ -385,27 +366,28 @@ def sandwich(params: Params, domain: DomainSpec, cfg: SolverConfig | None = None
         note = "; ".join(notes)
 
     if numeric is None:
-        return SandwichReport(params, domain, lo, up, None, None, None, tol,
+        return SandwichReport(params, lo, up, None, None, None, tol,
                               passed=lo.value <= up.value, note=note)
     sl = (numeric.value - lo.value) / lo.value
     su = (up.value - numeric.value) / up.value
     passed = (numeric.value >= lo.value * (1 - tol)
               and numeric.value <= up.value * (1 + tol))
-    return SandwichReport(params, domain, lo, up, numeric, sl, su, tol, passed, note)
+    return SandwichReport(params, lo, up, numeric, sl, su, tol, passed, note)
 
 
 def sweep(param_list: list[Params], domain: DomainSpec,
-          cfg: SolverConfig | None = None, grid: Grid | None = None,
+          max_iters: int = 20000, grid: Grid | None = None,
           tol: float = _DEFAULT_TOL, C1: float = 1.0, C2: float = 1.0
           ) -> list[SandwichReport | Exception]:
     """One sandwich per parameter point, run serially; per-point failures are
     recorded as exceptions and do not interrupt the sweep.  Reports keep
-    input order.  A bad tol is refused before any point runs."""
+    input order.  A bad tol or max_iters is refused before any point runs."""
     _check_tol(tol)
+    _check_max_iters(max_iters)
 
     def run(p: Params):
         try:
-            return sandwich(p, domain, cfg, grid, tol, C1, C2)
+            return sandwich(p, domain, max_iters, grid, tol, C1, C2)
         except Exception as exc:  # noqa: BLE001 - reported per point
             return exc
 

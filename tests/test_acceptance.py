@@ -36,7 +36,7 @@ from fracsob.rayleigh import (
     objective_minimizer,
 )
 from fracsob.specfun import QuadratureConfig, integrate
-from fracsob.varmin import SolverConfig, minimize_quotient, sandwich
+from fracsob.varmin import minimize_quotient, sandwich
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -219,8 +219,7 @@ def test_criterion_08_limiting_asymptotics():
     ok = 1000.0 * limiting_domain_upper(1000.0, 1.0).value == pytest.approx(
         TWO_PI_E, rel=5e-3)
     grid = Grid(half_width=10.0, points=16384)
-    res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space",
-                            SolverConfig(max_iters=30000))
+    res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space", max_iters=30000)
     ok = ok and rel(32.0 * res.estimate, TWO_PI_E) <= 0.25
     report(8, "q-asymptotics-2pie", ok)
 

@@ -331,11 +331,9 @@ class TestBoundPairInvariant:
         assert count > 5000
 
     def test_constructor_asserts(self):
-        p = Params(1, 0.25, 2.0, 3.0)
-        d = DomainSpec.whole_space()
-        good = hilbert_wholespace_bounds(p)
+        good = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0))
         with pytest.raises(DomainError):
-            BoundPair(good.upper, good.lower, p, d)  # swapped
+            BoundPair(good.upper, good.lower)  # swapped
 
 
 class TestBallDilationConsistency:

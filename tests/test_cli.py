@@ -612,3 +612,57 @@ def test_whole_space_record_has_the_dimension(capsys, argv, N):
     assert code == 0
     assert json.loads(out)["domain"] == {"kind": "whole_space", "dim": N,
                                          "truncation": 200.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "classical-sobolev", "--p", "0"],
+    ["--which", "classical-sobolev", "--p", "-0.0"],
+    ["--which", "mazya-lower", "--p", "0", "--s", "0.5"],
+])
+def test_constants_p_zero_is_refused(capsys, argv):
+    # --p 0 used to be replaced by the default p = 2 and evaluated there
+    code, out, err = run_capture(capsys, ["constants", "--N", "3"] + argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "p=" in err
+
+
+@pytest.mark.parametrize("where,reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_unwritable_out_is_refused(tmp_path, capsys, where, reason):
+    # the write ended in a FileNotFoundError or IsADirectoryError traceback
+    path = str(tmp_path / "missing" / "x.json" if where == "missing" else tmp_path)
+    code, out, err = run_capture(
+        capsys, ["bounds", "--N", "1", "--s", "0.25", "--q", "3", "--out", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: {reason}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv,name", [
+    (["thresholds", "--N", "1", "--s", "0.5", "--q", "3", "--c2"], "C2"),
+    (["bounds", "--N", "1", "--s", "0.5", "--q", "3", "--domain", "rn:200", "--c2"], "C2"),
+    (["bounds", "--N", "1", "--s", "0.5", "--q", "3", "--domain", "interval:-1,1",
+      "--c1"], "C1"),
+])
+def test_non_finite_tm_constant_is_named(capsys, argv, name, value):
+    # these said "constant must be finite and positive, got nan" (or "got 0.0")
+    code, out, err = run_capture(capsys, argv + [value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be finite and ") and f"got {value}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--N", "2", "--p", "1", "--s", "0.5", "--q", "1.2", "--domain", "ball:1"],
+    ["sandwich", "--s", "0.25", "--q", "3"],
+    ["sweep", "--s", "0.25", "--q", "2.5,3"],
+    ["groundstate", "--s", "0.5", "--q", "4", "--grid", "256"],
+])
+@pytest.mark.parametrize("max_iters", ["0", "-1"])
+def test_non_positive_max_iters_is_refused_up_front(capsys, argv, max_iters):
+    # refused before any point runs, bound-only points included
+    code, out, err = run_capture(capsys, argv + ["--max-iters", max_iters])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: max_iters must be positive, got {max_iters}")

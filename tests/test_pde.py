@@ -19,7 +19,7 @@ from fracsob.pde import (
     pohozaev_defect,
     ps_level,
 )
-from fracsob.varmin import SolverConfig, minimize_quotient
+from fracsob.varmin import _descend
 
 
 def rel(a, b):
@@ -214,10 +214,24 @@ class TestGroundState:
         grid = Grid(half_width=100.0, points=2048)
         ones = Field(grid, np.ones(grid.points))
         u0, I0, rep = ground_state_solve(grid, 0.5, 4.0, ones, ones)
-        # both solves run the same kernel to the ground state's tolerance
-        res = minimize_quotient(grid, None, 0.5, 4.0, "whole_space",
-                                SolverConfig(max_iters=20000, quotient_tol=1e-13))
-        assert rel(2.0 * I0, res.estimate) < 1e-9
+        # the embedding-constant descent of minimize_quotient (whole space,
+        # from exp(-x^2)), run to the ground state's tolerance
+        _, trace, _ = _descend(np.exp(-grid.x ** 2), grid.multiplier(0.5) + 1.0,
+                               grid.spacing, 4.0, 20000, 1e-13)
+        assert rel(2.0 * I0, trace[-1]) < 1e-9
+
+    @pytest.mark.parametrize("s,q,depth,amp", [(0.5, 4.0, 0.0, 2.0), (0.3, 3.5, 0.5, 1.5)])
+    def test_h_norm_sq_is_the_plancherel_sum(self, s, q, depth, amp):
+        # h (<u0, A u0> + <u0, u0>) against sum (|2 pi xi|^(2s) + 1) |fft u0|^2,
+        # over all M frequencies of the complex transform
+        grid = Grid(half_width=30.0, points=2048)
+        bell = np.exp(-grid.x ** 2)
+        u0, _, rep = ground_state_solve(grid, s, q, Field(grid, 1.0 - depth * bell),
+                                        Field(grid, 1.0 + amp * bell))
+        xi = np.fft.fftfreq(grid.points, d=grid.spacing)
+        plancherel = grid.spacing / grid.points * float(np.sum(
+            (np.abs(2.0 * np.pi * xi) ** (2.0 * s) + 1.0) * np.abs(np.fft.fft(u0.values)) ** 2))
+        assert rel(rep.h_norm_sq, plancherel) <= 1e-13
 
     @pytest.mark.parametrize("M", [2048, 16384])
     def test_iterations_stable_under_rounding_perturbation(self, M):

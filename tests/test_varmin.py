@@ -8,7 +8,6 @@ from fracsob.constants import ConstantKind, Params
 from fracsob.errors import DomainError, GridError
 from fracsob.grids import Field, Grid
 from fracsob.varmin import (
-    SolverConfig,
     _apply,
     _dot,
     _quotient,
@@ -30,11 +29,11 @@ class TestGridField:
         with pytest.raises(GridError):
             Grid(half_width=-1.0, points=1024)
 
-    def test_frequencies(self):
+    def test_half_spectrum_multiplier(self):
+        # the M/2 + 1 nonnegative frequencies xi_j = j/(2L) of a real transform
         g = Grid(half_width=4.0, points=16)
         assert g.spacing == 0.5
-        assert np.allclose(np.sort(g.frequencies),
-                           np.arange(-8, 8) / 8.0)
+        assert np.array_equal(g.multiplier(0.5), 2.0 * np.pi * np.arange(9) / 8.0)
 
     def test_field_shape_check(self):
         g = Grid(half_width=1.0, points=8)
@@ -48,9 +47,10 @@ def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
     """<grad R(u), d> against the central difference of `_quotient` on 10
     random (masked) fields u and directions d."""
     rng = np.random.default_rng(123)
+    M = 2 * (symbol.size - 1)
     for _ in range(10):
-        u = rng.normal(size=symbol.size) + 2.0
-        d = rng.normal(size=symbol.size)
+        u = rng.normal(size=M) + 2.0
+        d = rng.normal(size=M)
         if mask is not None:
             u, d = np.where(mask, u, 0.0), np.where(mask, d, 0.0)
         _, g = _quotient(u, symbol, h, q, V, Q)
@@ -80,29 +80,36 @@ class TestGradient:
                                    mask=(np.abs(x) < 4.0) if masked else None, V=V, Q=Q)
 
 
+def full_symbol(grid, s):
+    """|2 pi xi|^(2s) on all M `fftfreq` frequencies, for complex transforms."""
+    return np.abs(2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)) ** (2.0 * s)
+
+
 class TestRealApply:
-    """`_apply` runs rfft/irfft on the first M/2 + 1 symbol entries; it must
+    """`_apply` runs rfft/irfft on the M/2 + 1 half-spectrum symbol; it must
     agree with the full complex-FFT formula to rounding."""
 
     @pytest.mark.parametrize("M", [2, 64, 4096, 16384])
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_matches_complex_fft(self, M, s):
         grid = Grid(half_width=8.0, points=M)
-        sym = grid.multiplier(s)
+        half, full = grid.multiplier(s), full_symbol(grid, s)
         rng = np.random.default_rng(M)
         u = rng.normal(size=M)
         # the domain-mode symbol, the whole-space one, and the preconditioner
-        for symbol in (sym, sym + 1.0, 1.0 / (sym + 1.0)):
-            Au = _apply(symbol, u)
-            full = np.fft.ifft(symbol * np.fft.fft(u)).real
-            assert np.max(np.abs(Au - full)) <= 1e-13 * np.max(np.abs(full))
+        for f in (lambda m: m, lambda m: m + 1.0, lambda m: 1.0 / (m + 1.0)):
+            Au = _apply(f(half), u)
+            ref = np.fft.ifft(f(full) * np.fft.fft(u)).real
+            assert np.max(np.abs(Au - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_symbol_is_even_in_frequency(self):
-        # bins j and M - j carry bitwise-equal symbols, Nyquist included,
-        # which is what makes the half symbol exact
+    def test_half_symbol_is_bitwise_the_first_half(self):
+        # rfftfreq and fftfreq scale the same integers, and |.| of the
+        # negative Nyquist bin is exact, so every solve keeps its bits
         for M in (2, 64, 4096):
-            sym = Grid(half_width=8.0, points=M).multiplier(0.3)
-            assert np.array_equal(sym[1:], sym[1:][::-1])
+            grid = Grid(half_width=8.0, points=M)
+            for s in (0.1, 0.3, 0.5, 0.75):
+                assert np.array_equal(grid.multiplier(s),
+                                      full_symbol(grid, s)[:M // 2 + 1])
 
 
 # parent-commit estimates and iteration counts of the complex-FFT descent with
@@ -157,8 +164,7 @@ class TestMinimizer:
 
     def test_whole_space_q2_is_one(self):
         grid = Grid(half_width=200.0, points=4096)
-        res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space",
-                                SolverConfig(max_iters=4000))
+        res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space", max_iters=4000)
         assert abs(res.estimate - 1.0) < 0.02
 
     def test_monotone_trace(self):
@@ -170,9 +176,8 @@ class TestMinimizer:
     def test_determinism(self):
         grid = Grid(half_width=8.0, points=1024)
         mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
-        cfg = SolverConfig(max_iters=500)
-        r1 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", cfg)
-        r2 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", cfg)
+        r1 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", max_iters=500)
+        r2 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", max_iters=500)
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.trace, r2.trace)
 
@@ -197,7 +202,7 @@ class TestMinimizer:
         for M, L in ((64, 1.0), (1024, 8.0), (16384, 10.0)):
             grid = Grid(half_width=L, points=M)
             symbol = grid.multiplier(s)
-            k = np.fft.ifft(symbol).real
+            k = np.fft.irfft(symbol, n=M)
             assert np.all(k[1:] <= 1e-12 * k[0])
             for v in rng.normal(size=(20, M)):
                 E = grid.spacing * _dot(v, _apply(symbol, v))
@@ -215,6 +220,8 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
+        with pytest.raises(DomainError, match="max_iters must be positive"):
+            minimize_quotient(grid, None, 0.25, 3.0, "whole_space", max_iters=0)
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
@@ -292,7 +299,7 @@ class TestSandwich:
         p = Params(1, 0.5, 2.0, 32.0)
         rep = sandwich(p, DomainSpec.whole_space(10.0),
                        grid=Grid(half_width=10.0, points=16384),
-                       cfg=SolverConfig(max_iters=30000))
+                       max_iters=30000)
         assert rep.passed
         assert abs(32.0 * rep.numeric.value - 2.0 * math.pi * math.e) \
             <= 0.25 * 2.0 * math.pi * math.e
@@ -319,8 +326,7 @@ class TestSweep:
     def test_duplicates_identical(self):
         plist = [Params(1, 0.25, 2.0, 3.0)] * 2
         grid = Grid(half_width=200.0, points=1024)
-        cfg = SolverConfig()
-        reports = sweep(plist, DomainSpec.whole_space(200.0), cfg, grid)
+        reports = sweep(plist, DomainSpec.whole_space(200.0), grid=grid)
         assert reports[0].numeric.value == reports[1].numeric.value
 
     def test_errors_recorded_not_raised(self):
