@@ -249,6 +249,15 @@ def _emit(args, record: dict, out: _Outcome) -> None:
         sys.stdout.write(text)
 
 
+def _check_tm_constants(args) -> None:
+    """Refuse a bad --c1/--c2 up front, also where the point does not read it."""
+    c1 = getattr(args, "c1", 1.0)   # thresholds has no --c1
+    if not 0.0 < c1 < math.inf:
+        raise DomainError(f"C1 must be finite and positive, got {c1} (--c1)")
+    if not 0.0 <= args.c2 < math.inf:
+        raise DomainError(f"C2 must be finite and nonnegative, got {args.c2} (--c2)")
+
+
 def _warn_tm_constants(args, points: list[Params]) -> None:
     """Limiting-case lower bounds carry C1/C2; say so when they are defaulted."""
     if (getattr(args, "c1", 1.0) == 1.0 and args.c2 == 1.0
@@ -267,6 +276,7 @@ def _constants(args) -> _Outcome:
 
 def _bounds(args) -> _Outcome:
     params = Params(args.N, _number(args.s, "--s"), args.p, _number(args.q, "--q"))
+    _check_tm_constants(args)
     _warn_tm_constants(args, [params])
     domain = _parse_domain(args.domain, args.N)
     pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
@@ -282,6 +292,7 @@ def _sandwich(args) -> _Outcome:
     if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
         raise DomainError("sandwich takes a single (s, q); use sweep for lists")
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
+    _check_tm_constants(args)
     _warn_tm_constants(args, plist)
     domain = _parse_domain(args.domain, args.N)
     grid = varmin.default_grid(domain, args.grid, args.box)
@@ -312,6 +323,7 @@ def _sandwich(args) -> _Outcome:
 def _thresholds(args) -> _Outcome:
     s, q = _number(args.s, "--s"), _number(args.q, "--q")
     params = Params(args.N, s, 2.0, q)
+    _check_tm_constants(args)
     regime = params.regime()
     S = args.S
     note = "caller-supplied S"

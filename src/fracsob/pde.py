@@ -19,7 +19,7 @@ import numpy as np
 from .constants import classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _descend, _dot
+from .varmin import _apply, _check_max_iters, _descend, _dot
 
 __all__ = [
     "ps_level",
@@ -227,6 +227,7 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not q > 2.0:
         raise DomainError(f"q must be > 2, got {q}")
+    _check_max_iters(max_iters)
     V.same_grid(Q)
     if V.grid != grid:
         raise GridError("V and Q must live on the solver grid")

@@ -187,18 +187,27 @@ def objective_minimizer(which: Objective, params: Params
 _DELTA = 1e-4  # near-diagonal cut; below it the profile modulus model applies
 
 
-def _difference_lp(profile: RadialProfile, p: float, t: float,
-                   cfg: QuadratureConfig) -> float:
-    """D(t) = int |u(x+t) - u(x)|^p dx, split at the kinks of u(x) and
-    u(x + t): +-k and +-k - t."""
+def _difference_lp(profile: RadialProfile, p: float, ts: np.ndarray,
+                   cfg: QuadratureConfig) -> np.ndarray:
+    """D(t) = int |u(x+t) - u(x)|^p dx for each shift 0 < t <= 2k in ts.
+
+    D(t) is the sum over the pieces [-k-t, -k], [-k, k-t] and [k-t, k],
+    which end at the kinks of u(x) and u(x + t).  Each piece is mapped onto
+    [0, 1] by x = x0(t) + (x1(t) - x0(t)) r, so every shift has its kinks at
+    r = 0 and r = 1, and each piece is one stacked quadrature with a row per
+    shift.  At t = 2k the middle piece has length 0 and adds exactly 0.
+    """
     k = profile.k
-    pts = sorted({-k, k, -k - t, k - t})
+    t = np.asarray(ts, dtype=float)[:, None]
     total = 0.0
-    for x0, x1 in zip(pts[:-1], pts[1:]):
-        if x1 - x0 < 1e-300:
-            continue
-        v, _ = integrate(lambda x: np.abs(profile(x + t) - profile(x)) ** p,
-                         x0, x1, cfg)
+    for x0, x1 in ((-k - t, -k), (-k, k - t), (k - t, k)):
+        width = x1 - x0
+
+        def piece(r):
+            x = x0 + width * r
+            return width * np.abs(profile(x + t) - profile(x)) ** p
+
+        v, _ = integrate(piece, 0.0, 1.0, cfg)
         total += v
     return total
 
@@ -213,9 +222,11 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     The diagonal band t < 1e-4 is handled by the profile's smoothness
     modulus (D(t) ~ C t^beta anchored at t = delta); t beyond the support
     diameter contributes the exact disjoint-support tail D(diam) diam^(-sp)/sp.
-    Every inner piece of D(t) ends at a kink of u(x) or u(x+t); for the cap
-    profile these kinks are (x - x0)^s powers, which the inner quadrature
-    removes by declaring the endpoint exponent 1 - s on both ends.
+    Each inner piece of D(t) ends at a kink of u(x) or u(x+t) and is mapped
+    onto [0, 1], so the kinks sit at r = 0 and r = 1 for every shift; for the
+    cap profile they are (x - x0)^s powers, which the inner quadrature
+    removes by declaring the endpoint exponent 1 - s on both ends.  The 15
+    shifts of an outer panel share one stacked inner quadrature per piece.
     """
     if p not in (1, 2, 1.0, 2.0):
         raise DomainError(f"p must be 1 or 2, got {p}")
@@ -238,18 +249,17 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
         beta_exp = 1.0
     else:
         beta_exp = min(2.0, 1.0 + 2.0 * profile.s)
-    d_delta = _difference_lp(profile, p, delta, inner)
+    # the supports of u and u(. + diam) are disjoint: D(diam) = 2 ||u||_p^p
+    d_delta, d_diam = _difference_lp(profile, p, [delta, diam], inner)
     near = d_delta / delta ** beta_exp * delta ** (beta_exp - sp) / (beta_exp - sp)
 
     mid, _ = integrate(
-        lambda ts: np.array([_difference_lp(profile, p, t, inner) for t in ts])
-        * ts ** (-1.0 - sp),
+        lambda ts: _difference_lp(profile, p, ts, inner) * ts ** (-1.0 - sp),
         delta, diam, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400))
 
-    # the supports of u and u(. + diam) are disjoint: D(diam) = 2 ||u||_p^p
-    tail = _difference_lp(profile, p, diam, inner) * diam ** (-sp) / sp
+    tail = d_diam * diam ** (-sp) / sp
 
-    return 2.0 * (near + mid + tail)
+    return float(2.0 * (near + mid + tail))
 
 
 _LANDEN = math.sqrt(2.0) - 1.0   # fixed point of t -> (1-t)/(1+t)

@@ -4,7 +4,9 @@ Gamma and log Gamma come from the standard library.  `integrate` is an
 adaptive Gauss-Kronrod 15(7) scheme over a finite interval, for integrands
 vectorized over numpy arrays; declared endpoint singularities of power type
 (x-a)^{-alpha} are removed by the substitution x = a + t^{1/(1-alpha)}
-before any subdivision.
+before any subdivision.  A stacked integrand maps the nodes to m rows of
+values at once; the rows share one adaptive mesh, which is refined until
+every row meets its own tolerance.
 """
 from __future__ import annotations
 
@@ -131,19 +133,24 @@ class QuadratureConfig:
                     f"singularity exponent must lie in [0,1), got {e}")
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
+def _gk15(f, a: float, b: float):
+    """GK15 value and error estimate of f on [a, b]: Python floats for an
+    integrand of the nodes' shape, arrays of shape (m,) for a stacked one."""
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     x = c + hw * _NODES
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+    if y.shape[-1:] != x.shape:
         raise DomainError(f"integrand must map nodes of shape {x.shape} to values of "
                           f"the same shape, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise QuadratureError(f"non-finite integrand value on the panel [{a!r}, {b!r}]")
-    k = hw * float(_WK @ y)
-    g = hw * float(_WGAUSS @ y)
-    return k, abs(k - g)
+    if y.ndim == 1:
+        k = hw * float(_WK @ y)
+        g = hw * float(_WGAUSS @ y)
+        return k, abs(k - g)
+    k = hw * (y @ _WK)
+    return k, np.abs(k - hw * (y @ _WGAUSS))
 
 
 def _endpoint_map(f, x0: float, direction: float, alpha: float):
@@ -158,15 +165,20 @@ def _endpoint_map(f, x0: float, direction: float, alpha: float):
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
-              ) -> tuple[float, float]:
+              ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Adaptive quadrature of f over the finite interval (a, b); returns
     (value, error_estimate).
 
     f must be vectorized: it maps a numpy array of nodes to an array of the
-    same shape (DomainError otherwise).  Declared endpoint power
-    singularities are removed by substitution before subdivision.  Raises
-    QuadratureError at a non-finite integrand value, and if the error
-    estimate is still above tolerance when max_subdivisions is exhausted.
+    same shape, and the result is a pair of floats.  A stacked f maps the
+    nodes, of shape (n,), to m rows of shape (m, n); the result is then a
+    pair of arrays of shape (m,).  The rows share one adaptive mesh: a panel
+    is refined in the order of its worst row error, and the loop stops only
+    when every row meets max(abs_tol, rel_tol |row value|).  Any other
+    output shape is a DomainError.  Declared endpoint power singularities
+    are removed by substitution before subdivision.  Raises QuadratureError
+    at a non-finite integrand value in any row, and if some row's error
+    estimate is still above its tolerance when max_subdivisions is exhausted.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -189,7 +201,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
         pieces = [(f, a, b)]
 
     # adaptive loop over a worst-first interval heap shared by all pieces
-    heap: list[tuple[float, int, float, float, float, float, object]] = []
+    heap: list[tuple[float, int, float, float, object, object, object]] = []
     counter = 0
     total = 0.0
     toterr = 0.0
@@ -197,15 +209,17 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
         val, err = _gk15(gg, x0, x1)
         total += val
         toterr += err
-        heapq.heappush(heap, (-err, counter, x0, x1, val, err, gg))
+        heapq.heappush(heap, (_priority(err), counter, x0, x1, val, err, gg))
         counter += 1
 
     nsub = len(pieces)
-    while toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while _unmet(total, toterr, cfg):
         if nsub >= cfg.max_subdivisions:
+            errs, vals = np.ravel(toterr), np.ravel(total)
+            i = int(np.argmax(errs / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals))))
             raise QuadratureError(
-                f"quadrature did not converge: error estimate {toterr:.3e} after "
-                f"{nsub} subdivisions (value {total:.6e})")
+                f"quadrature did not converge: error estimate {errs[i]:.3e} after "
+                f"{nsub} subdivisions (value {vals[i]:.6e})")
         _, _, x0, x1, val, err, gg = heapq.heappop(heap)
         xm = 0.5 * (x0 + x1)
         if xm <= x0 or xm >= x1:
@@ -218,10 +232,23 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
         v2, e2 = _gk15(gg, xm, x1)
         total += v1 + v2 - val
         toterr += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, x0, xm, v1, e1, gg))
+        heapq.heappush(heap, (_priority(e1), counter, x0, xm, v1, e1, gg))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, xm, x1, v2, e2, gg))
+        heapq.heappush(heap, (_priority(e2), counter, xm, x1, v2, e2, gg))
         counter += 1
         nsub += 1
 
     return total, toterr
+
+
+def _priority(err) -> float:
+    """Heap key of a panel: minus its error estimate, or minus its worst row
+    error for a stacked integrand."""
+    return -err if isinstance(err, float) else -float(err.max())
+
+
+def _unmet(total, toterr, cfg: QuadratureConfig) -> bool:
+    """Whether some row's error estimate is above max(abs_tol, rel_tol |value|)."""
+    if isinstance(total, float):
+        return toterr > max(cfg.abs_tol, cfg.rel_tol * abs(total))
+    return bool(np.any(toterr > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))))

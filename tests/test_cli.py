@@ -653,6 +653,23 @@ def test_non_finite_tm_constant_is_named(capsys, argv, name, value):
     assert err.startswith(f"error: {name} must be finite and ") and f"got {value}" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    # points that do not read the flag: C2 is read only on the whole space,
+    # C1 only on a bounded limiting point, thresholds reads C2 only at s = 1/2
+    (["bounds", "--N", "1", "--s", "0.5", "--q", "3", "--domain", "interval:-1,1",
+      "--c2", "nan"], "--c2"),
+    (["sandwich", "--N", "1", "--s", "0.25", "--q", "3", "--c1", "inf"], "--c1"),
+    (["sweep", "--N", "1", "--s", "0.25,0.3", "--q", "3", "--c2", "inf"], "--c2"),
+    (["thresholds", "--N", "1", "--s", "0.25", "--q", "3", "--c2", "nan"], "--c2"),
+])
+def test_bad_tm_constant_is_refused_where_not_read(capsys, argv, flag):
+    # these exited 0
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: C") and err.splitlines()[0].endswith(f"({flag})")
+
+
 @pytest.mark.parametrize("argv", [
     ["sandwich", "--N", "2", "--p", "1", "--s", "0.5", "--q", "1.2", "--domain", "ball:1"],
     ["sandwich", "--s", "0.25", "--q", "3"],

@@ -254,3 +254,11 @@ class TestGroundState:
         with pytest.raises(DomainError):
             ground_state_solve(grid, 0.5, 4.0, ones, ones,
                                u0=np.zeros(256))
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_non_positive_max_iters_is_refused(self, max_iters):
+        # returned the normalized start as the ground state, with converged=False
+        grid = Grid(half_width=40.0, points=256)
+        ones = Field(grid, np.ones(grid.points))
+        with pytest.raises(DomainError, match=f"max_iters must be positive, got {max_iters}"):
+            ground_state_solve(grid, 0.5, 4.0, ones, ones, max_iters=max_iters)

@@ -7,6 +7,7 @@ from fracsob.constants import Params, norm_bridge
 from fracsob.bounds import limiting_domain_upper, limiting_wholespace_upper
 from fracsob.errors import DomainError, RegimeError
 from fracsob.grids import Grid
+import fracsob.rayleigh as rayleigh
 from fracsob.rayleigh import (
     Objective,
     RadialProfile,
@@ -176,6 +177,46 @@ class TestGagliardo:
             RadialProfile("moser", 1.0)
         with pytest.raises(DomainError):
             RadialProfile.char_ball(-1.0)
+
+
+class TestStackedDifference:
+    """D(t) = int |u(x+t) - u(x)|^p dx over an array of shifts, one stacked
+    inner quadrature per piece."""
+
+    @staticmethod
+    def inner(kink=None):
+        return QuadratureConfig(abs_tol=1e-11, rel_tol=1e-8,
+                                left_singularity_exponent=kink,
+                                right_singularity_exponent=kink)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_char_ball_is_twice_the_shift(self, p):
+        k = 0.75
+        ts = np.array([1e-4, 0.3, 1.0, 1.4999, 2.0 * k])
+        got = rayleigh._difference_lp(RadialProfile.char_ball(k), p, ts, self.inner())
+        assert got.shape == ts.shape
+        assert np.all(np.abs(got - 2.0 * np.minimum(ts, 2.0 * k)) <= 1e-13)
+
+    @pytest.mark.parametrize("s,k", [(0.25, 1.0), (0.45, 0.6)])
+    def test_bump_at_the_diameter_is_twice_the_l2_norm(self, s, k):
+        # the supports of u and u(. + 2k) are disjoint
+        d = rayleigh._difference_lp(RadialProfile.bump(k, s), 2, [1e-4, 0.7 * k, 2.0 * k],
+                                    self.inner(1.0 - s))
+        assert rel(d[-1], 2.0 * bump_lq_norm(1, s, 2.0, k) ** 2) < 1e-10
+
+    def test_bump_seminorm_work(self, monkeypatch):
+        # one inner quadrature per piece and outer panel, not one per shift
+        # (over 1100 integrate calls when each shift had its own)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(rayleigh, "integrate", counted)
+        got = gagliardo_seminorm_1d(RadialProfile.bump(1.0, 0.25), 0.25, 2)
+        assert rel(got, BUMP_GAG_1_025) < 1e-8
+        assert len(calls) <= 120
 
 
 class TestMoserBoundCheck:

@@ -108,6 +108,15 @@ class TestIntegrate:
         with pytest.raises(DomainError, match=r"\(15,\).*shape \(\)"):
             integrate(lambda x: float(np.sum(x)), 0.0, 1.0)
 
+    def test_scalar_call_returns_floats(self):
+        v, e = integrate(np.exp, 0.0, 1.0)
+        assert type(v) is float and type(e) is float
+
+    @pytest.mark.parametrize("shape", [(15, 3), (3, 14)])
+    def test_misshaped_stacked_integrand_is_refused(self, shape):
+        with pytest.raises(DomainError, match=r"\(15,\).*shape \(\d+, \d+\)"):
+            integrate(lambda x: np.ones(shape), 0.0, 1.0)
+
     def test_infinite_limit_is_refused(self):
         with pytest.raises(DomainError, match="finite interval"):
             integrate(lambda x: np.exp(-x), 0.0, math.inf)
@@ -122,3 +131,45 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, math.inf,
                       QuadratureConfig(right_singularity_exponent=0.5))
+
+
+def _stacked_rows(x):
+    # after the declared substitution x = t^2 the first rows are constant and
+    # the x^(-1/4) and Runge rows still need subdivision
+    return np.array([x ** -0.5, 3.0 * x ** -0.5, x ** -0.25, np.sqrt(x), np.exp(x),
+                     1.0 / (1.0 + 100.0 * x * x)])
+
+
+STACKED_EXACT = np.array([2.0, 6.0, 4.0 / 3.0, 2.0 / 3.0, math.e - 1.0,
+                          math.atan(10.0) / 10.0])
+
+
+class TestStackedIntegrate:
+    cfg = QuadratureConfig(left_singularity_exponent=0.5)
+
+    def test_rows_meet_their_own_tolerance(self):
+        vals, errs = integrate(_stacked_rows, 0.0, 1.0, self.cfg)
+        assert vals.shape == errs.shape == (6,)
+        tol = np.maximum(self.cfg.abs_tol, self.cfg.rel_tol * np.abs(STACKED_EXACT))
+        assert np.all(np.abs(vals - STACKED_EXACT) <= tol)
+        assert np.all(errs <= tol)
+
+    def test_rows_match_their_scalar_calls(self):
+        vals, _ = integrate(_stacked_rows, 0.0, 1.0, self.cfg)
+        for i, v in enumerate(vals):
+            alone, _ = integrate(lambda x: _stacked_rows(x)[i], 0.0, 1.0, self.cfg)
+            assert abs(v - alone) <= max(self.cfg.abs_tol, self.cfg.rel_tol * abs(alone))
+
+    def test_non_finite_row_raises(self):
+        # the centre Kronrod node of [0, 1] is 0.5, where 1/(x - 0.5) is inf
+        with np.errstate(divide="ignore"):
+            with pytest.raises(QuadratureError, match="non-finite.*panel"):
+                integrate(lambda x: np.array([x, 1.0 / (x - 0.5)]), 0.0, 1.0)
+
+    def test_one_unconverged_row_raises(self):
+        # the smooth row converges on the first panel; the other cannot
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=8)
+        integrate(lambda x: np.array([x * x]), 0.0, 1.0, cfg)
+        with pytest.raises(QuadratureError, match="after 8 subdivisions"):
+            integrate(lambda x: np.array([x * x, np.abs(x - 0.3712) ** -0.5]),
+                      0.0, 1.0, cfg)
