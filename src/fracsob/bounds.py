@@ -54,6 +54,8 @@ __all__ = [
     "bounds_for",
 ]
 
+_DEFAULT_TRUNCATION = 200.0   # whole-space truncation half-width where none is given
+
 
 def _ball_measure(N: int, radius: float) -> float:
     """omega_N R^N in log space (R^N alone can overflow while the product is
@@ -82,9 +84,13 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "interval", "whole_space"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "ball" and self.radius <= 0:
+        if not (isinstance(self.dim, int) and self.dim >= 1):
+            raise DomainError(f"{self.kind} dim must be an integer >= 1, got {self.dim!r}")
+        if self.kind == "interval" and self.dim != 1:
+            raise DomainError(f"interval dim must be 1, got {self.dim}")
+        if self.kind == "ball" and (self.radius is None or self.radius <= 0):
             raise DomainError("ball radius must be positive")
-        if self.kind == "interval" and not self.a < self.b:
+        if self.kind == "interval" and (None in (self.a, self.b) or not self.a < self.b):
             raise DomainError(f"interval requires a < b, got ({self.a}, {self.b})")
         for name in ("radius", "a", "b", "truncation"):
             v = getattr(self, name)
@@ -110,7 +116,7 @@ class DomainSpec:
         return DomainSpec(kind="interval", dim=1, a=a, b=b)
 
     @staticmethod
-    def whole_space(truncation: float = 200.0, N: int = 1) -> "DomainSpec":
+    def whole_space(truncation: float = _DEFAULT_TRUNCATION, N: int = 1) -> "DomainSpec":
         return DomainSpec(kind="whole_space", dim=N, truncation=truncation)
 
     @property
@@ -169,17 +175,17 @@ def dilation_transfer(S: float, lam: float, params: Params) -> float:
     raise RegimeError(f"dilation transfer undefined for N < ps (N={N}, s={s}, p={p})")
 
 
-def young_lower(lambda_exp: float, S_crit: float) -> tuple[float, float]:
+def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     """Weights (epsilon, rho) of the Young-interpolation split
-    ||u||_q^p <= rho (||u||_p^p + S ||u||_crit^p); 1/rho is the generic
-    whole-space lower-bound factor."""
+    ||u||_q^p <= rho (||u||_p^p + S ||u||_crit^p), S the critical
+    constant; 1/rho is the generic whole-space lower-bound factor."""
     if not 0.0 < lambda_exp < 1.0:
         raise DomainError(f"interpolation weight must lie in (0,1), got {lambda_exp}")
-    if not S_crit > 0.0:
+    if not S > 0.0:
         raise DomainError("critical constant must be positive")
     lam = lambda_exp
-    eps = (lam * S_crit / (1.0 - lam)) ** (lam * (lam - 1.0))
-    rho = lam ** lam * (S_crit / (1.0 - lam)) ** (lam - 1.0)
+    eps = (lam * S / (1.0 - lam)) ** (lam * (lam - 1.0))
+    rho = lam ** lam * (S / (1.0 - lam)) ** (lam - 1.0)
     return eps, rho
 
 

@@ -111,7 +111,8 @@ def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
             a, b = (float(v) for v in rest.split(","))
             return bounds.DomainSpec.interval(a, b)
         if kind == "rn":
-            return bounds.DomainSpec.whole_space(float(rest) if rest else 200.0, N)
+            return bounds.DomainSpec.whole_space(
+                float(rest) if rest else bounds._DEFAULT_TRUNCATION, N)
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(f"bad domain {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -296,8 +297,7 @@ def _sandwich(args) -> _Outcome:
     _warn_tm_constants(args, plist)
     domain = _parse_domain(args.domain, args.N)
     grid = varmin.default_grid(domain, args.grid, args.box)
-    reports = varmin.sweep(plist, domain, args.max_iters, grid, tol=args.tol,
-                           C1=args.c1, C2=args.c2)
+    reports = varmin.sweep(plist, domain, grid, tol=args.tol, C1=args.c1, C2=args.c2)
     payloads, prov = [], []
     for point, rep in zip(plist, reports):
         if isinstance(rep, Exception):
@@ -357,12 +357,12 @@ def _groundstate(args) -> _Outcome:
     grid = Grid(half_width=box, points=args.grid)
     V = _parse_field(args.V, grid)
     Q = _parse_field(args.Q, grid)
-    if np.max(np.abs(Q.values - 1.0)) > 1e-12:
+    if np.max(np.abs(Q.values - 1.0)) > pde._HYPOTHESIS_TOL:
         pde.check_weight_hypotheses(Q)
-    if np.max(np.abs(V.values - 1.0)) > 1e-12:
+    if np.max(np.abs(V.values - 1.0)) > pde._HYPOTHESIS_TOL:
         pde.check_potential_hypotheses(V)
-    res = varmin.minimize_quotient(grid, None, s, q, "whole_space", args.max_iters)
-    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q, max_iters=args.max_iters)
+    res = varmin.minimize_quotient(grid, None, s, q, "whole_space")
+    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q)
     hthr, lthr = pde.existence_thresholds(q, res.estimate)
     result = {
         "I0": I0, "iterations": rep.iterations, "converged": rep.converged,
@@ -405,8 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fracsob {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, solver=False, N=True, exponent_p=True):
-        """The shared flags; --N and --p only where the subcommand reads them."""
+    def common(p, solver=False, N=True, exponent_p=True, q="2"):
+        """The shared flags, with q the default of --q; --N and --p only where
+        the subcommand reads them."""
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
         p.add_argument("--timing", action="store_true",
@@ -416,20 +417,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=str, default="0.5")
         if exponent_p:
             p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--q", type=str, default="2")
+        p.add_argument("--q", type=str, default=q)
         if solver:
-            p.add_argument("--grid", type=int, default=4096,
+            p.add_argument("--grid", type=int, default=varmin._DEFAULT_POINTS,
                            help="grid points (power of two)")
             p.add_argument("--box", type=float, default=None,
                            help="grid half-width (default: domain-derived)")
-            p.add_argument("--max-iters", type=int, default=20000)
 
     def bracket(p, solver=False):
         common(p, solver=solver)
         if solver:
-            p.add_argument("--tol", type=float, default=0.02,
+            p.add_argument("--tol", type=float, default=varmin._DEFAULT_TOL,
                            help="sandwich acceptance tolerance")
-        p.add_argument("--domain", default="rn:200")
+        p.add_argument("--domain", default=f"rn:{bounds._DEFAULT_TRUNCATION:g}")
         p.add_argument("--c1", type=float, default=1.0)
         p.add_argument("--c2", type=float, default=1.0)
 
@@ -444,13 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
             solver=True)
 
     pt = sub.add_parser("thresholds", help="PDE threshold constants from S")
-    common(pt, exponent_p=False)
+    common(pt, exponent_p=False, q="4")
     pt.add_argument("--S", type=float, default=None,
                     help="embedding constant (default: certified lower bound)")
     pt.add_argument("--c2", type=float, default=1.0)
 
     pg = sub.add_parser("groundstate", help="constrained ground-state solve")
-    common(pg, solver=True, N=False, exponent_p=False)
+    common(pg, solver=True, N=False, exponent_p=False, q="4")
     pg.add_argument("--V", default="const:1", help="potential field")
     pg.add_argument("--Q", default="bump:1,2,1", help="weight field")
 

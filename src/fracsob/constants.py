@@ -94,6 +94,8 @@ class Params:
             raise DomainError(f"p must be 1 or 2, got {self.p}")
         if not self.q >= 1.0:
             raise DomainError(f"q must be >= 1, got {self.q}")
+        if self.q == math.inf:
+            raise DomainError(f"q must be finite, got {self.q}")
 
     @property
     def critical_exponent(self) -> float:

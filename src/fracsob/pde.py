@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _check_max_iters, _descend, _dot
+from .varmin import _apply, _descend, _dot
 
 __all__ = [
     "ps_level",
@@ -82,24 +81,21 @@ def growth_coefficient(q: float, S: float) -> float:
     return q / 2.0 * _power(S, q / 2.0, S, q)
 
 
-def nonlinearity_threshold(N: int, s: float, q: float, S: float,
-                           S_crit: float | None = None) -> float:
+def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
     """Lower threshold for the coefficient lambda in f(t) >= lambda t^(q-1)
     guaranteeing a ground state of the scalar field equation.
 
-    Branch N >= 2 (0 < s < 1, N > 2s) uses the critical constant S_crit
-    (default: the sharp H^s constant); branch N = 1, s = 1/2 is
-    ((q-2)/q)^((q-2)/2) S^(q/2).
+    Branch N >= 2 (0 < s < 1, N > 2s) uses the sharp H^s critical constant;
+    branch N = 1, s = 1/2 is ((q-2)/q)^((q-2)/2) S^(q/2).
     """
     _check_q_S(q, S)
     if N == 1 and s == 0.5:
         return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
     if N >= 2 and 0.0 < s < 1.0 and N > 2 * s:
-        if S_crit is None:
-            S_crit = frac_sobolev_hilbert(N, s).value
+        crit_const = frac_sobolev_hilbert(N, s).value
         sig = N / (2.0 * s)
         bracket = (N ** sig * (q - 2.0)
-                   / (2.0 * s * q * S_crit ** sig * (N - 2.0 * s) ** (sig - 1.0)))
+                   / (2.0 * s * q * crit_const ** sig * (N - 2.0 * s) ** (sig - 1.0)))
         return bracket ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
     raise RegimeError(
         f"nonlinearity threshold needs N>=2 with N>2s, or (N,s)=(1,1/2); got N={N}, s={s}")
@@ -159,29 +155,31 @@ def pohozaev_defect(u: Field, v: Field, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # hypothesis validation for the weight Q and potential V
 
+_HYPOTHESIS_TOL = 1e-12   # rounding slack of the hypotheses' inequalities
 
-def check_weight_hypotheses(Q: Field, tol: float = 1e-12) -> None:
+
+def check_weight_hypotheses(Q: Field) -> None:
     """Validate the weight hypotheses on the grid samples: Q >= 1, Q not
     identically 1, Q -> 1 toward the truncation boundary."""
     v = Q.values
-    if np.min(v) < 1.0 - tol:
+    if np.min(v) < 1.0 - _HYPOTHESIS_TOL:
         raise DomainError("weight must satisfy Q >= 1")
-    if np.max(np.abs(v - 1.0)) <= tol:
+    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
         raise DomainError("weight must not be identically 1")
     edge = np.abs(Q.grid.x) >= 0.95 * Q.grid.half_width
     if np.max(np.abs(v[edge] - 1.0)) > 1e-3:
         raise DomainError("weight must approach 1 at infinity (check the box size)")
 
 
-def check_potential_hypotheses(V: Field, tol: float = 1e-12) -> None:
+def check_potential_hypotheses(V: Field) -> None:
     """Validate the potential hypotheses: 0 < V <= 1, V not identically 1,
     V -> 1 toward the truncation boundary."""
     v = V.values
     if np.min(v) <= 0.0:
         raise DomainError("potential must be strictly positive")
-    if np.max(v) > 1.0 + tol:
+    if np.max(v) > 1.0 + _HYPOTHESIS_TOL:
         raise DomainError("potential must satisfy V <= 1")
-    if np.max(np.abs(v - 1.0)) <= tol:
+    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
         raise DomainError("potential must not be identically 1")
     edge = np.abs(V.grid.x) >= 0.95 * V.grid.half_width
     if np.max(np.abs(v[edge] - 1.0)) > 1e-3:
@@ -207,9 +205,7 @@ class GroundStateReport:
     lq_norm: float
 
 
-def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
-                       max_iters: int = 50000,
-                       u0: Optional[np.ndarray] = None
+def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
                        ) -> tuple[Field, float, GroundStateReport]:
     """Minimize I(u) = 1/2 (||(-Lap)^(s/2)u||^2 + int V u^2) over the
     weighted sphere int Q |u|^q = 1 and rescale the minimizer to a positive
@@ -219,15 +215,15 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
     has the same minimizers, with the descent kernel of the embedding-constant
     solver (`varmin._descend`: projected gradient with positivity along the
     preconditioned gradient P g, P = 1/(|2 pi xi|^(2s) + max V), a
-    Barzilai-Borwein step in the P-metric and Armijo backtracking), which
-    takes a few dozen iterations whatever the grid.  Returns (u0, I0, report)
-    with u0 = (2 I0)^(1/(q-2)) u.
+    Barzilai-Borwein step in the P-metric and Armijo backtracking) from
+    exp(-x^2), which takes a few dozen iterations whatever the grid and at
+    most `varmin._MAX_ITERS`.  Returns (u0, I0, report) with
+    u0 = (2 I0)^(1/(q-2)) u.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not q > 2.0:
         raise DomainError(f"q must be > 2, got {q}")
-    _check_max_iters(max_iters)
     V.same_grid(Q)
     if V.grid != grid:
         raise GridError("V and Q must live on the solver grid")
@@ -240,15 +236,9 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field,
     mult = grid.multiplier(s)
     Vv, Qv = V.values, Q.values
 
-    if u0 is None:
-        u = np.exp(-grid.x ** 2)
-    else:
-        u = np.asarray(u0, dtype=float).copy()
-        if not np.any(u != 0.0):
-            raise DomainError("initial field must be nonzero")
     # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    u, trace, converged = _descend(u, mult, h, q, max_iters, _GROUND_STATE_TOL,
-                                   V=Vv, Q=Qv)
+    u, trace, converged = _descend(np.exp(-grid.x ** 2), mult, h, q,
+                                   _GROUND_STATE_TOL, V=Vv, Q=Qv)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum

@@ -155,6 +155,7 @@ def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
 
 _ARMIJO = 1e-4   # sufficient-decrease constant of the line search
 _QUOTIENT_TOL = 1e-9   # relative quotient decrease at which a solve stops
+_MAX_ITERS = 20000   # iteration cap of every descent; solves take a few dozen
 # a whole-space minimizer warns when more than _TAIL_MASS_LIMIT of its q-mass
 # lies in the outer _TAIL_FRACTION of the box
 _TAIL_FRACTION = 0.05
@@ -162,7 +163,7 @@ _TAIL_MASS_LIMIT = 1e-6
 
 
 def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
-             max_iters: int, tol: float, mask: Optional[np.ndarray] = None,
+             tol: float, mask: Optional[np.ndarray] = None,
              V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None
              ) -> tuple[np.ndarray, list[float], bool]:
     """Minimize `_quotient` from u by preconditioned projected gradient
@@ -179,8 +180,9 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
     1 / max((symbol + max V) P), and halved until the Armijo condition
     holds, so the returned quotient trace is nonincreasing.  Stops when the
     relative decrease falls below tol, or when no step of the line search
-    decreases R (stationary at line-search resolution).  Returns the
-    minimizer, the trace and the converged flag.
+    decreases R (stationary at line-search resolution), or unconverged after
+    _MAX_ITERS iterations.  Returns the minimizer, the trace and the
+    converged flag.
     """
     u, w = _normalize(np.abs(u if mask is None else np.where(mask, u, 0.0)), h, q, Q)
     vmax = 0.0 if V is None else float(np.max(V))
@@ -197,7 +199,7 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
     trace = [R]
     converged = False
     u_prev = g_prev = d_prev = None
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         d = precondition(g)
         if u_prev is None:
             tau = tau_floor
@@ -249,9 +251,10 @@ def _initial_field(grid: Grid, s: float, mode: str,
 
 
 def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float,
-                      mode: str, max_iters: int = 20000) -> SolveResult:
+                      mode: str) -> SolveResult:
     """Minimize the discrete Rayleigh quotient; returns the estimate, the
-    minimizer field, and the (nonincreasing) quotient trace.
+    minimizer field, and the (nonincreasing) quotient trace.  The descent
+    stops unconverged after _MAX_ITERS iterations.
 
     mode is "domain" (requires a mask; quotient without the mass term) or
     "whole_space" (adds ||u||_2^2 to the numerator).
@@ -275,14 +278,13 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
-    _check_max_iters(max_iters)
 
     symbol = grid.multiplier(s)
     if mode == "whole_space":
         symbol = symbol + 1.0
         mask = None
     u, trace, converged = _descend(_initial_field(grid, s, mode, mask), symbol,
-                                   grid.spacing, q, max_iters, _QUOTIENT_TOL, mask=mask)
+                                   grid.spacing, q, _QUOTIENT_TOL, mask=mask)
 
     tail_warning = False
     if mode == "whole_space":
@@ -297,7 +299,8 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
                        tail_mass_warning=tail_warning)
 
 
-_DEFAULT_TOL = 0.02
+_DEFAULT_TOL = 0.02   # sandwich acceptance tolerance
+_DEFAULT_POINTS = 4096   # grid points of a solve where none are given
 
 
 def _check_tol(tol: float) -> None:
@@ -305,12 +308,7 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"sandwich tol must be finite and nonnegative, got {tol}")
 
 
-def _check_max_iters(max_iters: int) -> None:
-    if not max_iters >= 1:
-        raise DomainError(f"max_iters must be positive, got {max_iters}")
-
-
-def default_grid(domain: DomainSpec, points: int = 4096,
+def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
                  half_width: float | None = None) -> Grid:
     """The sandwich grid: `points` nodes on [-half_width, half_width], by
     default 8 x the inradius of a bounded domain or the whole-space
@@ -320,7 +318,7 @@ def default_grid(domain: DomainSpec, points: int = 4096,
     return Grid(half_width=half_width, points=points)
 
 
-def sandwich(params: Params, domain: DomainSpec, max_iters: int = 20000,
+def sandwich(params: Params, domain: DomainSpec,
              grid: Grid | None = None, tol: float = _DEFAULT_TOL,
              C1: float = 1.0, C2: float = 1.0) -> SandwichReport:
     """Assemble lower/upper bounds and a numeric estimate for one parameter
@@ -331,22 +329,18 @@ def sandwich(params: Params, domain: DomainSpec, max_iters: int = 20000,
     is reported bound-only.  p=2 runs the spectral minimizer (N = 1 grids).
     """
     _check_tol(tol)
-    _check_max_iters(max_iters)
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
     numeric = None
     if params.regime() is Regime.BORDERLINE:
         if not domain.bounded:
             note = "bound-only: whole-space p=1 attainability unknown"
-        # every bounded 1-D domain is an interval (= ball); in higher
-        # dimension only balls admit the exact value
-        elif domain.kind == "ball" or domain.dim == 1:
+        else:
+            # a bounded domain is a ball or a 1-D interval (= ball)
             numeric = ConstantValue(lo.value, ConstantKind.NUMERIC_ESTIMATE,
                                     "char-ball-exact",
                                     error_estimate=lo.error_estimate + 1e-30)
             note = "exact char-function value"
-        else:
-            note = "bound-only: p=1 numeric limited to balls"
     elif params.N != 1:
         note = "bound-only: spectral solver is one-dimensional"
     else:
@@ -354,13 +348,13 @@ def sandwich(params: Params, domain: DomainSpec, max_iters: int = 20000,
             grid = default_grid(domain)
         mask = domain_mask(grid, domain) if domain.bounded else None
         mode = "domain" if domain.bounded else "whole_space"
-        res = minimize_quotient(grid, mask, params.s, params.q, mode, max_iters)
+        res = minimize_quotient(grid, mask, params.s, params.q, mode)
         err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + tol * res.estimate
         numeric = ConstantValue(res.estimate, ConstantKind.NUMERIC_ESTIMATE,
                                 "rayleigh-numeric", error_estimate=err)
         notes = []
         if not res.converged:
-            notes.append("solver hit max_iters")
+            notes.append("solver hit its iteration cap")
         if res.tail_mass_warning:
             notes.append("tail mass near truncation boundary")
         note = "; ".join(notes)
@@ -376,18 +370,16 @@ def sandwich(params: Params, domain: DomainSpec, max_iters: int = 20000,
 
 
 def sweep(param_list: list[Params], domain: DomainSpec,
-          max_iters: int = 20000, grid: Grid | None = None,
-          tol: float = _DEFAULT_TOL, C1: float = 1.0, C2: float = 1.0
-          ) -> list[SandwichReport | Exception]:
+          grid: Grid | None = None, tol: float = _DEFAULT_TOL,
+          C1: float = 1.0, C2: float = 1.0) -> list[SandwichReport | Exception]:
     """One sandwich per parameter point, run serially; per-point failures are
     recorded as exceptions and do not interrupt the sweep.  Reports keep
-    input order.  A bad tol or max_iters is refused before any point runs."""
+    input order.  A bad tol is refused before any point runs."""
     _check_tol(tol)
-    _check_max_iters(max_iters)
 
     def run(p: Params):
         try:
-            return sandwich(p, domain, max_iters, grid, tol, C1, C2)
+            return sandwich(p, domain, grid, tol, C1, C2)
         except Exception as exc:  # noqa: BLE001 - reported per point
             return exc
 

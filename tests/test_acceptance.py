@@ -219,7 +219,7 @@ def test_criterion_08_limiting_asymptotics():
     ok = 1000.0 * limiting_domain_upper(1000.0, 1.0).value == pytest.approx(
         TWO_PI_E, rel=5e-3)
     grid = Grid(half_width=10.0, points=16384)
-    res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space", max_iters=30000)
+    res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space")
     ok = ok and rel(32.0 * res.estimate, TWO_PI_E) <= 0.25
     report(8, "q-asymptotics-2pie", ok)
 

@@ -96,6 +96,20 @@ class TestDomainSpec:
         with pytest.raises(DomainError):
             DomainSpec.whole_space(-5.0)
 
+    @pytest.mark.parametrize("kwargs,word", [
+        # a 2-D "interval" was bracketed from its length b - a as a measure
+        (dict(kind="interval", dim=2, a=0.0, b=1.0), "interval dim must be 1"),
+        (dict(kind="whole_space", dim=0, truncation=10.0), "dim"),
+        (dict(kind="whole_space", dim=-3, truncation=10.0), "dim"),
+        (dict(kind="ball", dim=1.5, radius=1.0), "dim"),
+        # a raw TypeError from None <= 0
+        (dict(kind="ball", dim=1), "ball radius"),
+        (dict(kind="interval", dim=1, b=1.0), "interval requires a < b"),
+    ])
+    def test_malformed_shape_is_refused(self, kwargs, word):
+        with pytest.raises(DomainError, match=word):
+            DomainSpec(**kwargs)
+
 
 class TestDilation:
     def test_identity(self):

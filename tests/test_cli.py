@@ -181,12 +181,14 @@ def test_ball_with_overflowing_radius_power_stays_finite(capsys):
     (["groundstate", "--box", "inf"], "half_width"),
     (["sandwich", "--domain", "interval:-inf,1"], "interval a"),
     (["bounds", "--domain", "ball:inf"], "ball radius"),
+    # said "constant must be finite and positive, got nan"
+    (["bounds", "--q", "inf"], "q must be finite"),
 ])
 def test_nonfinite_inputs_are_refused(capsys, argv, word):
     # refused where they enter, before any solve: no numpy warning, no
     # misleading downstream message, and never "pass": true
     point = ["--s", "0.25", "--q", "3"] + ["--grid", "256"] * (argv[0] != "bounds")
-    code, out, err = run_capture(capsys, argv + point)
+    code, out, err = run_capture(capsys, argv[:1] + point + argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and word in err
@@ -223,6 +225,29 @@ class TestSandwichCommand:
         _, out1, _ = run_capture(capsys, argv)
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2
+
+    def test_ball_is_the_interval(self, capsys):
+        # a 1-D ball is masked like the interval of its diameter
+        argv = ["sandwich", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3",
+                "--box", "8", "--domain"]
+        for domain in ("ball:1", "interval:-1,1"):
+            code, out, _ = run_capture(capsys, argv + [domain])
+            assert code == 0
+            assert json.loads(out)["result"]["numeric"]["value"] == 1.0802463467145691
+
+    def test_ball_in_the_plane_is_bound_only(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["sandwich", "--p", "2", "--N", "2", "--s", "0.5", "--q", "3",
+                     "--domain", "ball:1"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["numeric"] is None
+        assert res["note"] == "bound-only: spectral solver is one-dimensional"
+
+    def test_lists_are_refused(self, capsys):
+        code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25,0.3", "--q", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: sandwich takes a single (s, q)")
 
     def test_provenance_keys_registered(self, capsys):
         from fracsob.constants import PROVENANCE_KEYS
@@ -294,6 +319,13 @@ class TestThresholdsCommand:
         doc = json.loads(out)
         assert doc["result"]["f3_coeff"] == 2.0
         assert doc["result"]["alpha"] is None
+
+    def test_no_default_S_out_of_scope(self, capsys):
+        # s = 0.75 > N/2: no whole-space bound supplies S
+        code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.75",
+                                              "--q", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: no default S available in regime out-of-scope")
 
 
 class TestGroundstateCommand:
@@ -670,16 +702,17 @@ def test_bad_tm_constant_is_refused_where_not_read(capsys, argv, flag):
     assert err.startswith("error: C") and err.splitlines()[0].endswith(f"({flag})")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sandwich", "--N", "2", "--p", "1", "--s", "0.5", "--q", "1.2", "--domain", "ball:1"],
-    ["sandwich", "--s", "0.25", "--q", "3"],
-    ["sweep", "--s", "0.25", "--q", "2.5,3"],
-    ["groundstate", "--s", "0.5", "--q", "4", "--grid", "256"],
-])
-@pytest.mark.parametrize("max_iters", ["0", "-1"])
-def test_non_positive_max_iters_is_refused_up_front(capsys, argv, max_iters):
-    # refused before any point runs, bound-only points included
-    code, out, err = run_capture(capsys, argv + ["--max-iters", max_iters])
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: max_iters must be positive, got {max_iters}")
+@pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])
+def test_max_iters_flag_is_gone(capsys, cmd):
+    # every descent stops at the one cap varmin._MAX_ITERS
+    code, out, err = run_capture(capsys, [cmd, "--max-iters", "100"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-iters" in err
+
+
+@pytest.mark.parametrize("cmd", ["thresholds", "groundstate"])
+def test_bare_command_runs(capsys, cmd):
+    # both need q > 2; they defaulted to q = 2 and exited 2
+    code, out, _ = run_capture(capsys, [cmd])
+    assert code == 0
+    assert json.loads(out)["params"]["q"] == 4.0

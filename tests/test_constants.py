@@ -285,6 +285,8 @@ class TestParams:
             Params(1, 0.5, 3.0, 2.0)
         with pytest.raises(DomainError):
             Params(1, 0.5, 2.0, 0.5)
+        with pytest.raises(DomainError, match="q must be finite, got inf"):
+            Params(1, 0.5, 2.0, math.inf)
 
 
 class TestConstantValue:

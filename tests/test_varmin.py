@@ -11,6 +11,7 @@ from fracsob.varmin import (
     _apply,
     _dot,
     _quotient,
+    default_grid,
     domain_mask,
     minimize_quotient,
     sandwich,
@@ -164,7 +165,7 @@ class TestMinimizer:
 
     def test_whole_space_q2_is_one(self):
         grid = Grid(half_width=200.0, points=4096)
-        res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space", max_iters=4000)
+        res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space")
         assert abs(res.estimate - 1.0) < 0.02
 
     def test_monotone_trace(self):
@@ -176,8 +177,8 @@ class TestMinimizer:
     def test_determinism(self):
         grid = Grid(half_width=8.0, points=1024)
         mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
-        r1 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", max_iters=500)
-        r2 = minimize_quotient(grid, mask, 0.25, 3.0, "domain", max_iters=500)
+        r1 = minimize_quotient(grid, mask, 0.25, 3.0, "domain")
+        r2 = minimize_quotient(grid, mask, 0.25, 3.0, "domain")
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.trace, r2.trace)
 
@@ -220,8 +221,13 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
-        with pytest.raises(DomainError, match="max_iters must be positive"):
-            minimize_quotient(grid, None, 0.25, 3.0, "whole_space", max_iters=0)
+
+    def test_domain_mask_refusals(self):
+        grid = Grid(half_width=8.0, points=1024)
+        with pytest.raises(DomainError, match="whole-space domains have no mask"):
+            domain_mask(grid, DomainSpec.whole_space())
+        with pytest.raises(GridError, match="one-dimensional"):
+            domain_mask(grid, DomainSpec.ball(1.0, 2))
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
@@ -298,8 +304,7 @@ class TestSandwich:
         # inside the (C2=1) bracket at q = 32
         p = Params(1, 0.5, 2.0, 32.0)
         rep = sandwich(p, DomainSpec.whole_space(10.0),
-                       grid=Grid(half_width=10.0, points=16384),
-                       max_iters=30000)
+                       grid=Grid(half_width=10.0, points=16384))
         assert rep.passed
         assert abs(32.0 * rep.numeric.value - 2.0 * math.pi * math.e) \
             <= 0.25 * 2.0 * math.pi * math.e
@@ -310,6 +315,11 @@ class TestSandwich:
         rep = sandwich(p, DomainSpec.interval(-1.0, 1.0),
                        grid=Grid(half_width=8.0, points=2048))
         assert rep.numeric is not None and rep.passed
+
+    def test_default_grid_when_none_given(self):
+        p = Params(1, 0.25, 2.0, 3.0)
+        dom = DomainSpec.interval(-1.0, 1.0)
+        assert sandwich(p, dom) == sandwich(p, dom, grid=default_grid(dom))
 
 
 class TestSweep:
