@@ -180,15 +180,15 @@ def _domain_payload(d: bounds.DomainSpec) -> dict:
     return out
 
 
-def _sandwich_payload(r: varmin.SandwichReport) -> dict:
+def _sandwich_payload(p: Params, r: varmin.SandwichReport) -> dict:
     return {
-        "params": _params_payload(r.params),
+        "params": _params_payload(p),
         "lower": _constant_payload(r.lower),
         "numeric": _constant_payload(r.numeric) if r.numeric else None,
         "upper": _constant_payload(r.upper),
         "rel_slack_lower": r.rel_slack_lower,
         "rel_slack_upper": r.rel_slack_upper,
-        "tol": r.tol,
+        "tol": varmin._SANDWICH_TOL,
         "pass": r.passed,
         "note": r.note,
     }
@@ -278,8 +278,8 @@ def _constants(args) -> _Outcome:
 def _bounds(args) -> _Outcome:
     params = Params(args.N, _number(args.s, "--s"), args.p, _number(args.q, "--q"))
     _check_tm_constants(args)
-    _warn_tm_constants(args, [params])
     domain = _parse_domain(args.domain, args.N)
+    _warn_tm_constants(args, [params])
     pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
     return _Outcome(_params_payload(params), _domain_payload(domain),
                     {"lower": _constant_payload(pair.lower),
@@ -294,17 +294,17 @@ def _sandwich(args) -> _Outcome:
         raise DomainError("sandwich takes a single (s, q); use sweep for lists")
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
     _check_tm_constants(args)
-    _warn_tm_constants(args, plist)
     domain = _parse_domain(args.domain, args.N)
+    _warn_tm_constants(args, plist)
     grid = varmin.default_grid(domain, args.grid, args.box)
-    reports = varmin.sweep(plist, domain, grid, tol=args.tol, C1=args.c1, C2=args.c2)
+    reports = varmin.sweep(plist, domain, grid, C1=args.c1, C2=args.c2)
     payloads, prov = [], []
     for point, rep in zip(plist, reports):
         if isinstance(rep, Exception):
             payloads.append({"params": _params_payload(point),
                              "error": f"{type(rep).__name__}: {rep}"})
         else:
-            payloads.append(_sandwich_payload(rep))
+            payloads.append(_sandwich_payload(point, rep))
             prov += [c.provenance for c in (rep.lower, rep.upper, rep.numeric) if c]
     if args.cmd == "sweep":
         bad = any(isinstance(r, Exception) or not r.passed for r in reports)
@@ -337,7 +337,7 @@ def _thresholds(args) -> _Outcome:
             note = "S = whole-space lower bound at supplied C2"
         else:
             raise RegimeError(f"no default S available in regime {regime.value}")
-    c_star = pde.ps_level(s, q, S)
+    c_star = pde.ps_level(q, S)
     hthr, lthr = pde.existence_thresholds(q, S)
     f3 = pde.growth_coefficient(q, S) if regime is Regime.LIMITING else None
     alpha = lam_lo = None
@@ -353,14 +353,11 @@ def _thresholds(args) -> _Outcome:
 
 def _groundstate(args) -> _Outcome:
     s, q = _number(args.s, "--s"), _number(args.q, "--q")
-    box = args.box if args.box is not None else 40.0
-    grid = Grid(half_width=box, points=args.grid)
+    grid = Grid(half_width=args.box, points=args.grid)
     V = _parse_field(args.V, grid)
     Q = _parse_field(args.Q, grid)
-    if np.max(np.abs(Q.values - 1.0)) > pde._HYPOTHESIS_TOL:
-        pde.check_weight_hypotheses(Q)
-    if np.max(np.abs(V.values - 1.0)) > pde._HYPOTHESIS_TOL:
-        pde.check_potential_hypotheses(V)
+    pde.check_weight_hypotheses(Q)
+    pde.check_potential_hypotheses(V)
     res = varmin.minimize_quotient(grid, None, s, q, "whole_space")
     u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q)
     hthr, lthr = pde.existence_thresholds(q, res.estimate)
@@ -374,7 +371,7 @@ def _groundstate(args) -> _Outcome:
         "thresholds_satisfied": bool(rep.h_norm_sq < hthr and rep.lq_norm < lthr),
     }
     return _Outcome({"N": 1, "s": s, "p": 2.0, "q": q},
-                    _domain_payload(bounds.DomainSpec.whole_space(box)),
+                    _domain_payload(bounds.DomainSpec.whole_space(args.box)),
                     result, ["rayleigh-numeric"],
                     0 if (rep.converged and rep.residual_ok) else 1)
 
@@ -421,14 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--grid", type=int, default=varmin._DEFAULT_POINTS,
                            help="grid points (power of two)")
-            p.add_argument("--box", type=float, default=None,
-                           help="grid half-width (default: domain-derived)")
 
     def bracket(p, solver=False):
         common(p, solver=solver)
         if solver:
-            p.add_argument("--tol", type=float, default=varmin._DEFAULT_TOL,
-                           help="sandwich acceptance tolerance")
+            p.add_argument("--box", type=float, default=None,
+                           help="grid half-width (default: domain-derived)")
         p.add_argument("--domain", default=f"rn:{bounds._DEFAULT_TRUNCATION:g}")
         p.add_argument("--c1", type=float, default=1.0)
         p.add_argument("--c2", type=float, default=1.0)
@@ -451,6 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("groundstate", help="constrained ground-state solve")
     common(pg, solver=True, N=False, exponent_p=False, q="4")
+    pg.add_argument("--box", type=float, default=40.0,
+                    help="grid half-width (default: %(default)g)")
     pg.add_argument("--V", default="const:1", help="potential field")
     pg.add_argument("--Q", default="bump:1,2,1", help="weight field")
 

@@ -56,7 +56,7 @@ def _power(x: float, e: float, S: float, q: float) -> float:
     return r
 
 
-def ps_level(s: float, q: float, S: float) -> float:
+def ps_level(q: float, S: float) -> float:
     """First non-compactness energy level (1/2 - 1/q) S^(q/(q-2)).
 
     Monotone in S, so evaluating at a lower bound for S gives a certified
@@ -158,32 +158,37 @@ def pohozaev_defect(u: Field, v: Field, lam: float) -> float:
 _HYPOTHESIS_TOL = 1e-12   # rounding slack of the hypotheses' inequalities
 
 
+def _check_edge(F: Field, name: str) -> None:
+    """The rule both fields obey: F -> 1 toward the truncation boundary."""
+    edge = np.abs(F.grid.x) >= 0.95 * F.grid.half_width
+    if np.max(np.abs(F.values[edge] - 1.0)) > 1e-3:
+        raise DomainError(f"{name} must approach 1 at infinity (check the box size)")
+
+
 def check_weight_hypotheses(Q: Field) -> None:
-    """Validate the weight hypotheses on the grid samples: Q >= 1, Q not
-    identically 1, Q -> 1 toward the truncation boundary."""
+    """Validate the weight hypotheses on the grid samples: Q >= 1 and
+    Q -> 1 toward the truncation boundary.  Q = 1 (to rounding) is the
+    unperturbed problem, which they leave alone: it passes."""
     v = Q.values
+    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
+        return
     if np.min(v) < 1.0 - _HYPOTHESIS_TOL:
         raise DomainError("weight must satisfy Q >= 1")
-    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
-        raise DomainError("weight must not be identically 1")
-    edge = np.abs(Q.grid.x) >= 0.95 * Q.grid.half_width
-    if np.max(np.abs(v[edge] - 1.0)) > 1e-3:
-        raise DomainError("weight must approach 1 at infinity (check the box size)")
+    _check_edge(Q, "weight")
 
 
 def check_potential_hypotheses(V: Field) -> None:
-    """Validate the potential hypotheses: 0 < V <= 1, V not identically 1,
-    V -> 1 toward the truncation boundary."""
+    """Validate the potential hypotheses: 0 < V <= 1 and V -> 1 toward the
+    truncation boundary.  V = 1 (to rounding) is the unperturbed problem,
+    which they leave alone: it passes."""
     v = V.values
+    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
+        return
     if np.min(v) <= 0.0:
         raise DomainError("potential must be strictly positive")
     if np.max(v) > 1.0 + _HYPOTHESIS_TOL:
         raise DomainError("potential must satisfy V <= 1")
-    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
-        raise DomainError("potential must not be identically 1")
-    edge = np.abs(V.grid.x) >= 0.95 * V.grid.half_width
-    if np.max(np.abs(v[edge] - 1.0)) > 1e-3:
-        raise DomainError("potential must approach 1 at infinity (check the box size)")
+    _check_edge(V, "potential")
 
 
 # ---------------------------------------------------------------------------

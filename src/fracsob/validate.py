@@ -28,12 +28,13 @@ class CheckResult:
     detail: str
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
+def _golden_min(f, a: float, b: float) -> float:
+    """argmin of f on [a, b] by golden-section search, to 1e-12 relative."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)

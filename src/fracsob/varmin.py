@@ -63,13 +63,11 @@ class SolveResult:
 class SandwichReport:
     """Bracket check: lower bound <= numeric estimate <= upper bound."""
 
-    params: Params
     lower: ConstantValue
     upper: ConstantValue
     numeric: Optional[ConstantValue]
     rel_slack_lower: Optional[float]
     rel_slack_upper: Optional[float]
-    tol: float
     passed: bool
     note: str = ""
 
@@ -145,11 +143,13 @@ def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
                ) -> tuple[np.ndarray, np.ndarray]:
     """Scale a field onto the (weighted) unit L^q sphere; returns the scaled
     field u = v / n and |u|^q = |v|^q / n^q, for `_quotient`."""
-    w = np.abs(v) ** q
-    nq = h * float(np.sum(w if Q is None else Q * w))
+    # a trial point far off the sphere can overflow |v|^q: refused below
+    with np.errstate(over="ignore"):
+        w = np.abs(v) ** q
+        nq = h * float(np.sum(w if Q is None else Q * w))
     n = nq ** (1.0 / q)
-    if not n > 1e-300:
-        raise ConvergenceError("degenerate field: L^q norm underflow")
+    if not 1e-300 < n < math.inf:
+        raise ConvergenceError("degenerate field: L^q norm underflow or overflow")
     return v / n, w / nq
 
 
@@ -299,13 +299,8 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
                        tail_mass_warning=tail_warning)
 
 
-_DEFAULT_TOL = 0.02   # sandwich acceptance tolerance
+_SANDWICH_TOL = 0.02   # sandwich acceptance band, relative to each bound
 _DEFAULT_POINTS = 4096   # grid points of a solve where none are given
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"sandwich tol must be finite and nonnegative, got {tol}")
 
 
 def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
@@ -318,17 +313,16 @@ def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
     return Grid(half_width=half_width, points=points)
 
 
-def sandwich(params: Params, domain: DomainSpec,
-             grid: Grid | None = None, tol: float = _DEFAULT_TOL,
+def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
              C1: float = 1.0, C2: float = 1.0) -> SandwichReport:
     """Assemble lower/upper bounds and a numeric estimate for one parameter
-    point and check lower (1-tol) <= numeric <= upper (1+tol).
+    point and check lower (1 - tol) <= numeric <= upper (1 + tol) at the
+    fixed band tol = _SANDWICH_TOL.
 
     p=1 on balls uses the exact characteristic-function value in place of a
     descent output (the constant is attained there); p=1 on the whole space
     is reported bound-only.  p=2 runs the spectral minimizer (N = 1 grids).
     """
-    _check_tol(tol)
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
     numeric = None
@@ -349,7 +343,7 @@ def sandwich(params: Params, domain: DomainSpec,
         mask = domain_mask(grid, domain) if domain.bounded else None
         mode = "domain" if domain.bounded else "whole_space"
         res = minimize_quotient(grid, mask, params.s, params.q, mode)
-        err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + tol * res.estimate
+        err = abs(res.trace[-1] - res.trace[0]) * 1e-6 + _SANDWICH_TOL * res.estimate
         numeric = ConstantValue(res.estimate, ConstantKind.NUMERIC_ESTIMATE,
                                 "rayleigh-numeric", error_estimate=err)
         notes = []
@@ -360,26 +354,24 @@ def sandwich(params: Params, domain: DomainSpec,
         note = "; ".join(notes)
 
     if numeric is None:
-        return SandwichReport(params, lo, up, None, None, None, tol,
+        return SandwichReport(lo, up, None, None, None,
                               passed=lo.value <= up.value, note=note)
     sl = (numeric.value - lo.value) / lo.value
     su = (up.value - numeric.value) / up.value
-    passed = (numeric.value >= lo.value * (1 - tol)
-              and numeric.value <= up.value * (1 + tol))
-    return SandwichReport(params, lo, up, numeric, sl, su, tol, passed, note)
+    passed = (numeric.value >= lo.value * (1 - _SANDWICH_TOL)
+              and numeric.value <= up.value * (1 + _SANDWICH_TOL))
+    return SandwichReport(lo, up, numeric, sl, su, passed, note)
 
 
-def sweep(param_list: list[Params], domain: DomainSpec,
-          grid: Grid | None = None, tol: float = _DEFAULT_TOL,
+def sweep(param_list: list[Params], domain: DomainSpec, grid: Grid | None = None,
           C1: float = 1.0, C2: float = 1.0) -> list[SandwichReport | Exception]:
-    """One sandwich per parameter point, run serially; per-point failures are
-    recorded as exceptions and do not interrupt the sweep.  Reports keep
-    input order.  A bad tol is refused before any point runs."""
-    _check_tol(tol)
+    """One sandwich per parameter point, each checked at the fixed band
+    _SANDWICH_TOL, run serially; per-point failures are recorded as
+    exceptions and do not interrupt the sweep.  Reports keep input order."""
 
     def run(p: Params):
         try:
-            return sandwich(p, domain, grid, tol, C1, C2)
+            return sandwich(p, domain, grid, C1=C1, C2=C2)
         except Exception as exc:  # noqa: BLE001 - reported per point
             return exc
 

@@ -171,18 +171,20 @@ def test_ball_with_overflowing_radius_power_stays_finite(capsys):
     assert abs(res["upper"]["value"] / res["lower"]["value"] - 1.0) < 1e-12
 
 
+# the ids are fixed, so that a row keeps its name when an earlier row goes
 @pytest.mark.parametrize("argv,word", [
-    (["sandwich", "--tol", "inf"], "tol"),
-    (["sandwich", "--tol", "nan"], "tol"),
-    (["sandwich", "--tol", "-3"], "tol"),
-    (["sweep", "--tol", "inf"], "tol"),
-    (["sandwich", "--domain", "rn:inf"], "truncation"),
-    (["sandwich", "--box", "inf"], "half_width"),
-    (["groundstate", "--box", "inf"], "half_width"),
-    (["sandwich", "--domain", "interval:-inf,1"], "interval a"),
-    (["bounds", "--domain", "ball:inf"], "ball radius"),
+    pytest.param(["sandwich", "--domain", "rn:inf"], "truncation",
+                 id="argv4-truncation"),
+    pytest.param(["sandwich", "--box", "inf"], "half_width", id="argv5-half_width"),
+    pytest.param(["groundstate", "--box", "inf"], "half_width",
+                 id="argv6-half_width"),
+    pytest.param(["sandwich", "--domain", "interval:-inf,1"], "interval a",
+                 id="argv7-interval a"),
+    pytest.param(["bounds", "--domain", "ball:inf"], "ball radius",
+                 id="argv8-ball radius"),
     # said "constant must be finite and positive, got nan"
-    (["bounds", "--q", "inf"], "q must be finite"),
+    pytest.param(["bounds", "--q", "inf"], "q must be finite",
+                 id="argv9-q must be finite"),
 ])
 def test_nonfinite_inputs_are_refused(capsys, argv, word):
     # refused where they enter, before any solve: no numpy warning, no
@@ -417,10 +419,47 @@ def test_unparsable_s_is_usage_error(capsys, argv):
 
 
 def test_groundstate_has_no_tol(capsys):
-    # --tol is the sandwich acceptance tolerance; groundstate never read it
-    code, out, err = run_capture(capsys, ["groundstate", "--tol", "0.1"])
+    # groundstate never read a tolerance, and the sandwich band is the fixed
+    # varmin._SANDWICH_TOL
+    for cmd in ("groundstate", "sandwich", "sweep"):
+        code, out, err = run_capture(capsys, [cmd, "--tol", "0.1"])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
+
+
+@pytest.mark.parametrize("cmd", ["bounds", "sandwich"])
+def test_bad_domain_prints_no_tm_warning(capsys, cmd):
+    # the default point (s = 1/2, q = 2) is limiting, so the Trudinger-Moser
+    # defaults warning is due; a bad domain is refused before it
+    code, out, err = run_capture(capsys, [cmd, "--domain", "interval:1"])
     assert code == 2
-    assert "unrecognized arguments: --tol" in err
+    assert out == ""
+    assert err.startswith("error: bad domain 'interval:1'")
+    assert "warning" not in err
+
+
+def test_timing_adds_only_wall_time(capsys):
+    argv = ["sandwich", "--s", "0.25", "--q", "3", "--grid", "256"]
+    _, plain, _ = run_capture(capsys, argv)
+    code, timed, _ = run_capture(capsys, argv + ["--timing"])
+    assert code == 0
+    timed, plain = json.loads(timed), json.loads(plain)
+    wall = timed.pop("wall_time_s")
+    assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0
+    assert plain.pop("wall_time_s") is None
+    timed["command"] = timed["command"][:-1]   # drop the echoed --timing
+    assert timed == plain
+
+
+def test_huge_q_groundstate_converges(capsys):
+    # |v|^q of a line-search trial point overflowed, the trial was scaled to
+    # a zero field, and the quotient raised ZeroDivisionError
+    code, out, err = run_capture(capsys, ["groundstate", "--q", "1e6", "--grid", "256"])
+    assert code == 0
+    assert err == ""
+    res = json.loads(out)["result"]
+    assert res["converged"] and res["residual_ok"]
 
 
 _TM_WARNING = "warning: Trudinger-Moser constants --c1/--c2 defaulted"

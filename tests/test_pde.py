@@ -32,19 +32,19 @@ GROWTH_AT_THM3_UPPER = 68.317873781388537  # 2 * (2 sqrt(pi e))^2
 
 class TestPsLevel:
     def test_value(self):
-        assert ps_level(0.5, 4.0, 1.0) == pytest.approx(0.25, abs=1e-15)
+        assert ps_level(4.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_monotone_in_S(self):
-        vals = [ps_level(0.3, 3.0, S) for S in np.linspace(0.1, 5.0, 50)]
+        vals = [ps_level(3.0, S) for S in np.linspace(0.1, 5.0, 50)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_certified_from_lower_bound(self):
         S_lo = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0)).lower.value
-        assert ps_level(0.25, 3.0, S_lo) > 0.0
+        assert ps_level(3.0, S_lo) > 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ps_level(0.5, 2.0, 1.0)
+            ps_level(2.0, 1.0)
 
 
 class TestThresholds:
@@ -180,19 +180,24 @@ class TestHypothesisChecks:
         g = Grid(half_width=40.0, points=1024)
         ok = Field(g, 1.0 + 2.0 * np.exp(-g.x * g.x))
         check_weight_hypotheses(ok)
-        with pytest.raises(DomainError):
-            check_weight_hypotheses(Field(g, np.ones(1024)))       # identically 1
+        # Q = 1 is the unperturbed problem: the hypotheses leave it alone
+        check_weight_hypotheses(Field(g, np.ones(1024)))
         with pytest.raises(DomainError):
             check_weight_hypotheses(
                 Field(g, 1.0 - 0.5 * np.exp(-g.x * g.x)))
+        with pytest.raises(DomainError, match="weight must approach 1"):
+            check_weight_hypotheses(Field(g, np.full(1024, 2.0)))
 
     def test_potential(self):
         g = Grid(half_width=40.0, points=1024)
         ok = Field(g, 1.0 - 0.5 * np.exp(-g.x * g.x))
         check_potential_hypotheses(ok)
+        check_potential_hypotheses(Field(g, np.ones(1024)))   # unperturbed
         with pytest.raises(DomainError):
             check_potential_hypotheses(
                 Field(g, 1.0 + np.exp(-g.x * g.x)))
+        with pytest.raises(DomainError, match="potential must approach 1"):
+            check_potential_hypotheses(Field(g, np.full(1024, 0.5)))
 
 
 class TestGroundState:
