@@ -12,11 +12,10 @@ Three regimes are covered (see `constants.Regime`):
   exponential-integrability lower bounds, the latter carrying the caller
   supplied Trudinger-Moser constants C1 (domain) and C2 (whole space).
 
-All q-dependent exponents are evaluated through `_inv_gap` as fused
-differences to avoid cancellation near the critical exponent, and every
-formula degrades gracefully at q equal to the critical exponent, where both
-bounds collapse onto the critical constant (there factors x ** (-x) are
-0.0 ** -0.0, which Python's float power evaluates to their limit 1).
+Every bound holds for 1 <= q below the critical exponent, the scope of
+`Params.regime()`.  All q-dependent exponents are evaluated through
+`_inv_gap` as fused differences to avoid cancellation near the critical
+exponent.
 """
 from __future__ import annotations
 
@@ -101,6 +100,8 @@ class DomainSpec:
                 raise DomainError("whole_space needs a positive truncation half-width")
         elif not math.isfinite(self.measure):
             raise DomainError(f"{self}: measure overflows a double")
+        elif not (self.measure > 0.0 and self.inradius > 0.0):
+            raise DomainError(f"{self}: measure or inradius underflows to 0")
 
     def __str__(self) -> str:
         shape = ", ".join(f"{k}={getattr(self, k):g}" for k in ("radius", "a", "b")
@@ -189,14 +190,14 @@ def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     return eps, rho
 
 
-def _require(params: Params, regime: Regime) -> None:
-    """Admit params inside `regime` (BORDERLINE or HILBERT), or on its family
-    at exactly-critical q, where the bounds are evaluated as a limit."""
-    family = params.p == 1 if regime is Regime.BORDERLINE else (
-        params.p == 2 and params.N > 2 * params.s)
-    if params.regime() is regime or (family and params.q == params.critical_exponent):
-        return
-    raise RegimeError(f"params {params} outside the {regime.value} regime")
+def _require(params: Params, regime: Regime, domain: DomainSpec | None = None) -> None:
+    """Admit params inside `regime` and, where given, a bounded domain in R^N."""
+    if params.regime() is not regime:
+        raise RegimeError(f"params {params} outside the {regime.value} regime")
+    if domain is not None and not domain.bounded:
+        raise RegimeError(f"{regime.value} domain bounds need a bounded domain")
+    if domain is not None and domain.dim != params.N:
+        raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
 
 
 def _pair(key: str, lo: float, up: float, rel: float = _EVAL_EPS,
@@ -223,11 +224,7 @@ def _exact_one(key: str) -> BoundPair:
 def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     """p=1 bounds on a bounded domain; they coincide when the domain is a
     ball, where the constant is attained by a characteristic function."""
-    _require(params, Regime.BORDERLINE)
-    if not domain.bounded:
-        raise RegimeError("borderline_domain_bounds needs a bounded domain")
-    if domain.dim != params.N:
-        raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
+    _require(params, Regime.BORDERLINE, domain)
     S = frac_isoperimetric(params.N, params.s)
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
     ball_measure = _ball_measure(params.N, domain.inradius)
@@ -265,11 +262,7 @@ def borderline_wholespace_bounds(params: Params) -> BoundPair:
 def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     """p=2 bounds on a bounded domain: Hoelder lower bound against the
     critical constant, bump-profile upper bound through the inradius."""
-    _require(params, Regime.HILBERT)
-    if not domain.bounded:
-        raise RegimeError("hilbert_domain_bounds needs a bounded domain")
-    if domain.dim != params.N:
-        raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
+    _require(params, Regime.HILBERT, domain)
     N, s, q = params.N, params.s, params.q
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
@@ -290,16 +283,12 @@ def hilbert_wholespace_bounds(params: Params) -> BoundPair:
         raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
     if q == 2.0:
         return _exact_one("hilbert-rn-q2")
-    crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
-    gap = _inv_gap(q, crit)            # 1/q - 1/crit
+    gap = _inv_gap(q, params.critical_exponent)   # 1/q - 1/crit
     gap2 = _inv_gap(q, 2.0) * (-1.0)   # 1/2 - 1/q
     lo = ((N / s * gap) ** (-N / s * gap)
           * (N / s * gap2) ** (-N / s * gap2)
           * Ss ** (N / s * gap2))
-    if q == crit:
-        # at criticality both bounds collapse onto the critical constant
-        return _pair("hilbert-rn", Ss, Ss)
     w = unit_ball_volume(N)
     up = (w ** (1.0 - 2.0 / q) * s
           * ((2.0 ** (2.0 * s + 1.0 - 2.0 * s / N) * gamma_fn(s + 1.0) ** 2)
@@ -388,6 +377,7 @@ def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 
     if regime is Regime.LIMITING:
         q = params.q
         if domain.bounded:
+            _require(params, regime, domain)
             return BoundPair(limiting_domain_lower(q, domain.measure, C1),
                              limiting_domain_upper(q, domain.inradius))
         if q == 2.0:

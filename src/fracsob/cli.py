@@ -13,7 +13,7 @@ time, which breaks that determinism).
 
 Domain grammar: ball:R | interval:a,b | rn:L  (L = truncation half-width).
 
-Exit codes: 0 success, 1 validation/check failure, 2 usage error.
+Exit codes: 0 success, 1 validation/check failure, 2 usage error or refusal.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, bounds, constants, pde, varmin
 from .constants import ConstantValue, Params, Regime
-from .errors import DomainError, GridError, RegimeError
+from .errors import DomainError, FracsobError, RegimeError
 from .grids import Field, Grid
 from .validate import run_validation
 
@@ -107,16 +107,15 @@ def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
     try:
         if kind == "ball":
             return bounds.DomainSpec.ball(float(rest), N)
-        if kind == "interval":
+        if kind == "interval" and rest.count(",") == 1:
             a, b = (float(v) for v in rest.split(","))
             return bounds.DomainSpec.interval(a, b)
         if kind == "rn":
             return bounds.DomainSpec.whole_space(
                 float(rest) if rest else bounds._DEFAULT_TRUNCATION, N)
-    except (ValueError, DomainError) as exc:
-        raise argparse.ArgumentTypeError(f"bad domain {text!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(
-        f"bad domain {text!r}: expected ball:R | interval:a,b | rn:L")
+    except ValueError as exc:   # DomainError is a ValueError
+        raise DomainError(f"bad domain {text!r}: {exc}") from exc
+    raise DomainError(f"bad domain {text!r}: expected ball:R | interval:a,b | rn:L")
 
 
 def _parse_field(text: str, grid: Grid) -> Field:
@@ -140,9 +139,9 @@ def _parse_field(text: str, grid: Grid) -> Field:
                 bell = np.exp(-((x / width) ** 2))
                 return Field(grid, base + height * bell if kind == "bump"
                              else base - height * bell)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad field {text!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(
+    except ValueError as exc:   # GridError is a ValueError
+        raise DomainError(f"bad field {text!r}: {exc}") from exc
+    raise DomainError(
         f"bad field {text!r}: expected const:c | bump:base,amp,width | well:base,depth,width")
 
 
@@ -211,7 +210,7 @@ def _csv_rows(args, out: _Outcome) -> list[dict]:
     <key> (its value) and <key>_provenance."""
     rows = []
     for item in out.result if isinstance(out.result, list) else [out.result]:
-        if "error" in item:   # a sweep point that raised
+        if "error" in item:   # a refused sweep point
             rows.append({**item["params"], "domain": args.domain, "pass": False,
                          "note": f"error: {item['error']}"})
             continue
@@ -298,26 +297,22 @@ def _sandwich(args) -> _Outcome:
     _warn_tm_constants(args, plist)
     grid = varmin.default_grid(domain, args.grid, args.box)
     reports = varmin.sweep(plist, domain, grid, C1=args.c1, C2=args.c2)
+    if args.cmd == "sandwich" and isinstance(reports[0], FracsobError):
+        raise reports[0]
     payloads, prov = [], []
     for point, rep in zip(plist, reports):
-        if isinstance(rep, Exception):
+        if isinstance(rep, FracsobError):
             payloads.append({"params": _params_payload(point),
                              "error": f"{type(rep).__name__}: {rep}"})
         else:
             payloads.append(_sandwich_payload(point, rep))
             prov += [c.provenance for c in (rep.lower, rep.upper, rep.numeric) if c]
     if args.cmd == "sweep":
-        bad = any(isinstance(r, Exception) or not r.passed for r in reports)
+        bad = any(isinstance(r, FracsobError) or not r.passed for r in reports)
         return _Outcome({"N": args.N, "s": ss, "p": args.p, "q": qs},
                         _domain_payload(domain), payloads, prov, 1 if bad else 0)
-    rep = reports[0]
-    if isinstance(rep, Exception):
-        print(f"error: {payloads[0]['error']}", file=sys.stderr)
-        code = 2
-    else:
-        code = 0 if rep.passed else 1
     return _Outcome(_params_payload(plist[0]), _domain_payload(domain), payloads[0],
-                    prov, code)
+                    prov, 0 if reports[0].passed else 1)
 
 
 def _thresholds(args) -> _Outcome:
@@ -475,8 +470,7 @@ def run(argv: list[str] | None = None) -> int:
                       "result": out.result, "provenance": sorted(set(out.provenance)),
                       "wall_time_s": (time.perf_counter() - t0) if args.timing else None}
         _emit(args, record, out)
-    except (DomainError, RegimeError, GridError,
-            argparse.ArgumentTypeError) as exc:
+    except FracsobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         ap.print_usage(sys.stderr)
         return 2

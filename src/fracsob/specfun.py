@@ -179,6 +179,11 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
     are removed by substitution before subdivision.  Raises QuadratureError
     at a non-finite integrand value in any row, and if some row's error
     estimate is still above its tolerance when max_subdivisions is exhausted.
+
+    A scalar integrand keeps its own float path rather than running as a
+    one-row stack: the values agree bit for bit, but the stack takes 1.6x the
+    time (e^(-x) x^(-1/2) + sin 30x on (0, 3): 1.61 against 0.98 ms on a
+    2-core Xeon) and raised the median oracles op from 0.55-0.73 to 0.9 ms.
     """
     if cfg is None:
         cfg = QuadratureConfig()

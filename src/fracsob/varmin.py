@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import DomainSpec, bounds_for
 from .constants import ConstantKind, ConstantValue, Params, Regime
-from .errors import ConvergenceError, DomainError, GridError
+from .errors import ConvergenceError, DomainError, FracsobError, GridError
 from .grids import Field, Grid
 
 __all__ = [
@@ -353,9 +353,8 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
             notes.append("tail mass near truncation boundary")
         note = "; ".join(notes)
 
-    if numeric is None:
-        return SandwichReport(lo, up, None, None, None,
-                              passed=lo.value <= up.value, note=note)
+    if numeric is None:   # bound-only: BoundPair has checked lower <= upper
+        return SandwichReport(lo, up, None, None, None, passed=True, note=note)
     sl = (numeric.value - lo.value) / lo.value
     su = (up.value - numeric.value) / up.value
     passed = (numeric.value >= lo.value * (1 - _SANDWICH_TOL)
@@ -364,15 +363,16 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
 
 
 def sweep(param_list: list[Params], domain: DomainSpec, grid: Grid | None = None,
-          C1: float = 1.0, C2: float = 1.0) -> list[SandwichReport | Exception]:
+          C1: float = 1.0, C2: float = 1.0) -> list[SandwichReport | FracsobError]:
     """One sandwich per parameter point, each checked at the fixed band
-    _SANDWICH_TOL, run serially; per-point failures are recorded as
-    exceptions and do not interrupt the sweep.  Reports keep input order."""
+    _SANDWICH_TOL, run serially; a point's refusal (a `FracsobError`) is
+    recorded in its place and does not interrupt the sweep, while any other
+    exception propagates.  Reports keep input order."""
 
     def run(p: Params):
         try:
             return sandwich(p, domain, grid, C1=C1, C2=C2)
-        except Exception as exc:  # noqa: BLE001 - reported per point
+        except FracsobError as exc:
             return exc
 
     return [run(p) for p in param_list]

@@ -59,6 +59,15 @@ class TestDomainSpec:
         with pytest.raises(DomainError, match="measure overflows a double"):
             DomainSpec.interval(-1e308, 1e308)
 
+    def test_underflowing_measure(self):
+        # omega_3 R^3 underflows to 0, and so does the inradius (b - a) / 2:
+        # the bounds divided by 0 or took log(0)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            DomainSpec.ball(1e-110, 3)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            DomainSpec.interval(0.0, 5e-324)
+        assert DomainSpec.interval(0.0, 1e-323).inradius == 5e-324
+
     @pytest.mark.parametrize("N,R,measure", [
         (1, 0.5, 1.0000000000000002), (1, 1.0, 2.0000000000000004),
         (1, 2.0, 4.000000000000001),
@@ -241,6 +250,24 @@ class TestHilbertWholespace:
             hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 1.5))
 
 
+# q exactly at the critical exponent is outside every regime, as in
+# Params.regime(); these returned collapsed or finite brackets
+@pytest.mark.parametrize("bound,p,crit,domain", [
+    (borderline_domain_bounds, 1.0, 2.0, DomainSpec.interval(-1.0, 1.0)),
+    (borderline_wholespace_bounds, 1.0, 2.0, None),
+    (hilbert_domain_bounds, 2.0, 4.0, DomainSpec.interval(-1.0, 1.0)),
+    (hilbert_wholespace_bounds, 2.0, 4.0, None),
+], ids=["borderline-domain", "borderline-rn", "hilbert-domain", "hilbert-rn"])
+def test_exactly_critical_q_is_refused(bound, p, crit, domain):
+    s = 0.5 if p == 1.0 else 0.25
+    params = Params(1, s, p, crit)
+    assert params.critical_exponent == crit
+    with pytest.raises(RegimeError, match="outside the"):
+        bound(params, *([domain] if domain else []))
+    with pytest.raises(RegimeError):
+        bounds_for(params, domain or DomainSpec.whole_space())
+
+
 class TestLimiting:
     def test_domain_upper_value(self):
         v = limiting_domain_upper(4.0, 1.0)
@@ -343,6 +370,14 @@ class TestBoundPairInvariant:
             assert pair.lower.value <= pair.upper.value * (1.0 + 1e-12)
             count += 1
         assert count > 5000
+
+    def test_domain_dimension_is_checked_in_every_regime(self):
+        # the limiting branch bracketed an interval problem from a 3-ball
+        for params in (Params(1, 0.5, 2.0, 3.0), Params(1, 0.5, 1.0, 1.5),
+                       Params(1, 0.25, 2.0, 3.0)):
+            with pytest.raises(DomainError, match="domain dimension 3 != N=1"):
+                bounds_for(params, DomainSpec.ball(1.0, 3))
+            bounds_for(params, DomainSpec.whole_space(N=3))
 
     def test_constructor_asserts(self):
         good = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0))

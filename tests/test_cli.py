@@ -13,6 +13,14 @@ import pytest
 
 import fracsob
 from fracsob.cli import _fmt, run
+from fracsob.errors import (
+    ConvergenceError,
+    DomainError,
+    FracsobError,
+    GridError,
+    QuadratureError,
+    RegimeError,
+)
 
 
 def run_capture(capsys, argv):
@@ -159,6 +167,30 @@ def test_overflowing_domain_measure_is_refused(capsys, domain):
     assert f"bad domain '{domain}'" in err and "measure overflows a double" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "3", "--p", "2", "--s", "0.5", "--q", "2.5", "--domain", "ball:1e-110"],
+    ["--N", "1", "--p", "1", "--s", "0.25", "--q", "1.2", "--domain", "interval:0,5e-324"],
+])
+def test_underflowing_domain_measure_is_refused(capsys, argv):
+    # the measure (or the inradius) underflowed to 0: a raw ZeroDivisionError
+    # in the Hilbert bounds, and "math domain error" from log(0) in the p = 1 ones
+    code, out, err = run_capture(capsys, ["bounds"] + argv)
+    assert code == 2
+    assert out == ""
+    assert f"bad domain '{argv[-1]}'" in err and "underflows to 0" in err
+
+
+@pytest.mark.parametrize("domain", ["interval:1", "interval:1,2,3"])
+def test_interval_arity_prints_the_grammar(capsys, domain):
+    # said "not enough values to unpack" / "too many values to unpack"
+    code, out, err = run_capture(capsys, ["bounds", "--domain", domain])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"error: bad domain '{domain}': expected ball:R | interval:a,b | rn:L\n")
+    assert "unpack" not in err
+
+
 def test_ball_with_overflowing_radius_power_stays_finite(capsys):
     # R^40 overflows a double but omega_40 R^40 does not: the borderline
     # bounds used to raise OverflowError on the ball measure at the inradius
@@ -250,6 +282,17 @@ class TestSandwichCommand:
         code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25,0.3", "--q", "3"])
         assert code == 2 and out == ""
         assert err.startswith("error: sandwich takes a single (s, q)")
+
+    def test_p1_whole_space_bracket_passes(self, capsys):
+        # lower 38.8243256133512 is above upper 38.82432561335114 by rounding,
+        # inside BoundPair's 1e-12 band: the bound-only sandwich used to fail
+        code, out, _ = run_capture(
+            capsys, ["sandwich", "--p", "1", "--N", "2", "--s", "0.25", "--q", "1.1",
+                     "--domain", "rn:200"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["pass"] is True and res["numeric"] is None
+        assert res["lower"]["value"] > res["upper"]["value"]
 
     def test_provenance_keys_registered(self, capsys):
         from fracsob.constants import PROVENANCE_KEYS
@@ -497,18 +540,20 @@ def _json_field(doc: dict, item: dict, column: str, argv: list[str]):
     raise KeyError(column)
 
 
+# the ids are fixed, so that a row keeps its name when an earlier row goes
 @pytest.mark.parametrize("argv", [
-    ["constants", "--N", "3", "--s", "0.5", "--which", "lieb"],
-    ["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2", "--domain", "ball:1"],
-    ["sandwich", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3",
-     "--domain", "interval:-1,1", "--grid", "1024", "--box", "8"],
-    ["sandwich", "--p", "2", "--N", "1", "--s", "0.7", "--q", "3",
-     "--domain", "rn:100", "--grid", "1024"],
-    ["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.3", "--q", "2.5,5",
-     "--domain", "rn:100", "--grid", "1024"],
-    ["thresholds", "--N", "1", "--s", "0.25", "--q", "3"],
-    ["groundstate", "--s", "0.5", "--q", "4", "--grid", "1024", "--box", "30"],
-    ["validate"],
+    pytest.param(["constants", "--N", "3", "--s", "0.5", "--which", "lieb"], id="argv0"),
+    pytest.param(["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2",
+                  "--domain", "ball:1"], id="argv1"),
+    pytest.param(["sandwich", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3",
+                  "--domain", "interval:-1,1", "--grid", "1024", "--box", "8"],
+                 id="argv2"),
+    pytest.param(["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.3", "--q", "2.5,5",
+                  "--domain", "rn:100", "--grid", "1024"], id="argv4"),
+    pytest.param(["thresholds", "--N", "1", "--s", "0.25", "--q", "3"], id="argv5"),
+    pytest.param(["groundstate", "--s", "0.5", "--q", "4", "--grid", "1024",
+                  "--box", "30"], id="argv6"),
+    pytest.param(["validate"], id="argv7"),
 ])
 def test_csv_cells_match_json_fields(capsys, argv):
     # every CSV cell is the 17-digit text of the JSON field its column names;
@@ -661,9 +706,43 @@ def test_grid_too_coarse_for_domain(capsys, argv, nodes):
     # "zero-size array to reduction operation maximum"
     code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25", "--q", "3"] + argv)
     assert code == 2
-    assert json.loads(out)["result"]["error"].startswith("GridError: interval")
-    assert err.startswith("error: GridError: interval") and nodes in err
-    assert "the solver needs at least 3" in err
+    assert out == ""
+    assert err.startswith("error: interval") and nodes in err
+    assert "the solver needs at least 3\nusage: fracsob" in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    pytest.param(["--s", "0.7", "--q", "3", "--domain", "rn:100", "--grid", "1024"],
+                 "error: no bounds available", id="out-of-scope"),
+    # a ConvergenceError, which used to print a JSON record on stdout
+    pytest.param(["--s", "0.5", "--q", "1e6", "--domain", "interval:-1,1"],
+                 "error: degenerate field", id="degenerate-field"),
+])
+def test_refused_sandwich_is_a_usage_error(capsys, argv, word):
+    # a single point's refusal is reported as every command reports one: the
+    # message and the usage line on stderr, nothing on stdout, exit 2
+    code, out, err = run_capture(capsys, ["sandwich", "--N", "1", "--p", "2"] + argv)
+    assert code == 2
+    assert out == ""
+    assert word in err and "\nusage: fracsob" in err
+    assert "Error:" not in err
+
+
+def test_a_defect_is_not_a_refusal(monkeypatch):
+    # only a FracsobError is a refusal; any other exception propagates
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setattr(fracsob.varmin, "sandwich", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(["sandwich", "--s", "0.25", "--q", "3", "--grid", "256"])
+
+
+@pytest.mark.parametrize("cls,base", [
+    (DomainError, ValueError), (RegimeError, ValueError), (GridError, ValueError),
+    (QuadratureError, RuntimeError), (ConvergenceError, RuntimeError)])
+def test_every_error_is_a_refusal(cls, base):
+    assert issubclass(cls, FracsobError) and issubclass(cls, base)
 
 
 def test_three_domain_nodes_solve(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsob import varmin
 from fracsob.bounds import DomainSpec
 from fracsob.constants import ConstantKind, Params
 from fracsob.errors import DomainError, GridError
@@ -284,6 +285,17 @@ class TestSandwich:
         assert rep.passed  # lower <= upper
         assert "bound-only" in rep.note
 
+    def test_borderline_wholespace_passes_whenever_its_bracket_exists(self):
+        # the p = 1 whole-space bracket is exact, so lower and upper differ by
+        # rounding either way; BoundPair admits lower <= upper (1 + 1e-12), and
+        # a stricter lower <= upper re-check failed 83 of these 200 points
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            N, s = int(rng.integers(1, 4)), float(rng.uniform(0.05, 0.95))
+            q = float(rng.uniform(1.0, N / (N - s)))
+            rep = sandwich(Params(N, s, 1.0, q), DomainSpec.whole_space(N=N))
+            assert rep.numeric is None and rep.passed, (N, s, q)
+
     def test_hilbert_interval(self):
         p = Params(1, 0.25, 2.0, 3.0)
         rep = sandwich(p, DomainSpec.interval(-1.0, 1.0),
@@ -345,3 +357,12 @@ class TestSweep:
         reports = sweep(plist, DomainSpec.whole_space(100.0), grid=grid)
         assert not isinstance(reports[0], Exception)
         assert isinstance(reports[1], Exception)
+
+    def test_a_defect_propagates(self, monkeypatch):
+        # only a refusal (FracsobError) is recorded per point
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("a defect")
+
+        monkeypatch.setattr(varmin, "sandwich", broken)
+        with pytest.raises(ZeroDivisionError, match="a defect"):
+            sweep([Params(1, 0.25, 2.0, 3.0)], DomainSpec.whole_space())
