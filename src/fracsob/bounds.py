@@ -30,6 +30,7 @@ from .constants import (
     Params,
     Regime,
     _ln_unit_ball_volume,
+    _power,
     frac_isoperimetric,
     frac_sobolev_hilbert,
     unit_ball_volume,
@@ -170,9 +171,9 @@ def dilation_transfer(S: float, lam: float, params: Params) -> float:
     if N > p * s:
         expo = N * p * _inv_gap(q, params.critical_exponent) * (-1.0)
         # N p (1/p_s^* - 1/q) = -N p (1/q - 1/p_s^*)
-        return lam ** expo * S
+        return _power(lam, expo, str(params)) * S
     if N == p * s:
-        return lam ** (-N * p / q) * S
+        return _power(lam, -N * p / q, str(params)) * S
     raise RegimeError(f"dilation transfer undefined for N < ps (N={N}, s={s}, p={p})")
 
 
@@ -227,9 +228,9 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     _require(params, Regime.BORDERLINE, domain)
     S = frac_isoperimetric(params.N, params.s)
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
-    ball_measure = _ball_measure(params.N, domain.inradius)
-    lo = S.value * domain.measure ** e
-    up = S.value * ball_measure ** e
+    at = f"{params} on {domain}"
+    lo = S.value * _power(domain.measure, e, at)
+    up = S.value * _power(_ball_measure(params.N, domain.inradius), e, at)
     return _pair("borderline-domain", lo, up,
                  rel=S.error_estimate / S.value, floor=_EVAL_EPS)
 
@@ -267,10 +268,11 @@ def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
     w = unit_ball_volume(N)
-    lo = Ss * domain.measure ** (2.0 * _inv_gap(crit, q))
+    at = f"{params} on {domain}"
+    lo = Ss * _power(domain.measure, 2.0 * _inv_gap(crit, q), at)
     up = (2.0 ** (2.0 * s + 2.0 / q) * (w * N) ** (1.0 - 2.0 / q) / (N + 2.0 * s)
           * gamma_fn(s + 1.0) ** 2 * beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
-          * domain.inradius ** (2.0 * N * _inv_gap(crit, q)))
+          * _power(domain.inradius, 2.0 * N * _inv_gap(crit, q), at))
     return _pair("hilbert-domain", lo, up)
 
 
@@ -307,7 +309,8 @@ def limiting_domain_upper(q: float, R_omega: float) -> ConstantValue:
         raise DomainError(f"q must be >= 1, got {q}")
     if not R_omega > 0.0:
         raise DomainError(f"inradius must be positive, got {R_omega}")
-    val = 2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q * R_omega ** (-2.0 / q)
+    val = (2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q
+           * _power(R_omega, -2.0 / q, f"q={q!r} in limiting_domain_upper"))
     return ConstantValue(val, ConstantKind.BOUND_UPPER, "limiting-domain-upper",
                          error_estimate=_EVAL_EPS * val)
 
@@ -324,9 +327,10 @@ def limiting_domain_lower(q: float, measure: float, C1: float = 1.0) -> Constant
         raise DomainError(f"measure must be positive, got {measure}")
     if not 0.0 < C1 < math.inf:
         raise DomainError(f"C1 must be finite and positive, got {C1}")
-    val = (C1 ** (-2.0 / q) * math.pi
+    at = f"q={q!r} in limiting_domain_lower"
+    val = (_power(C1, -2.0 / q, at) * math.pi
            * math.exp(-(2.0 / q) * ln_gamma(q / 2.0 + 1.0))
-           * measure ** (-2.0 / q))
+           * _power(measure, -2.0 / q, at))
     return ConstantValue(val, ConstantKind.BOUND_LOWER, "limiting-domain-lower",
                          error_estimate=_EVAL_EPS * val)
 

@@ -11,7 +11,9 @@ with 17 significant digits so values round-trip losslessly.  Identical
 invocations produce byte-identical output (pass --timing to include wall
 time, which breaks that determinism).
 
-Domain grammar: ball:R | interval:a,b | rn:L  (L = truncation half-width).
+argparse types every number flag.  The CLI parses by hand only the two
+grammars that need N or the grid: the domain, ball:R | interval:a,b | rn:L
+(L = truncation half-width), and the fields of --V/--Q.
 
 Exit codes: 0 success, 1 validation/check failure, 2 usage error or refusal.
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import __version__, bounds, constants, pde, varmin
 from .constants import ConstantValue, Params, Regime
-from .errors import DomainError, FracsobError, RegimeError
+from .errors import DomainError, FracsobError
 from .grids import Field, Grid
 from .validate import run_validation
 
@@ -85,21 +87,15 @@ def _dumps(obj, indent: int = 0) -> str:
     return json.dumps(str(obj), ensure_ascii=False)
 
 
-def _numbers(text: str, flag: str) -> list[float]:
-    """The comma-separated list of numbers given to flag."""
+def _numbers(text: str) -> list[float]:
+    """The argparse type of sweep's --s and --q: a comma-separated list of
+    numbers."""
     try:
-        return [float(v) for v in str(text).split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        raise DomainError(f"bad {flag} {text!r}: expected a number or a "
-                          "comma-separated list of numbers") from None
-
-
-def _number(text: str, flag: str) -> float:
-    """The single number given to flag."""
-    vals = _numbers(text, flag)
-    if len(vals) != 1:
-        raise DomainError(f"{flag} takes a single number here, got {text!r}")
-    return vals[0]
+        raise argparse.ArgumentTypeError(
+            f"expected a number or a comma-separated list of numbers, got {text!r}"
+        ) from None
 
 
 def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
@@ -268,14 +264,13 @@ def _warn_tm_constants(args, points: list[Params]) -> None:
 
 
 def _constants(args) -> _Outcome:
-    params = {"N": args.N, "s": _number(args.s, "--s"), "p": args.p,
-              "q": _number(args.q, "--q")}
-    c = _CONSTANT_DISPATCH[args.which](argparse.Namespace(**params))
-    return _Outcome(params, None, _constant_payload(c), [c.provenance])
+    c = _CONSTANT_DISPATCH[args.which](args)
+    return _Outcome({"N": args.N, "s": args.s, "p": args.p, "q": args.q}, None,
+                    _constant_payload(c), [c.provenance])
 
 
 def _bounds(args) -> _Outcome:
-    params = Params(args.N, _number(args.s, "--s"), args.p, _number(args.q, "--q"))
+    params = Params(args.N, args.s, args.p, args.q)
     _check_tm_constants(args)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, [params])
@@ -288,9 +283,7 @@ def _bounds(args) -> _Outcome:
 
 def _sandwich(args) -> _Outcome:
     """sandwich (one point) and sweep (the s-major product of the lists)."""
-    ss, qs = _numbers(args.s, "--s"), _numbers(args.q, "--q")
-    if args.cmd == "sandwich" and (len(qs) > 1 or len(ss) > 1):
-        raise DomainError("sandwich takes a single (s, q); use sweep for lists")
+    ss, qs = (args.s, args.q) if args.cmd == "sweep" else ([args.s], [args.q])
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
     _check_tm_constants(args)
     domain = _parse_domain(args.domain, args.N)
@@ -316,28 +309,23 @@ def _sandwich(args) -> _Outcome:
 
 
 def _thresholds(args) -> _Outcome:
-    s, q = _number(args.s, "--s"), _number(args.q, "--q")
-    params = Params(args.N, s, 2.0, q)
+    params = Params(args.N, args.s, 2.0, args.q)
     _check_tm_constants(args)
     regime = params.regime()
     S = args.S
     note = "caller-supplied S"
     if S is None:
-        if regime is Regime.HILBERT:
-            S = bounds.hilbert_wholespace_bounds(params).lower.value
-            note = "S = certified whole-space lower bound"
-        elif regime is Regime.LIMITING:
-            _warn_tm_constants(args, [params])
-            S = bounds.limiting_wholespace_lower(q, args.c2).value
-            note = "S = whole-space lower bound at supplied C2"
-        else:
-            raise RegimeError(f"no default S available in regime {regime.value}")
-    c_star = pde.ps_level(q, S)
-    hthr, lthr = pde.existence_thresholds(q, S)
-    f3 = pde.growth_coefficient(q, S) if regime is Regime.LIMITING else None
+        _warn_tm_constants(args, [params])
+        S = bounds.bounds_for(params, bounds.DomainSpec.whole_space(N=args.N),
+                              C2=args.c2).lower.value
+        note = ("S = certified whole-space lower bound" if regime is Regime.HILBERT
+                else "S = whole-space lower bound at supplied C2")
+    c_star = pde.ps_level(args.q, S)
+    hthr, lthr = pde.existence_thresholds(args.q, S)
+    f3 = pde.growth_coefficient(args.q, S) if regime is Regime.LIMITING else None
     alpha = lam_lo = None
     if regime is Regime.HILBERT:
-        alpha = pde.coupling_alpha(args.N, s, q, S)
+        alpha = pde.coupling_alpha(args.N, args.s, args.q, S)
         if 0.0 < alpha < 1.0:
             lam_lo = pde.coupling_lambda_interval(alpha)[0]
     return _Outcome(_params_payload(params), None,
@@ -347,15 +335,14 @@ def _thresholds(args) -> _Outcome:
 
 
 def _groundstate(args) -> _Outcome:
-    s, q = _number(args.s, "--s"), _number(args.q, "--q")
     grid = Grid(half_width=args.box, points=args.grid)
     V = _parse_field(args.V, grid)
     Q = _parse_field(args.Q, grid)
     pde.check_weight_hypotheses(Q)
     pde.check_potential_hypotheses(V)
-    res = varmin.minimize_quotient(grid, None, s, q, "whole_space")
-    u0, I0, rep = pde.ground_state_solve(grid, s, q, V, Q)
-    hthr, lthr = pde.existence_thresholds(q, res.estimate)
+    res = varmin.minimize_quotient(grid, None, args.s, args.q, "whole_space")
+    u0, I0, rep = pde.ground_state_solve(grid, args.s, args.q, V, Q)
+    hthr, lthr = pde.existence_thresholds(args.q, res.estimate)
     result = {
         "I0": I0, "iterations": rep.iterations, "converged": rep.converged,
         "residual": rep.residual, "residual_rel": rep.residual_rel,
@@ -365,7 +352,7 @@ def _groundstate(args) -> _Outcome:
         "S_numeric": res.estimate,
         "thresholds_satisfied": bool(rep.h_norm_sq < hthr and rep.lq_norm < lthr),
     }
-    return _Outcome({"N": 1, "s": s, "p": 2.0, "q": q},
+    return _Outcome({"N": 1, "s": args.s, "p": 2.0, "q": args.q},
                     _domain_payload(bounds.DomainSpec.whole_space(args.box)),
                     result, ["rayleigh-numeric"],
                     0 if (rep.converged and rep.residual_ok) else 1)
@@ -397,25 +384,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fracsob {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, solver=False, N=True, exponent_p=True, q="2"):
-        """The shared flags, with q the default of --q; --N and --p only where
-        the subcommand reads them."""
+    def common(p, solver=False, N=True, exponent_p=True, q="2", number=float):
+        """The shared flags, with q the default of --q and `number` the type of
+        --s and --q; --N and --p only where the subcommand reads them."""
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
         p.add_argument("--timing", action="store_true",
                        help="include wall time (breaks byte-identical output)")
         if N:
             p.add_argument("--N", type=int, default=1)
-        p.add_argument("--s", type=str, default="0.5")
+        p.add_argument("--s", type=number, default="0.5")
         if exponent_p:
             p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--q", type=str, default=q)
+        p.add_argument("--q", type=number, default=q)
         if solver:
             p.add_argument("--grid", type=int, default=varmin._DEFAULT_POINTS,
                            help="grid points (power of two)")
 
-    def bracket(p, solver=False):
-        common(p, solver=solver)
+    def bracket(p, solver=False, number=float):
+        common(p, solver=solver, number=number)
         if solver:
             p.add_argument("--box", type=float, default=None,
                            help="grid half-width (default: domain-derived)")
@@ -431,12 +418,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bracket(sub.add_parser("sandwich", help="bounds + numeric estimate + check"),
             solver=True)
     bracket(sub.add_parser("sweep", help="sandwich over comma-separated s/q lists"),
-            solver=True)
+            solver=True, number=_numbers)
 
     pt = sub.add_parser("thresholds", help="PDE threshold constants from S")
     common(pt, exponent_p=False, q="4")
     pt.add_argument("--S", type=float, default=None,
-                    help="embedding constant (default: certified lower bound)")
+                    help="embedding constant (default: the whole-space lower bound "
+                         "of bounds_for)")
     pt.add_argument("--c2", type=float, default=1.0)
 
     pg = sub.add_parser("groundstate", help="constrained ground-state solve")

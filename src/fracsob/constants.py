@@ -159,6 +159,18 @@ def _exp_normal(ln_val: float, name: str, where: str) -> float:
     return val
 
 
+def _power(x: float, e: float, where: str) -> float:
+    """x ** e for x > 0, refused where it leaves the double range (overflows,
+    or underflows to 0) with a message that names `where`."""
+    try:
+        r = x ** e
+    except OverflowError:
+        r = math.inf
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"{x!r} ** {e!r} leaves the double range at {where}")
+    return r
+
+
 def _ln_unit_ball_volume(N: int) -> float:
     """log omega_N = (N/2) log pi - log Gamma(N/2+1)."""
     if N < 1:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import classical_sobolev, frac_sobolev_hilbert
+from .constants import _power, classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _descend, _dot
+from .varmin import _apply, _descend, _dot, _initial_field
 
 __all__ = [
     "ps_level",
@@ -35,25 +35,15 @@ __all__ = [
 ]
 
 
-def _check_q_S(q: float, S: float) -> None:
+def _check_q_S(q: float, S: float) -> str:
+    """Refuse q <= 2 and S outside (0, inf); name the point for `_power`."""
     if not q > 2.0:
         raise DomainError(f"q must be > 2, got {q}")
     if not S > 0.0:
         raise DomainError(f"S must be positive, got {S}")
     if S == math.inf:
         raise DomainError(f"S must be finite, got {S}")
-
-
-def _power(x: float, e: float, S: float, q: float) -> float:
-    """x ** e for x > 0, refused where it leaves the double range (overflows,
-    or underflows to 0): the message names the S and q that carried it."""
-    try:
-        r = x ** e
-    except OverflowError:
-        r = math.inf
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"{x!r} ** {e!r} leaves the double range at S={S!r}, q={q!r}")
-    return r
+    return f"S={S!r}, q={q!r}"
 
 
 def ps_level(q: float, S: float) -> float:
@@ -62,23 +52,23 @@ def ps_level(q: float, S: float) -> float:
     Monotone in S, so evaluating at a lower bound for S gives a certified
     lower estimate of the true level.
     """
-    _check_q_S(q, S)
-    return (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), S, q)
+    at = _check_q_S(q, S)
+    return (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at)
 
 
 def existence_thresholds(q: float, S: float) -> tuple[float, float]:
     """Norm thresholds satisfied by the constructed positive solution:
     ||u||_{H^s}^2 < S^(q/(q-2)) and ||u||_{L^q} < S^(1/(q-2))."""
-    _check_q_S(q, S)
-    return _power(S, q / (q - 2.0), S, q), _power(S, 1.0 / (q - 2.0), S, q)
+    at = _check_q_S(q, S)
+    return _power(S, q / (q - 2.0), at), _power(S, 1.0 / (q - 2.0), at)
 
 
 def growth_coefficient(q: float, S: float) -> float:
     """Coefficient (q/2) S^(q/2) of the power growth condition
     f(t) >= (q/2) S^(q/2) |t|^(q-2) t in the limiting-case scalar field
     equation; evaluating at an upper bound for S is conservative."""
-    _check_q_S(q, S)
-    return q / 2.0 * _power(S, q / 2.0, S, q)
+    at = _check_q_S(q, S)
+    return q / 2.0 * _power(S, q / 2.0, at)
 
 
 def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
@@ -88,15 +78,15 @@ def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
     Branch N >= 2 (0 < s < 1, N > 2s) uses the sharp H^s critical constant;
     branch N = 1, s = 1/2 is ((q-2)/q)^((q-2)/2) S^(q/2).
     """
-    _check_q_S(q, S)
+    at = _check_q_S(q, S)
     if N == 1 and s == 0.5:
-        return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
+        return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, at)
     if N >= 2 and 0.0 < s < 1.0 and N > 2 * s:
         crit_const = frac_sobolev_hilbert(N, s).value
         sig = N / (2.0 * s)
         bracket = (N ** sig * (q - 2.0)
                    / (2.0 * s * q * crit_const ** sig * (N - 2.0 * s) ** (sig - 1.0)))
-        return bracket ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, S, q)
+        return bracket ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, at)
     raise RegimeError(
         f"nonlinearity threshold needs N>=2 with N>2s, or (N,s)=(1,1/2); got N={N}, s={s}")
 
@@ -111,7 +101,7 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
     constant.  Raises at q/(q-2) = N/(2s) exactly (the critical q), where
     the exponent is singular.
     """
-    _check_q_S(q, S)
+    at = _check_q_S(q, S)
     if s == 1.0:
         if N <= 2:
             raise RegimeError("classical variant needs N >= 3")
@@ -125,9 +115,9 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
     if expo_den == 0.0:
         raise DomainError(
             "q/(q-2) equals N/(2s): alpha is singular at the critical exponent")
-    level = (N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), S, q)
+    level = (N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at)
     base = crit_const ** sig / level
-    return _power(base, 1.0 / expo_den, S, q)
+    return _power(base, 1.0 / expo_den, at)
 
 
 def coupling_lambda_interval(alpha: float) -> tuple[float, float]:
@@ -242,8 +232,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Vv, Qv = V.values, Q.values
 
     # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    u, trace, converged = _descend(np.exp(-grid.x ** 2), mult, h, q,
-                                   _GROUND_STATE_TOL, V=Vv, Q=Qv)
+    u, trace, converged = _descend(_initial_field(grid, s, "whole_space", None),
+                                   mult, h, q, _GROUND_STATE_TOL, V=Vv, Q=Qv)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum

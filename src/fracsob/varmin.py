@@ -246,7 +246,9 @@ def _initial_field(grid: Grid, s: float, mode: str,
         u = np.maximum(k0 ** 2 - (x - center) ** 2, 0.0) ** s
         u[~mask] = 0.0
     else:
-        u = np.exp(-x * x)
+        # x*x overflows to inf on a huge box, where exp(-inf) = 0 is the limit
+        with np.errstate(over="ignore"):
+            u = np.exp(-x * x)
     return u
 
 

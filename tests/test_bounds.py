@@ -151,6 +151,14 @@ class TestDilation:
         with pytest.raises(DomainError):
             dilation_transfer(1.0, 0.0, Params(1, 0.25, 2.0, 3.0))
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e300])
+    @pytest.mark.parametrize("params", [Params(1, 0.25, 2.0, 1.01),
+                                        Params(1, 0.5, 2.0, 1.01)])
+    def test_power_out_of_double_range_is_refused(self, lam, params):
+        # lam^expo overflowed with a raw OverflowError, or underflowed to a 0 constant
+        with pytest.raises(DomainError, match="leaves the double range"):
+            dilation_transfer(1.0, lam, params)
+
 
 class TestBorderlineDomain:
     def test_ball_bounds_coincide(self):
@@ -284,6 +292,11 @@ class TestLimiting:
         assert rel(v2 / v1, 2.0 ** (-2.0 / q)) < 1e-14
         p = Params(1, 0.5, 2.0, q)
         assert rel(dilation_transfer(v1, 2.0, p), v2) < 1e-14
+
+    def test_domain_upper_out_of_range_is_refused(self):
+        # R^(-2/q) overflowed a double with a raw OverflowError
+        with pytest.raises(DomainError, match="leaves the double range at q=1.01"):
+            limiting_domain_upper(1.01, 1e-300)
 
     def test_domain_lower(self):
         v = limiting_domain_lower(2.0, 2.0, 1.0)

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import fracsob
+from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.cli import _fmt, run
+from fracsob.constants import Params
 from fracsob.errors import (
     ConvergenceError,
     DomainError,
@@ -180,6 +182,43 @@ def test_underflowing_domain_measure_is_refused(capsys, argv):
     assert f"bad domain '{argv[-1]}'" in err and "underflows to 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--N", "3", "--p", "2", "--s", "0.5", "--q", "1.1",
+     "--domain", "ball:1e-100"],
+    ["bounds", "--N", "3", "--p", "2", "--s", "0.5", "--q", "1.1",
+     "--domain", "ball:1e100"],
+    ["bounds", "--N", "1", "--p", "1", "--s", "0.99", "--q", "1.001",
+     "--domain", "ball:1e-320"],
+    ["bounds", "--N", "1", "--p", "2", "--s", "0.5", "--q", "1.01",
+     "--domain", "interval:0,1e-300"],
+    ["sandwich", "--N", "1", "--p", "2", "--s", "0.5", "--q", "1.01",
+     "--domain", "interval:0,1e-300"],
+    ["bounds", "--N", "1", "--p", "2", "--s", "0.5", "--q", "1.01",
+     "--domain", "interval:-1,1", "--c1", "1e-300"],
+])
+def test_bound_power_out_of_double_range_is_refused(capsys, argv):
+    # a power of the measure, the inradius or C1 ended in a raw OverflowError,
+    # and one that underflowed to 0 in "constant must be finite and positive"
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "\nerror: " in "\n" + err and " leaves the double range at " in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["sandwich", "--s", "0.25", "--q", "3", "--domain", "rn:1e300", "--grid", "256"], 1),
+    (["groundstate", "--box", "1e300", "--grid", "256"], 0),
+])
+def test_huge_box_starts_without_warnings(capsys, argv, code):
+    # x^2 of the start field exp(-x^2) overflowed with numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, _ = run_capture(capsys, argv)
+    assert got == code
+    if argv[0] == "sandwich":
+        assert json.loads(out)["result"]["pass"] is False
+
+
 @pytest.mark.parametrize("domain", ["interval:1", "interval:1,2,3"])
 def test_interval_arity_prints_the_grammar(capsys, domain):
     # said "not enough values to unpack" / "too many values to unpack"
@@ -279,9 +318,12 @@ class TestSandwichCommand:
         assert res["note"] == "bound-only: spectral solver is one-dimensional"
 
     def test_lists_are_refused(self, capsys):
+        # argparse refuses a list as it refuses any value that is not a number
         code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25,0.3", "--q", "3"])
         assert code == 2 and out == ""
-        assert err.startswith("error: sandwich takes a single (s, q)")
+        assert err.startswith("usage: fracsob sandwich ")
+        assert err.endswith(
+            "fracsob sandwich: error: argument --s: invalid float value: '0.25,0.3'\n")
 
     def test_p1_whole_space_bracket_passes(self, capsys):
         # lower 38.8243256133512 is above upper 38.82432561335114 by rounding,
@@ -370,7 +412,35 @@ class TestThresholdsCommand:
         code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.75",
                                               "--q", "3"])
         assert code == 2 and out == ""
-        assert err.startswith("error: no default S available in regime out-of-scope")
+        assert err.startswith("error: no bounds available: "
+                              "params Params(N=1, s=0.75, p=2.0, q=3.0) out of scope\n")
+
+    @pytest.mark.parametrize("N,s,q,C2", [
+        (1, 0.25, 3.0, 1.0), (1, 0.1, 2.4, 1.0), (3, 0.5, 2.5, 1.0), (2, 0.9, 2.5, 1.0),
+        (1, 0.5, 4.0, 0.0), (1, 0.5, 4.0, 0.5)])
+    def test_default_S_is_the_bounds_for_lower_bound(self, capsys, monkeypatch,
+                                                     N, s, q, C2):
+        # thresholds takes its S from one whole-space bounds_for call
+        pairs = []
+
+        def recording(*args, **kwargs):
+            pairs.append(bounds_for(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(fracsob.bounds, "bounds_for", recording)
+        code, out, _ = run_capture(capsys, ["thresholds", "--N", str(N), "--s", str(s),
+                                            "--q", str(q), "--c2", str(C2)])
+        assert code == 0
+        assert pairs == [bounds_for(Params(N, s, 2.0, q), DomainSpec.whole_space(N=N),
+                                    C2=C2)]
+        assert json.loads(out)["result"]["S"] == pairs[0].lower.value
+
+    def test_limiting_q_below_2_is_refused(self, capsys):
+        # said "q must be > 2, got 1.5", from the threshold formulas
+        code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
+                                              "--q", "1.5"])
+        assert code == 2 and out == ""
+        assert "\nerror: limiting whole-space bounds need q >= 2\n" in err
 
 
 class TestGroundstateCommand:
@@ -448,17 +518,21 @@ def test_unparsable_number_list_is_usage_error(capsys, argv):
     assert "error: " in err and "--q" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["constants", "--s", "abc", "--which", "lieb"],
-    ["bounds", "--s", "0.25,0.3"],
-    ["sweep", "--s", "0.25,x"],
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["constants", "--s", "abc", "--which", "lieb"],
+                 "invalid float value: 'abc'", id="argv0"),
+    pytest.param(["bounds", "--s", "0.25,0.3"], "invalid float value: '0.25,0.3'",
+                 id="argv1"),
+    pytest.param(["sweep", "--s", "0.25,x"], "expected a number or a comma-separated "
+                 "list of numbers, got '0.25,x'", id="argv2"),
 ])
-def test_unparsable_s_is_usage_error(capsys, argv):
-    # --s is parsed like --q: a list on sweep, one number everywhere else
+def test_unparsable_s_is_usage_error(capsys, argv, message):
+    # argparse types --s like --q: a list on sweep, one float everywhere else
     code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "--s" in err
+    assert err.startswith(f"usage: fracsob {argv[0]} ")
+    assert err.endswith(f"fracsob {argv[0]}: error: argument --s: {message}\n")
 
 
 def test_groundstate_has_no_tol(capsys):
