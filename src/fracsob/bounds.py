@@ -12,6 +12,10 @@ Three regimes are covered (see `constants.Regime`):
   exponential-integrability lower bounds, the latter carrying the caller
   supplied Trudinger-Moser constants C1 (domain) and C2 (whole space).
 
+`bounds_for` is the one entry to these formulas: it checks each input fact
+once (scope, the domain's dimension, C1 and C2) and dispatches to one private
+formula per regime and domain kind.
+
 Every bound holds for 1 <= q below the critical exponent, the scope of
 `Params.regime()`.  All q-dependent exponents are evaluated through
 `_inv_gap` as fused differences to avoid cancellation near the critical
@@ -43,14 +47,6 @@ __all__ = [
     "BoundPair",
     "dilation_transfer",
     "young_lower",
-    "borderline_domain_bounds",
-    "borderline_wholespace_bounds",
-    "hilbert_domain_bounds",
-    "hilbert_wholespace_bounds",
-    "limiting_domain_upper",
-    "limiting_domain_lower",
-    "limiting_wholespace_upper",
-    "limiting_wholespace_lower",
     "bounds_for",
 ]
 
@@ -191,16 +187,6 @@ def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     return eps, rho
 
 
-def _require(params: Params, regime: Regime, domain: DomainSpec | None = None) -> None:
-    """Admit params inside `regime` and, where given, a bounded domain in R^N."""
-    if params.regime() is not regime:
-        raise RegimeError(f"params {params} outside the {regime.value} regime")
-    if domain is not None and not domain.bounded:
-        raise RegimeError(f"{regime.value} domain bounds need a bounded domain")
-    if domain is not None and domain.dim != params.N:
-        raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
-
-
 def _pair(key: str, lo: float, up: float, rel: float = _EVAL_EPS,
           floor: float = 0.0) -> BoundPair:
     """The bracket [lo, up] with provenances key-lower / key-upper and error
@@ -222,10 +208,9 @@ def _exact_one(key: str) -> BoundPair:
 # ---------------------------------------------------------------------------
 # borderline case p = 1
 
-def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
+def _borderline_domain(params: Params, domain: DomainSpec) -> BoundPair:
     """p=1 bounds on a bounded domain; they coincide when the domain is a
     ball, where the constant is attained by a characteristic function."""
-    _require(params, Regime.BORDERLINE, domain)
     S = frac_isoperimetric(params.N, params.s)
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
     at = f"{params} on {domain}"
@@ -235,11 +220,10 @@ def borderline_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
                  rel=S.error_estimate / S.value, floor=_EVAL_EPS)
 
 
-def borderline_wholespace_bounds(params: Params) -> BoundPair:
+def _borderline_wholespace(params: Params) -> BoundPair:
     """p=1 whole-space bounds.  q=1 gives exactly 1; for 1 < q < crit the
     interpolation lower bound and the char-ball upper bound are evaluated
     independently (they agree analytically, pinning the constant)."""
-    _require(params, Regime.BORDERLINE)
     N, s, q = params.N, params.s, params.q
     if q == 1.0:
         return _exact_one("borderline-rn-q1")
@@ -260,10 +244,9 @@ def borderline_wholespace_bounds(params: Params) -> BoundPair:
 # ---------------------------------------------------------------------------
 # Hilbert case p = 2, N > 2s
 
-def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
+def _hilbert_domain(params: Params, domain: DomainSpec) -> BoundPair:
     """p=2 bounds on a bounded domain: Hoelder lower bound against the
     critical constant, bump-profile upper bound through the inradius."""
-    _require(params, Regime.HILBERT, domain)
     N, s, q = params.N, params.s, params.q
     crit = params.critical_exponent
     Ss = frac_sobolev_hilbert(N, s).value
@@ -276,10 +259,9 @@ def hilbert_domain_bounds(params: Params, domain: DomainSpec) -> BoundPair:
     return _pair("hilbert-domain", lo, up)
 
 
-def hilbert_wholespace_bounds(params: Params) -> BoundPair:
+def _hilbert_wholespace(params: Params) -> BoundPair:
     """p=2 whole-space bounds for 2 <= q < crit: q=2 is exactly 1; otherwise
     the Young-interpolation lower bound and the bump-family upper bound."""
-    _require(params, Regime.HILBERT)
     N, s, q = params.N, params.s, params.q
     if q < 2.0:
         raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
@@ -303,90 +285,64 @@ def hilbert_wholespace_bounds(params: Params) -> BoundPair:
 # ---------------------------------------------------------------------------
 # limiting case s = 1/2, p = 2, N = 1
 
-def limiting_domain_upper(q: float, R_omega: float) -> ConstantValue:
-    """Truncated-log upper bound 2^(1-2/q) pi e / q * R^(-2/q), q >= 1."""
-    if not q >= 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if not R_omega > 0.0:
-        raise DomainError(f"inradius must be positive, got {R_omega}")
-    val = (2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q
-           * _power(R_omega, -2.0 / q, f"q={q!r} in limiting_domain_upper"))
-    return ConstantValue(val, ConstantKind.BOUND_UPPER, "limiting-domain-upper",
-                         error_estimate=_EVAL_EPS * val)
-
-
-def limiting_domain_lower(q: float, measure: float, C1: float = 1.0) -> ConstantValue:
+def _limiting_domain(params: Params, domain: DomainSpec, C1: float) -> BoundPair:
     """Exponential-integrability lower bound
-    C1^(-2/q) pi Gamma(q/2+1)^(-2/q) |Omega|^(-2/q).
+    C1^(-2/q) pi Gamma(q/2+1)^(-2/q) |Omega|^(-2/q) and truncated-log upper
+    bound 2^(1-2/q) pi e / q * R^(-2/q), R the inradius.
 
     C1 is the domain Trudinger-Moser constant, supplied by the caller (the
-    literature provides existence, not a numeric value); defaults to 1."""
-    if not q >= 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if not measure > 0.0:
-        raise DomainError(f"measure must be positive, got {measure}")
-    if not 0.0 < C1 < math.inf:
-        raise DomainError(f"C1 must be finite and positive, got {C1}")
-    at = f"q={q!r} in limiting_domain_lower"
-    val = (_power(C1, -2.0 / q, at) * math.pi
-           * math.exp(-(2.0 / q) * ln_gamma(q / 2.0 + 1.0))
-           * _power(measure, -2.0 / q, at))
-    return ConstantValue(val, ConstantKind.BOUND_LOWER, "limiting-domain-lower",
-                         error_estimate=_EVAL_EPS * val)
+    literature provides existence, not a numeric value)."""
+    q = params.q
+    at = f"{params} on {domain}"
+    lo = (_power(C1, -2.0 / q, at) * math.pi
+          * math.exp(-(2.0 / q) * ln_gamma(q / 2.0 + 1.0))
+          * _power(domain.measure, -2.0 / q, at))
+    up = (2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q
+          * _power(domain.inradius, -2.0 / q, at))
+    return _pair("limiting-domain", lo, up)
 
 
-def limiting_wholespace_upper(q: float) -> ConstantValue:
-    """Truncated-log whole-space upper bound
-    2^(1-4/q) pi^(1-2/q) q (q-2)^(4/q-2) e^((q-2)/q), q > 2."""
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2 (at q = 2 the constant is exactly 1; "
-                          f"see bounds_for), got {q}")
-    val = (2.0 ** (1.0 - 4.0 / q) * math.pi ** (1.0 - 2.0 / q) * q
-           * (q - 2.0) ** (4.0 / q - 2.0) * math.exp((q - 2.0) / q))
-    return ConstantValue(val, ConstantKind.BOUND_UPPER, "limiting-rn-upper",
-                         error_estimate=_EVAL_EPS * val)
-
-
-def limiting_wholespace_lower(q: float, C2: float = 1.0) -> ConstantValue:
-    """Whole-space lower bound
-    [(C2+2) pi^(-q/2) Gamma(q/2+1) + 2^(2-q/2)/(q-2)]^(-2/q), q > 2.
-
-    C2 is the whole-space Trudinger-Moser constant (caller supplied,
-    default 1)."""
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
-    if not 0.0 <= C2 < math.inf:
-        raise DomainError(f"C2 must be finite and nonnegative, got {C2}")
+def _limiting_wholespace(params: Params, C2: float) -> BoundPair:
+    """Whole-space bounds for q >= 2: q=2 is exactly 1; otherwise the lower
+    bound [(C2+2) pi^(-q/2) Gamma(q/2+1) + 2^(2-q/2)/(q-2)]^(-2/q), C2 the
+    whole-space Trudinger-Moser constant (caller supplied), and the
+    truncated-log upper bound 2^(1-4/q) pi^(1-2/q) q (q-2)^(4/q-2) e^((q-2)/q)."""
+    q = params.q
+    if q < 2.0:
+        raise RegimeError("limiting whole-space bounds need q >= 2")
+    if q == 2.0:
+        return _exact_one("limiting-rn-q2")
     # log-space evaluation keeps Gamma(q/2+1) usable at large q
     t1 = math.log(C2 + 2.0) - (q / 2.0) * math.log(math.pi) + ln_gamma(q / 2.0 + 1.0)
     t2 = (2.0 - q / 2.0) * math.log(2.0) - math.log(q - 2.0)
     m = max(t1, t2)
-    val = math.exp(-(2.0 / q) * (m + math.log(math.exp(t1 - m) + math.exp(t2 - m))))
-    return ConstantValue(val, ConstantKind.BOUND_LOWER, "limiting-rn-lower",
-                         error_estimate=_EVAL_EPS * val)
+    lo = math.exp(-(2.0 / q) * (m + math.log(math.exp(t1 - m) + math.exp(t2 - m))))
+    up = (2.0 ** (1.0 - 4.0 / q) * math.pi ** (1.0 - 2.0 / q) * q
+          * (q - 2.0) ** (4.0 / q - 2.0) * math.exp((q - 2.0) / q))
+    return _pair("limiting-rn", lo, up)
 
 
 def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 1.0
                ) -> BoundPair:
-    """Dispatch to the bound pair matching the parameter regime and domain."""
+    """The bound pair matching the parameter regime and domain.  C1 and C2,
+    read only by the limiting lower bounds, are checked at every point."""
+    if not 0.0 < C1 < math.inf:
+        raise DomainError(f"C1 must be finite and positive, got {C1}")
+    if not 0.0 <= C2 < math.inf:
+        raise DomainError(f"C2 must be finite and nonnegative, got {C2}")
     regime = params.regime()
+    if regime is Regime.OUT_OF_SCOPE:
+        raise RegimeError(f"no bounds available: params {params} out of scope")
+    if domain.bounded:
+        if domain.dim != params.N:
+            raise DomainError(f"domain dimension {domain.dim} != N={params.N}")
+        if regime is Regime.BORDERLINE:
+            return _borderline_domain(params, domain)
+        if regime is Regime.HILBERT:
+            return _hilbert_domain(params, domain)
+        return _limiting_domain(params, domain, C1)
     if regime is Regime.BORDERLINE:
-        if domain.bounded:
-            return borderline_domain_bounds(params, domain)
-        return borderline_wholespace_bounds(params)
+        return _borderline_wholespace(params)
     if regime is Regime.HILBERT:
-        if domain.bounded:
-            return hilbert_domain_bounds(params, domain)
-        return hilbert_wholespace_bounds(params)
-    if regime is Regime.LIMITING:
-        q = params.q
-        if domain.bounded:
-            _require(params, regime, domain)
-            return BoundPair(limiting_domain_lower(q, domain.measure, C1),
-                             limiting_domain_upper(q, domain.inradius))
-        if q == 2.0:
-            return _exact_one("limiting-rn-q2")
-        if q < 2.0:
-            raise RegimeError("limiting whole-space bounds need q >= 2")
-        return BoundPair(limiting_wholespace_lower(q, C2), limiting_wholespace_upper(q))
-    raise RegimeError(f"no bounds available: params {params} out of scope")
+        return _hilbert_wholespace(params)
+    return _limiting_wholespace(params, C2)

@@ -322,8 +322,12 @@ def _thresholds(args) -> _Outcome:
                 else "S = whole-space lower bound at supplied C2")
     c_star = pde.ps_level(args.q, S)
     hthr, lthr = pde.existence_thresholds(args.q, S)
-    f3 = pde.growth_coefficient(args.q, S) if regime is Regime.LIMITING else None
-    alpha = lam_lo = None
+    f3 = alpha = lam_lo = None
+    if regime is Regime.LIMITING:
+        try:
+            f3 = pde.growth_coefficient(args.q, S)
+        except DomainError:   # ps_level checked q and S: only the range is left
+            note += "; f3_coeff not reported: (q/2) S^(q/2) leaves the double range"
     if regime is Regime.HILBERT:
         alpha = pde.coupling_alpha(args.N, args.s, args.q, S)
         if 0.0 < alpha < 1.0:
@@ -338,10 +342,8 @@ def _groundstate(args) -> _Outcome:
     grid = Grid(half_width=args.box, points=args.grid)
     V = _parse_field(args.V, grid)
     Q = _parse_field(args.Q, grid)
-    pde.check_weight_hypotheses(Q)
-    pde.check_potential_hypotheses(V)
-    res = varmin.minimize_quotient(grid, None, args.s, args.q, "whole_space")
     u0, I0, rep = pde.ground_state_solve(grid, args.s, args.q, V, Q)
+    res = varmin.minimize_quotient(grid, None, args.s, args.q, "whole_space")
     hthr, lthr = pde.existence_thresholds(args.q, res.estimate)
     result = {
         "I0": I0, "iterations": rep.iterations, "converged": rep.converged,

@@ -213,7 +213,7 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Barzilai-Borwein step in the P-metric and Armijo backtracking) from
     exp(-x^2), which takes a few dozen iterations whatever the grid and at
     most `varmin._MAX_ITERS`.  Returns (u0, I0, report) with
-    u0 = (2 I0)^(1/(q-2)) u.
+    u0 = (2 I0)^(1/(q-2)) u.  V and Q outside their hypotheses are refused.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
@@ -222,8 +222,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     V.same_grid(Q)
     if V.grid != grid:
         raise GridError("V and Q must live on the solver grid")
-    if np.min(V.values) <= 0.0 or np.min(Q.values) <= 0.0:
-        raise DomainError("V and Q must be positive fields")
+    check_weight_hypotheses(Q)
+    check_potential_hypotheses(V)
 
     h = grid.spacing
     # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the descent, the residual

@@ -52,6 +52,9 @@ def run_validation() -> list[CheckResult]:
     def check(name: str, passed: bool, detail: str) -> None:
         out.append(CheckResult(name, bool(passed), detail))
 
+    def rn(params: Params) -> bounds.BoundPair:   # the whole-space bracket
+        return bounds.bounds_for(params, bounds.DomainSpec.whole_space(N=params.N))
+
     # special functions
     rng = np.random.default_rng(20240809)
     xs = np.exp(rng.uniform(math.log(0.1), math.log(50.0), 500))
@@ -104,7 +107,7 @@ def run_validation() -> list[CheckResult]:
     ok = all(constants.mazya_lower(N, s, 2.0).value <= constants.lieb_constant(N, s).value
              for N in (1, 2, 3) for s in (0.1, 0.25, 0.45) if N > 2 * s)
     check("mazya-below-lieb", ok, "sampled (N,s) grid")
-    ok = all(constants.lieb_loss_lower(q).value <= bounds.limiting_wholespace_upper(q).value
+    ok = all(constants.lieb_loss_lower(q).value <= rn(Params(1, 0.5, 2.0, q)).upper.value
              for q in (2.5, 3.0, 4.0, 8.0, 16.0, 64.0))
     check("lieb-loss-below-upper", ok, "q in {2.5,...,64}")
 
@@ -118,18 +121,18 @@ def run_validation() -> list[CheckResult]:
     check("dilation-critical-invariance", abs(c - 2.3) <= 1e-14, f"got {c!r}")
 
     # exact endpoints
-    one = bounds.borderline_wholespace_bounds(Params(2, 0.3, 1.0, 1.0))
+    one = rn(Params(2, 0.3, 1.0, 1.0))
     ok = one.lower.value == 1.0 and one.upper.value == 1.0
-    two = bounds.hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 2.0))
+    two = rn(Params(1, 0.25, 2.0, 2.0))
     ok = ok and two.lower.value == 1.0 and two.upper.value == 1.0
-    lim = bounds.bounds_for(Params(1, 0.5, 2.0, 2.0), bounds.DomainSpec.whole_space())
+    lim = rn(Params(1, 0.5, 2.0, 2.0))
     ok = ok and lim.lower.value == 1.0 and lim.upper.value == 1.0
     check("exact-endpoints", ok, "q=1 (p=1), q=2 (p=2), q=2 (limiting)")
 
     # the p=1 whole-space bracket is exact (lower meets upper)
     worst = 0.0
     for (N, s, q) in [(1, 0.5, 1.5), (2, 0.3, 1.1), (3, 0.7, 1.25)]:
-        bp = bounds.borderline_wholespace_bounds(Params(N, s, 1.0, q))
+        bp = rn(Params(N, s, 1.0, q))
         worst = max(worst, abs(bp.upper.value - bp.lower.value) / bp.upper.value)
     check("borderline-rn-exact-bracket", worst <= 1e-10, f"worst gap {worst:.2e}")
 
@@ -141,7 +144,7 @@ def run_validation() -> list[CheckResult]:
     (k1,), m1 = rayleigh.objective_minimizer(rayleigh.Objective.CHAR_BALL, p1)
     k1g = _golden_min(lambda k: rayleigh.objective_value(
         rayleigh.Objective.CHAR_BALL, p1, k), 1e-3, 1e3)
-    up1 = bounds.borderline_wholespace_bounds(p1).upper.value
+    up1 = rn(p1).upper.value
     check("char-ball-minimizer",
           abs(k1 - k1g) / k1 <= 2e-7 and abs(m1 - up1) / up1 <= 1e-12,
           f"k*={k1:.8f} vs search {k1g:.8f}; min matches upper bound")
@@ -149,15 +152,16 @@ def run_validation() -> list[CheckResult]:
     (k2,), m2 = rayleigh.objective_minimizer(rayleigh.Objective.BUMP, p2)
     k2g = _golden_min(lambda k: rayleigh.objective_value(
         rayleigh.Objective.BUMP, p2, k), 1e-3, 1e2)
-    up2 = bounds.hilbert_wholespace_bounds(p2).upper.value
+    up2 = rn(p2).upper.value
     check("bump-minimizer",
           abs(k2 - k2g) / k2 <= 2e-7 and abs(m2 - up2) / up2 <= 1e-12,
           f"k*={k2:.8f} vs search {k2g:.8f}; min matches upper bound")
     p3 = Params(1, 0.5, 2.0, 4.0)
     (k3, K3), m3 = rayleigh.objective_minimizer(rayleigh.Objective.MOSER_BALL, p3)
-    up3 = bounds.limiting_domain_upper(4.0, 1.0).value
+    unit = bounds.DomainSpec.interval(-1.0, 1.0)
+    up3 = bounds.bounds_for(p3, unit).upper.value
     (k4, K4), m4 = rayleigh.objective_minimizer(rayleigh.Objective.MOSER_LINE, p3)
-    up4 = bounds.limiting_wholespace_upper(4.0).value
+    up4 = rn(p3).upper.value
     check("moser-minimizers",
           abs(m3 - up3) / up3 <= 1e-12 and abs(m4 - up4) / up4 <= 1e-12,
           f"ball min {m3:.8f} vs {up3:.8f}; line min {m4:.8f} vs {up4:.8f}")
@@ -167,15 +171,16 @@ def run_validation() -> list[CheckResult]:
     crit = Params(N, s, 2.0, q).critical_exponent
     lam = N / s * (1.0 / q - 1.0 / crit)
     _, rho = bounds.young_lower(lam, constants.frac_sobolev_hilbert(N, s).value)
-    lo = bounds.hilbert_wholespace_bounds(Params(N, s, 2.0, q)).lower.value
+    lo = rn(Params(N, s, 2.0, q)).lower.value
     check("young-reproduces-lower", abs(1.0 / rho - lo) / lo <= 1e-12,
           f"1/rho={1/rho!r} vs {lo!r}")
 
     # limiting-case asymptotics: q * bound -> 2 pi e
     qd = 1000.0
-    r1 = qd * bounds.limiting_domain_upper(qd, 1.0).value / _2PIE
-    r2 = 1e6 * bounds.limiting_wholespace_upper(1e6).value / _2PIE
-    r3 = 1e6 * bounds.limiting_wholespace_lower(1e6, 1.0).value / _2PIE
+    r1 = qd * bounds.bounds_for(Params(1, 0.5, 2.0, qd), unit).upper.value / _2PIE
+    big = rn(Params(1, 0.5, 2.0, 1e6))
+    r2 = 1e6 * big.upper.value / _2PIE
+    r3 = 1e6 * big.lower.value / _2PIE
     check("limiting-asymptotics",
           abs(r1 - 1.0) <= 5e-3 and abs(r2 - 1.0) <= 1e-4 and abs(r3 - 1.0) <= 1e-4,
           f"q*bound/2pie: domain(1e3)={r1:.5f}, rn-up(1e6)={r2:.6f}, rn-lo(1e6)={r3:.6f}")

@@ -7,14 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsob.bounds import (
-    DomainSpec,
-    borderline_wholespace_bounds,
-    bounds_for,
-    hilbert_wholespace_bounds,
-    limiting_domain_upper,
-    limiting_wholespace_upper,
-)
+from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.constants import (
     Params,
     classical_sobolev,
@@ -50,10 +43,19 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def rn(params):
+    return bounds_for(params, DomainSpec.whole_space(N=params.N))
+
+
+def interval_upper(q, R):
+    """The limiting-case upper bound on the interval (-R, R)."""
+    return bounds_for(Params(1, 0.5, 2.0, q), DomainSpec.interval(-R, R)).upper.value
+
+
 def test_criterion_01_exact_endpoints():
-    b1 = borderline_wholespace_bounds(Params(2, 0.3, 1.0, 1.0))
-    b2 = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 2.0))
-    b3 = bounds_for(Params(1, 0.5, 2.0, 2.0), DomainSpec.whole_space())
+    b1 = rn(Params(2, 0.3, 1.0, 1.0))
+    b2 = rn(Params(1, 0.25, 2.0, 2.0))
+    b3 = rn(Params(1, 0.5, 2.0, 2.0))
     ok = (b1.lower.value == 1.0 and b1.upper.value == 1.0
           and b2.lower.value == 1.0 and b2.upper.value == 1.0
           and b3.lower.value == 1.0 and b3.upper.value == 1.0)
@@ -139,7 +141,7 @@ def test_criterion_06_minimizer_correctness():
 
     k1_star = _golden_mp(g1, mp.mpf(1), mp.mpf(200), mp)
     ok = ok and abs(k1 - float(k1_star)) / float(k1_star) <= 1e-8
-    up1 = borderline_wholespace_bounds(p1).upper.value
+    up1 = rn(p1).upper.value
     ok = ok and rel(m1, up1) <= 1e-12
 
     # bump family at (1, 1/4, 3)
@@ -160,7 +162,7 @@ def test_criterion_06_minimizer_correctness():
 
     k2_star = _golden_mp(g2, mp.mpf("0.01"), mp.mpf(10), mp)
     ok = ok and abs(k2 - float(k2_star)) / float(k2_star) <= 1e-8
-    up2 = hilbert_wholespace_bounds(p2).upper.value
+    up2 = rn(p2).upper.value
     ok = ok and rel(m2, up2) <= 1e-12
 
     # truncated-log families at q = 4
@@ -173,7 +175,7 @@ def test_criterion_06_minimizer_correctness():
 
     k3_star = _golden_mp(g3, mp.mpf("1e-4"), mp.mpf("0.99"), mp)
     ok = ok and abs(k3 - float(k3_star)) / float(k3_star) <= 1e-8 and K3 == 1.0
-    ok = ok and rel(m3, limiting_domain_upper(4.0, 1.0).value) <= 1e-12
+    ok = ok and rel(m3, interval_upper(4.0, 1.0)) <= 1e-12
 
     (k4, K4), m4 = objective_minimizer(Objective.MOSER_LINE, p3)
 
@@ -190,7 +192,7 @@ def test_criterion_06_minimizer_correctness():
     kk = inner_argmin(KK)
     ok = ok and abs(k4 - float(kk)) / float(kk) <= 1e-8
     ok = ok and abs(K4 - float(KK)) / float(KK) <= 1e-8
-    ok = ok and rel(m4, limiting_wholespace_upper(4.0).value) <= 1e-12
+    ok = ok and rel(m4, rn(p3).upper.value) <= 1e-12
 
     report(6, "g-minimizers-golden-1e-8-values-1e-12", ok)
 
@@ -216,7 +218,7 @@ def test_criterion_07_sandwich_verification():
 
 
 def test_criterion_08_limiting_asymptotics():
-    ok = 1000.0 * limiting_domain_upper(1000.0, 1.0).value == pytest.approx(
+    ok = 1000.0 * interval_upper(1000.0, 1.0) == pytest.approx(
         TWO_PI_E, rel=5e-3)
     grid = Grid(half_width=10.0, points=16384)
     res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space")
@@ -259,7 +261,7 @@ def test_criterion_11_alpha_threshold():
         crit = 2.0 * N / (N - 2.0 * s)
         for frac in (0.3, 0.5, 0.7, 0.9):
             q = 2.0 + (crit - 2.0) * frac
-            S = hilbert_wholespace_bounds(Params(N, s, 2.0, q)).lower.value
+            S = rn(Params(N, s, 2.0, q)).lower.value
             a = coupling_alpha(N, s, q, S)
             ok = ok and 0.0 < a < 1.0 and 0.0 < math.sqrt(1.0 - a) < 1.0
             pts += 1
@@ -291,5 +293,5 @@ def test_criterion_13_literature_bound_consistency():
                              <= lieb_constant(N, s).value)
     for q in (2.5, 3.0, 4.0, 8.0, 16.0, 64.0):
         ok = ok and (lieb_loss_lower(q).value
-                     <= limiting_wholespace_upper(q).value)
+                     <= rn(Params(1, 0.5, 2.0, q)).upper.value)
     report(13, "literature-bounds-consistent", ok)

@@ -7,16 +7,8 @@ import pytest
 from fracsob.bounds import (
     BoundPair,
     DomainSpec,
-    borderline_domain_bounds,
-    borderline_wholespace_bounds,
     bounds_for,
     dilation_transfer,
-    hilbert_domain_bounds,
-    hilbert_wholespace_bounds,
-    limiting_domain_lower,
-    limiting_domain_upper,
-    limiting_wholespace_lower,
-    limiting_wholespace_upper,
     young_lower,
 )
 from fracsob.constants import (
@@ -33,6 +25,17 @@ TWO_PI_E = 17.079468445347134
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def rn(params, C2=1.0):
+    """The whole-space bracket at params."""
+    return bounds_for(params, DomainSpec.whole_space(N=params.N), C2=C2)
+
+
+def limiting(q, R, C1=1.0):
+    """The limiting-case bracket at q on the interval (-R, R): measure 2R,
+    inradius R."""
+    return bounds_for(Params(1, 0.5, 2.0, q), DomainSpec.interval(-R, R), C1=C1)
 
 
 class TestDomainSpec:
@@ -163,34 +166,26 @@ class TestDilation:
 class TestBorderlineDomain:
     def test_ball_bounds_coincide(self):
         p = Params(2, 0.5, 1.0, 1.2)
-        bp = borderline_domain_bounds(p, DomainSpec.ball(1.0, 2))
+        bp = bounds_for(p, DomainSpec.ball(1.0, 2))
         assert rel(bp.lower.value, bp.upper.value) < 1e-12
 
     def test_interval_lower_value(self):
         p = Params(1, 0.5, 1.0, 1.5)
-        bp = borderline_domain_bounds(p, DomainSpec.interval(-1.0, 1.0))
+        bp = bounds_for(p, DomainSpec.interval(-1.0, 1.0))
         assert rel(bp.lower.value, 14.254379490245429) < 1e-9
         assert rel(bp.lower.value, bp.upper.value) < 1e-12  # 1-D interval is a ball
 
     def test_critical_limit(self):
         p = Params(1, 0.5, 1.0, 2.0 - 1e-8)  # q -> crit = 2
-        bp = borderline_domain_bounds(p, DomainSpec.interval(-2.0, 3.0))
+        bp = bounds_for(p, DomainSpec.interval(-2.0, 3.0))
         S = frac_isoperimetric(1, 0.5).value
         assert rel(bp.lower.value, S) < 1e-6
         assert rel(bp.upper.value, S) < 1e-6
 
-    def test_regime_errors(self):
-        with pytest.raises(RegimeError):
-            borderline_domain_bounds(Params(1, 0.25, 2.0, 3.0),
-                                     DomainSpec.interval(-1, 1))
-        with pytest.raises(RegimeError):
-            borderline_domain_bounds(Params(1, 0.5, 1.0, 1.5),
-                                     DomainSpec.whole_space())
-
 
 class TestBorderlineWholespace:
     def test_q1_exact(self):
-        bp = borderline_wholespace_bounds(Params(2, 0.3, 1.0, 1.0))
+        bp = rn(Params(2, 0.3, 1.0, 1.0))
         assert bp.lower.value == 1.0 and bp.upper.value == 1.0
 
     def test_lower_equals_upper(self):
@@ -198,51 +193,51 @@ class TestBorderlineWholespace:
         # two displayed expressions agree: the constant is exact
         for (N, s, q) in [(1, 0.5, 1.5), (1, 0.25, 1.2), (2, 0.3, 1.1),
                           (3, 0.7, 1.25)]:
-            bp = borderline_wholespace_bounds(Params(N, s, 1.0, q))
+            bp = rn(Params(N, s, 1.0, q))
             assert rel(bp.lower.value, bp.upper.value) < 1e-10
 
     def test_value_at_example_point(self):
-        bp = borderline_wholespace_bounds(Params(1, 0.5, 1.0, 1.5))
+        bp = rn(Params(1, 0.5, 1.0, 1.5))
         assert rel(bp.lower.value, 12.0) < 1e-10
 
     def test_critical_limit(self):
         p = Params(1, 0.5, 1.0, 2.0 - 1e-8)
-        bp = borderline_wholespace_bounds(p)
+        bp = rn(p)
         assert rel(bp.upper.value, frac_isoperimetric(1, 0.5).value) < 1e-6
 
 
 class TestHilbertDomain:
     def test_lower_value(self):
         p = Params(1, 0.25, 2.0, 3.0)
-        bp = hilbert_domain_bounds(p, DomainSpec.interval(-1.0, 1.0))
+        bp = bounds_for(p, DomainSpec.interval(-1.0, 1.0))
         assert rel(bp.lower.value, 0.75478105123467856) < 1e-13
 
     def test_upper_equals_bump_quotient_at_k1(self):
         p = Params(1, 0.25, 2.0, 3.0)
-        bp = hilbert_domain_bounds(p, DomainSpec.interval(-1.0, 1.0))
+        bp = bounds_for(p, DomainSpec.interval(-1.0, 1.0))
         quot = bump_seminorm_sq(1, 0.25, 1.0) / bump_lq_norm(1, 0.25, 3.0, 1.0) ** 2
         assert rel(bp.upper.value, quot) < 1e-10
 
     def test_critical_limit_lower(self):
         Ss = frac_sobolev_hilbert(1, 0.25).value
         p = Params(1, 0.25, 2.0, 4.0 - 1e-9)
-        bp = hilbert_domain_bounds(p, DomainSpec.interval(-3.0, 1.0))
+        bp = bounds_for(p, DomainSpec.interval(-3.0, 1.0))
         assert rel(bp.lower.value, Ss) < 1e-6
 
 
 class TestHilbertWholespace:
     def test_q2_exact(self):
-        bp = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 2.0))
+        bp = rn(Params(1, 0.25, 2.0, 2.0))
         assert bp.lower.value == 1.0 and bp.upper.value == 1.0
 
     def test_values(self):
-        bp = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0))
+        bp = rn(Params(1, 0.25, 2.0, 3.0))
         assert rel(bp.lower.value, 1.6921142935014347) < 1e-13
         assert rel(bp.upper.value, 2.3089394933011245) < 1e-13
 
     def test_lower_to_critical_constant(self):
         Ss = frac_sobolev_hilbert(1, 0.25).value
-        bp = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 4.0 - 1e-8))
+        bp = rn(Params(1, 0.25, 2.0, 4.0 - 1e-8))
         assert rel(bp.lower.value, Ss) < 1e-6
 
     def test_young_reproduces_lower(self):
@@ -250,91 +245,101 @@ class TestHilbertWholespace:
         p = Params(N, s, 2.0, q)
         lam = N / s * (1.0 / q - 1.0 / p.critical_exponent)
         _, rho = young_lower(lam, frac_sobolev_hilbert(N, s).value)
-        bp = hilbert_wholespace_bounds(p)
+        bp = rn(p)
         assert rel(1.0 / rho, bp.lower.value) < 1e-14
 
     def test_q_below_2_rejected(self):
         with pytest.raises(RegimeError):
-            hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 1.5))
+            rn(Params(1, 0.25, 2.0, 1.5))
 
 
 # q exactly at the critical exponent is outside every regime, as in
 # Params.regime(); these returned collapsed or finite brackets
-@pytest.mark.parametrize("bound,p,crit,domain", [
-    (borderline_domain_bounds, 1.0, 2.0, DomainSpec.interval(-1.0, 1.0)),
-    (borderline_wholespace_bounds, 1.0, 2.0, None),
-    (hilbert_domain_bounds, 2.0, 4.0, DomainSpec.interval(-1.0, 1.0)),
-    (hilbert_wholespace_bounds, 2.0, 4.0, None),
+@pytest.mark.parametrize("p,crit,domain", [
+    (1.0, 2.0, DomainSpec.interval(-1.0, 1.0)),
+    (1.0, 2.0, DomainSpec.whole_space()),
+    (2.0, 4.0, DomainSpec.interval(-1.0, 1.0)),
+    (2.0, 4.0, DomainSpec.whole_space()),
 ], ids=["borderline-domain", "borderline-rn", "hilbert-domain", "hilbert-rn"])
-def test_exactly_critical_q_is_refused(bound, p, crit, domain):
+def test_exactly_critical_q_is_refused(p, crit, domain):
     s = 0.5 if p == 1.0 else 0.25
     params = Params(1, s, p, crit)
     assert params.critical_exponent == crit
-    with pytest.raises(RegimeError, match="outside the"):
-        bound(params, *([domain] if domain else []))
     with pytest.raises(RegimeError):
-        bounds_for(params, domain or DomainSpec.whole_space())
+        bounds_for(params, domain)
+
+
+# C1 and C2 are read only by the limiting lower bounds; a bad one was
+# accepted at every other point
+@pytest.mark.parametrize("params", [Params(1, 0.25, 2.0, 3.0), Params(1, 0.5, 1.0, 1.5)],
+                         ids=["hilbert", "borderline"])
+@pytest.mark.parametrize("constant,value", [
+    ("C1", 0.0), ("C1", math.nan), ("C1", math.inf),
+    ("C2", -1.0), ("C2", math.nan), ("C2", math.inf)])
+def test_bad_trudinger_moser_constant_is_refused_at_every_point(params, constant, value):
+    for domain in (DomainSpec.interval(-1.0, 1.0), DomainSpec.whole_space()):
+        with pytest.raises(DomainError, match=f"^{constant} must be finite"):
+            bounds_for(params, domain, **{constant: value})
 
 
 class TestLimiting:
     def test_domain_upper_value(self):
-        v = limiting_domain_upper(4.0, 1.0)
+        v = limiting(4.0, 1.0).upper
         assert rel(v.value, 3.0192519891916547) < 1e-14
 
     def test_domain_upper_asymptotics(self):
-        got = 1000.0 * limiting_domain_upper(1000.0, 1.0).value
+        got = 1000.0 * limiting(1000.0, 1.0).upper.value
         assert rel(got, TWO_PI_E) < 5e-3
 
     def test_radius_scaling_matches_dilation(self):
         q = 5.0
-        v1 = limiting_domain_upper(q, 1.0).value
-        v2 = limiting_domain_upper(q, 2.0).value
+        v1 = limiting(q, 1.0).upper.value
+        v2 = limiting(q, 2.0).upper.value
         assert rel(v2 / v1, 2.0 ** (-2.0 / q)) < 1e-14
         p = Params(1, 0.5, 2.0, q)
         assert rel(dilation_transfer(v1, 2.0, p), v2) < 1e-14
 
     def test_domain_upper_out_of_range_is_refused(self):
-        # R^(-2/q) overflowed a double with a raw OverflowError
-        with pytest.raises(DomainError, match="leaves the double range at q=1.01"):
-            limiting_domain_upper(1.01, 1e-300)
+        # |Omega|^(-2/q) and R^(-2/q) overflowed a double with a raw OverflowError
+        with pytest.raises(DomainError, match=r"leaves the double range at "
+                           r"Params\(N=1, s=0.5, p=2.0, q=1.01\) on interval"):
+            limiting(1.01, 1e-300)
 
     def test_domain_lower(self):
-        v = limiting_domain_lower(2.0, 2.0, 1.0)
+        v = limiting(2.0, 1.0).lower   # |Omega| = 2
         assert rel(v.value, math.pi / 2.0) < 1e-14
-        a = limiting_domain_lower(3.0, 2.0, 1.0).value
-        b = limiting_domain_lower(3.0, 2.0, 5.0).value
+        a = limiting(3.0, 1.0).lower.value
+        b = limiting(3.0, 1.0, C1=5.0).lower.value
         assert b < a  # monotone decreasing in C1
 
     def test_domain_lower_stirling_limit(self):
         # q * lower -> 2 pi e |Omega|^0 ... the C1 factor washes out
         for C1 in (0.5, 1.0, 7.0):
-            got = 1e6 * limiting_domain_lower(1e6, 1.0, C1).value
+            got = 1e6 * limiting(1e6, 0.5, C1=C1).lower.value   # |Omega| = 1
             assert rel(got, TWO_PI_E) < 1e-3
 
     def test_wholespace_upper(self):
-        v = limiting_wholespace_upper(4.0)
+        v = rn(Params(1, 0.5, 2.0, 4.0)).upper
         assert rel(v.value, 5.8445647306445557) < 1e-14
-        with pytest.raises(DomainError):
-            limiting_wholespace_upper(2.0)
 
     def test_wholespace_upper_asymptotics(self):
         # convergence is logarithmic: q (4 ln q + 2 - ln 16 pi^2)/q corrections
-        ratios = [abs(q * limiting_wholespace_upper(q).value / TWO_PI_E - 1.0)
+        ratios = [abs(q * rn(Params(1, 0.5, 2.0, q)).upper.value / TWO_PI_E - 1.0)
                   for q in (1e3, 1e4, 1e5, 1e6)]
         assert ratios == sorted(ratios, reverse=True)
         assert ratios[-1] < 1e-4
 
     def test_wholespace_lower(self):
-        v = limiting_wholespace_lower(4.0, 1.0)
+        v = rn(Params(1, 0.5, 2.0, 4.0)).lower
         assert rel(v.value, 0.950045503793104) < 1e-13
         for q in (3.0, 4.0, 8.0, 32.0):
             for C2 in (0.0, 0.5, 1.0, 10.0):
-                assert (limiting_wholespace_lower(q, C2).value
-                        <= limiting_wholespace_upper(q).value)
+                bp = rn(Params(1, 0.5, 2.0, q), C2=C2)
+                assert bp.lower.value <= bp.upper.value
 
     def test_wholespace_lower_asymptotics(self):
         for C2 in (0.5, 1.0, 4.0):
-            got = 1e6 * limiting_wholespace_lower(1e6, C2).value
+            got = 1e6 * rn(Params(1, 0.5, 2.0, 1e6), C2=C2).lower.value
             assert rel(got, TWO_PI_E) < 1e-3
 
 
@@ -393,7 +398,7 @@ class TestBoundPairInvariant:
             bounds_for(params, DomainSpec.whole_space(N=3))
 
     def test_constructor_asserts(self):
-        good = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0))
+        good = rn(Params(1, 0.25, 2.0, 3.0))
         with pytest.raises(DomainError):
             BoundPair(good.upper, good.lower)  # swapped
 

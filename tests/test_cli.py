@@ -317,6 +317,17 @@ class TestSandwichCommand:
         assert res["numeric"] is None
         assert res["note"] == "bound-only: spectral solver is one-dimensional"
 
+    @pytest.mark.parametrize("s,q,note,passed", [
+        ("0.15", "2.2", "tail mass near truncation boundary", False),
+        ("0.4", "3", "", True)])
+    def test_tail_mass_note(self, capsys, s, q, note, passed):
+        # a slowly decaying minimizer keeps q-mass in the outer 5% of the box
+        code, out, _ = run_capture(
+            capsys, ["sandwich", "--p", "2", "--N", "1", "--s", s, "--q", q,
+                     "--domain", "rn:200", "--grid", "256"])
+        res = json.loads(out)["result"]
+        assert (code, res["note"], res["pass"]) == (0 if passed else 1, note, passed)
+
     def test_lists_are_refused(self, capsys):
         # argparse refuses a list as it refuses any value that is not a number
         code, out, err = run_capture(capsys, ["sandwich", "--s", "0.25,0.3", "--q", "3"])
@@ -441,6 +452,21 @@ class TestThresholdsCommand:
                                               "--q", "1.5"])
         assert code == 2 and out == ""
         assert "\nerror: limiting whole-space bounds need q >= 2\n" in err
+
+    def test_f3_underflow_leaves_the_record(self, capsys):
+        # (q/2) S^(q/2) underflows a double from about q = 450 on, which
+        # refused the whole record with exit 2
+        code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
+                                              "--q", "1e6"])
+        assert code == 0 and "Traceback" not in err
+        res = json.loads(out)["result"]
+        assert res["f3_coeff"] is None
+        assert res["S_note"].endswith(
+            "; f3_coeff not reported: (q/2) S^(q/2) leaves the double range")
+        assert res["S"] == bounds_for(Params(1, 0.5, 2.0, 1e6),
+                                      DomainSpec.whole_space()).lower.value
+        for key in ("S", "c_star", "h_norm_threshold", "lq_norm_threshold"):
+            assert 0.0 < res[key] < math.inf
 
 
 class TestGroundstateCommand:
@@ -758,6 +784,23 @@ def test_bad_field_parameters_are_refused_without_warnings(capsys, field, word):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: bad field '{field}': {word}")
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["--Q", "const:0.5"], "weight must satisfy Q >= 1"),
+    (["--V", "const:2"], "potential must satisfy V <= 1"),
+    (["--q", "2"], "q must be > 2, got 2.0"),
+])
+def test_refused_groundstate_costs_no_solve(capsys, monkeypatch, argv, word):
+    # the S_numeric solve ran before the ground-state solve refused q
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(fracsob.varmin, "minimize_quotient", no_solve)
+    code, out, err = run_capture(
+        capsys, ["groundstate", "--grid", "256", "--box", "20"] + argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {word}\n")
 
 
 def test_narrow_field_width_is_its_limit(capsys):

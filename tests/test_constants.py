@@ -20,7 +20,7 @@ from fracsob.constants import (
     norm_bridge,
     unit_ball_volume,
 )
-from fracsob.bounds import limiting_wholespace_upper
+from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.errors import DomainError
 from quadrature_oracles import frac_iso_kernel, hardy_A_quadrature
 
@@ -256,7 +256,8 @@ class TestLowerBoundsFromLiterature:
 
     def test_lieb_loss_below_limiting_upper(self):
         for q in (2.5, 3.0, 4.0, 8.0, 16.0, 64.0, 1000.0):
-            assert lieb_loss_lower(q).value <= limiting_wholespace_upper(q).value
+            upper = bounds_for(Params(1, 0.5, 2.0, q), DomainSpec.whole_space()).upper
+            assert lieb_loss_lower(q).value <= upper.value
 
 
 class TestParams:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsob.bounds import hilbert_wholespace_bounds, limiting_wholespace_upper
+from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.constants import Params, classical_sobolev, frac_sobolev_hilbert
 from fracsob.errors import DomainError, GridError, RegimeError
 from fracsob.grids import Field, Grid
@@ -27,6 +27,11 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def rn_lower(params):
+    """The whole-space lower bound at params."""
+    return bounds_for(params, DomainSpec.whole_space(N=params.N)).lower.value
+
+
 GROWTH_AT_THM3_UPPER = 68.317873781388537  # 2 * (2 sqrt(pi e))^2
 
 
@@ -39,7 +44,7 @@ class TestPsLevel:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_certified_from_lower_bound(self):
-        S_lo = hilbert_wholespace_bounds(Params(1, 0.25, 2.0, 3.0)).lower.value
+        S_lo = rn_lower(Params(1, 0.25, 2.0, 3.0))
         assert ps_level(3.0, S_lo) > 0.0
 
     def test_domain(self):
@@ -71,7 +76,7 @@ class TestGrowthCoefficient:
         assert growth_coefficient(4.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_at_limiting_upper_bound(self):
-        S = limiting_wholespace_upper(4.0).value
+        S = bounds_for(Params(1, 0.5, 2.0, 4.0), DomainSpec.whole_space()).upper.value
         assert rel(growth_coefficient(4.0, S), GROWTH_AT_THM3_UPPER) < 1e-13
 
     def test_monotone(self):
@@ -103,7 +108,7 @@ class TestCouplingAlpha:
         # collapses to pure tau algebra: tau2 * tau1^((sigma-1)/(q/(q-2)-sigma))
         for (N, s, q, expected) in [(2, 0.5, 3.0, 2.0 / 9.0),
                                     (1, 0.25, 3.0, 2.0 / 9.0)]:
-            S = hilbert_wholespace_bounds(Params(N, s, 2.0, q)).lower.value
+            S = rn_lower(Params(N, s, 2.0, q))
             a = coupling_alpha(N, s, q, S)
             assert rel(a, expected) < 1e-12
 
@@ -113,7 +118,7 @@ class TestCouplingAlpha:
             crit = 2.0 * N / (N - 2.0 * s)
             for frac in (0.3, 0.5, 0.7, 0.9):
                 q = 2.0 + (crit - 2.0) * frac
-                S = hilbert_wholespace_bounds(Params(N, s, 2.0, q)).lower.value
+                S = rn_lower(Params(N, s, 2.0, q))
                 a = coupling_alpha(N, s, q, S)
                 lo, hi = coupling_lambda_interval(a)
                 assert 0.0 < a < 1.0
@@ -215,6 +220,14 @@ class TestGroundState:
         G = grid.spacing * float(np.sum(Q.values * np.abs(u) ** 4))
         assert abs(G - 1.0) < 1e-10
         assert np.all(u0.values[np.abs(grid.x) < 10.0] > 0.0)
+
+    def test_weight_below_one_is_refused(self):
+        # the solver took any positive Q; only the CLI held it to Q >= 1
+        grid = Grid(half_width=20.0, points=256)
+        ones = Field(grid, np.ones(grid.points))
+        dip = Field(grid, 1.0 - 0.5 * np.exp(-grid.x ** 2))
+        with pytest.raises(DomainError, match="weight must satisfy Q >= 1"):
+            ground_state_solve(grid, 0.5, 4.0, ones, dip)
 
     def test_flat_weight_recovers_embedding_constant(self):
         grid = Grid(half_width=100.0, points=2048)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsob.constants import Params, norm_bridge
-from fracsob.bounds import limiting_domain_upper, limiting_wholespace_upper
+from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.errors import DomainError, RegimeError
 from fracsob.grids import Grid
 import fracsob.rayleigh as rayleigh
@@ -97,12 +97,12 @@ class TestObjectives:
         p = Params(1, 0.5, 2.0, 4.0)
         (k, K), m = objective_minimizer(Objective.MOSER_BALL, p)
         assert rel(k, math.exp(-2.0)) < 1e-14 and K == 1.0
-        assert rel(m, limiting_domain_upper(4.0, 1.0).value) < 1e-12
+        assert rel(m, bounds_for(p, DomainSpec.interval(-1.0, 1.0)).upper.value) < 1e-12
 
     def test_moser_line_min_equals_wholespace_upper(self):
         p = Params(1, 0.5, 2.0, 4.0)
         (k, K), m = objective_minimizer(Objective.MOSER_LINE, p)
-        assert rel(m, limiting_wholespace_upper(4.0).value) < 1e-12
+        assert rel(m, bounds_for(p, DomainSpec.whole_space()).upper.value) < 1e-12
 
     @pytest.mark.parametrize("which,params,bracket", [
         (Objective.CHAR_BALL, Params(1, 0.5, 1.0, 1.5), (1.0, 200.0)),

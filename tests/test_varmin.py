@@ -164,6 +164,14 @@ class TestMinimizer:
         assert res.converged and res.iterations > 0
         assert rel(res.estimate, 1.0 / 80.0) < 1e-9
 
+    @pytest.mark.parametrize("s,q,warned", [(0.15, 2.2, True), (0.4, 3.0, False)])
+    def test_tail_mass_warning(self, s, q, warned):
+        # more than 1e-6 of the q-mass in the outer 5% of the box sets the flag
+        res = minimize_quotient(Grid(half_width=200.0, points=256), None, s, q,
+                                "whole_space")
+        assert res.converged
+        assert res.tail_mass_warning is warned
+
     def test_whole_space_q2_is_one(self):
         grid = Grid(half_width=200.0, points=4096)
         res = minimize_quotient(grid, None, 0.5, 2.0, "whole_space")
