@@ -2,9 +2,9 @@
 
 Three regimes are covered (see `constants.Regime`):
 
-* borderline (p = 1): Hoelder/dilation bounds on bounded domains, and the
-  interpolation identity on the whole space, where the lower and upper
-  expressions coincide, so the whole-space constant is exact;
+* borderline (p = 1): the exact constant, one closed form on every domain
+  `DomainSpec` admits (a ball, an interval, the whole space), printed as
+  both ends of the pair;
 * Hilbert (p = 2, N > 2s): Hoelder lower bound and the bump-profile upper
   bound on domains; Young-interpolation lower and bump-family upper on the
   whole space;
@@ -187,15 +187,14 @@ def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     return eps, rho
 
 
-def _pair(key: str, lo: float, up: float, rel: float = _EVAL_EPS,
-          floor: float = 0.0) -> BoundPair:
+def _pair(key: str, lo: float, up: float) -> BoundPair:
     """The bracket [lo, up] with provenances key-lower / key-upper and error
-    estimates rel * value + floor."""
+    estimates _EVAL_EPS * value."""
     return BoundPair(
         ConstantValue(lo, ConstantKind.BOUND_LOWER, f"{key}-lower",
-                      error_estimate=rel * lo + floor),
+                      error_estimate=_EVAL_EPS * lo),
         ConstantValue(up, ConstantKind.BOUND_UPPER, f"{key}-upper",
-                      error_estimate=rel * up + floor))
+                      error_estimate=_EVAL_EPS * up))
 
 
 def _exact_one(key: str) -> BoundPair:
@@ -209,36 +208,31 @@ def _exact_one(key: str) -> BoundPair:
 # borderline case p = 1
 
 def _borderline_domain(params: Params, domain: DomainSpec) -> BoundPair:
-    """p=1 bounds on a bounded domain; they coincide when the domain is a
-    ball, where the constant is attained by a characteristic function."""
-    S = frac_isoperimetric(params.N, params.s)
+    """p=1 on a bounded domain: the exact constant S |Omega|^(1/crit - 1/q),
+    S the isoperimetric constant, at both ends.  Characteristic functions of
+    balls attain it (coarea formula and rearrangement), and every bounded
+    `DomainSpec` is a ball (an interval is a 1-D ball); another shape would
+    need the inradius-ball upper bound S |B_R|^(1/crit - 1/q) back."""
+    S = frac_isoperimetric(params.N, params.s).value
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
-    at = f"{params} on {domain}"
-    lo = S.value * _power(domain.measure, e, at)
-    up = S.value * _power(_ball_measure(params.N, domain.inradius), e, at)
-    return _pair("borderline-domain", lo, up,
-                 rel=S.error_estimate / S.value, floor=_EVAL_EPS)
+    v = S * _power(domain.measure, e, f"{params} on {domain}")
+    return _pair("borderline-domain", v, v)
 
 
 def _borderline_wholespace(params: Params) -> BoundPair:
-    """p=1 whole-space bounds.  q=1 gives exactly 1; for 1 < q < crit the
-    interpolation lower bound and the char-ball upper bound are evaluated
-    independently (they agree analytically, pinning the constant)."""
+    """p=1 whole-space constant, exact: q=1 gives 1; for 1 < q < crit the
+    interpolation identity, which characteristic functions of balls
+    saturate, as both ends of the pair."""
     N, s, q = params.N, params.s, params.q
     if q == 1.0:
         return _exact_one("borderline-rn-q1")
-    crit = params.critical_exponent
-    S = frac_isoperimetric(N, s)
-    gap = _inv_gap(q, crit)          # 1/q - 1/crit > 0
+    S = frac_isoperimetric(N, s).value
+    gap = _inv_gap(q, params.critical_exponent)   # 1/q - 1/crit > 0
     gap1 = 1.0 - 1.0 / q
-    lo = ((N / s * gap) ** (-N / s * gap)
-          * (N / s * gap1) ** (-N / s * gap1)
-          * S.value ** (N / s * gap1))
-    up = (s / N * gap ** (-N / s * gap)
-          * gap1 ** (-N / s * gap1)
-          * S.value ** (N / s * gap1))
-    rel = (N / s * gap1) * S.error_estimate / S.value
-    return _pair("borderline-rn", lo, up, rel=abs(rel), floor=_EVAL_EPS)
+    v = ((N / s * gap) ** (-N / s * gap)
+         * (N / s * gap1) ** (-N / s * gap1)
+         * S ** (N / s * gap1))
+    return _pair("borderline-rn", v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,10 @@ def _limiting_domain(params: Params, domain: DomainSpec, C1: float) -> BoundPair
           * _power(domain.measure, -2.0 / q, at))
     up = (2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q
           * _power(domain.inradius, -2.0 / q, at))
-    return _pair("limiting-domain", lo, up)
+    try:
+        return _pair("limiting-domain", lo, up)
+    except DomainError as exc:   # lo grows as C1^(-2/q): name C1 as the input
+        raise DomainError(f"C1={C1!r} gives no bracket at {at}: {exc}") from None
 
 
 def _limiting_wholespace(params: Params, C2: float) -> BoundPair:

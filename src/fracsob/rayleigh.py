@@ -99,24 +99,29 @@ class Objective(enum.Enum):
     MOSER_LINE = "moser-line"  # limiting case, whole line
 
 
-def objective_value(which: Objective, params: Params, k: float,
-                    K: float | None = None) -> float:
-    """Evaluate the upper-bound objective of a test-function family at the
-    given profile parameters."""
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+_REGIME = {Objective.CHAR_BALL: Regime.BORDERLINE, Objective.BUMP: Regime.HILBERT,
+           Objective.MOSER_BALL: Regime.LIMITING, Objective.MOSER_LINE: Regime.LIMITING}
+
+
+def _require_regime(which: Objective, params: Params) -> None:
+    """Refuse an objective outside the regime whose bound it generates."""
+    if which not in _REGIME:
+        raise DomainError(f"unknown objective {which!r}")
+    if params.regime() is not _REGIME[which]:
+        raise RegimeError(f"{which.value} objective needs the {_REGIME[which].value} "
+                          f"regime, got {params}")
+
+
+def _objective(which: Objective, params: Params, k: float, K: float | None) -> float:
+    """The objective at (k, K), unchecked."""
     N, s, q = params.N, params.s, params.q
     if which is Objective.CHAR_BALL:
-        if params.regime() is not Regime.BORDERLINE:
-            raise RegimeError("char-ball objective needs the p=1 regime")
         crit = params.critical_exponent
         S = frac_isoperimetric(N, s).value
         w = unit_ball_volume(N)
         return (w ** (1.0 / crit - 1.0 / q) * S * k ** (N * (1.0 / crit - 1.0 / q))
                 + w ** (1.0 - 1.0 / q) * k ** (N * (1.0 - 1.0 / q)))
     if which is Objective.BUMP:
-        if params.regime() is not Regime.HILBERT:
-            raise RegimeError("bump objective needs the p=2, N>2s regime")
         crit = params.critical_exponent
         w = unit_ball_volume(N)
         bq = beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
@@ -124,19 +129,24 @@ def objective_value(which: Objective, params: Params, k: float,
         b = 2.0 ** (2.0 / q - 1.0) * beta_fn(N / 2.0, 2.0 * s + 1.0) * bq
         return (w * N) ** (1.0 - 2.0 / q) * (
             a * k ** (2.0 * N * _inv_gap(crit, q)) + b * k ** (N * (1.0 - 2.0 / q)))
-    # moser objectives: limiting regime, two parameters
-    if params.regime() is not Regime.LIMITING:
-        raise RegimeError("moser objectives need the limiting regime (N=1, s=1/2, p=2)")
-    if K is None or not K > k:
-        raise DomainError("moser objectives need K > k")
     if which is Objective.MOSER_BALL:
-        if K > 1.0:
-            raise DomainError("moser-ball objective needs K <= 1")
         return 2.0 ** (-2.0 / q) * math.pi * k ** (-2.0 / q) / math.log(K / k)
-    if which is Objective.MOSER_LINE:
-        return 2.0 ** (-2.0 / q) * (
-            math.pi * k ** (-2.0 / q) / math.log(K / k) + 2.0 * k ** (-2.0 / q) * K)
-    raise DomainError(f"unknown objective {which!r}")
+    return 2.0 ** (-2.0 / q) * (
+        math.pi * k ** (-2.0 / q) / math.log(K / k) + 2.0 * k ** (-2.0 / q) * K)
+
+
+def objective_value(which: Objective, params: Params, k: float,
+                    K: float | None = None) -> float:
+    """Evaluate the upper-bound objective of a test-function family at the
+    given profile parameters."""
+    _require_regime(which, params)
+    if not k > 0.0:
+        raise DomainError(f"k must be positive, got {k}")
+    if _REGIME[which] is Regime.LIMITING and (K is None or not K > k):
+        raise DomainError("moser objectives need K > k")
+    if which is Objective.MOSER_BALL and K > 1.0:
+        raise DomainError("moser-ball objective needs K <= 1")
+    return _objective(which, params, k, K)
 
 
 def objective_minimizer(which: Objective, params: Params
@@ -146,39 +156,30 @@ def objective_minimizer(which: Objective, params: Params
     The minimum value equals the corresponding whole-space (or unit-ball)
     upper bound of the matching theorem-regime formula.
     """
+    _require_regime(which, params)
     N, s, q = params.N, params.s, params.q
     if which is Objective.CHAR_BALL:
-        if params.regime() is not Regime.BORDERLINE:
-            raise RegimeError("char-ball objective needs the p=1 regime")
         if q == 1.0:
             raise RegimeError("no attained minimizer at q = 1 (infimum 1 as k -> inf)")
         crit = params.critical_exponent
         S = frac_isoperimetric(N, s).value
         w = unit_ball_volume(N)
         k_star = (S * _inv_gap(q, crit) / (w ** (s / N) * (1.0 - 1.0 / q))) ** (1.0 / s)
-        return (k_star,), objective_value(which, params, k_star)
+        return (k_star,), _objective(which, params, k_star, None)
+    if which is Objective.MOSER_BALL:
+        k_star, K_star = math.exp(-q / 2.0), 1.0
+        return (k_star, K_star), _objective(which, params, k_star, K_star)
+    if q <= 2.0:   # bump and moser-line
+        raise RegimeError("no attained minimizer at q <= 2")
     if which is Objective.BUMP:
-        if params.regime() is not Regime.HILBERT:
-            raise RegimeError("bump objective needs the p=2, N>2s regime")
-        if q <= 2.0:
-            raise RegimeError("no attained minimizer at q <= 2")
         crit = params.critical_exponent
         k_star = ((2.0 ** (2.0 * s + 1.0) * gamma_fn(s + 1.0) ** 2 * _inv_gap(q, crit))
                   / ((N + 2.0 * s) * beta_fn(N / 2.0, 2.0 * s + 1.0)
                      * (0.5 - 1.0 / q))) ** (1.0 / (2.0 * s))
-        return (k_star,), objective_value(which, params, k_star)
-    if params.regime() is not Regime.LIMITING:
-        raise RegimeError("moser objectives need the limiting regime")
-    if which is Objective.MOSER_BALL:
-        k_star, K_star = math.exp(-q / 2.0), 1.0
-        return (k_star, K_star), objective_value(which, params, k_star, K_star)
-    if which is Objective.MOSER_LINE:
-        if q <= 2.0:
-            raise RegimeError("no attained minimizer at q <= 2")
-        K_star = 2.0 * math.pi / (q - 2.0) ** 2
-        k_star = K_star * math.exp(-(q - 2.0) / 2.0)
-        return (k_star, K_star), objective_value(which, params, k_star, K_star)
-    raise DomainError(f"unknown objective {which!r}")
+        return (k_star,), _objective(which, params, k_star, None)
+    K_star = 2.0 * math.pi / (q - 2.0) ** 2
+    k_star = K_star * math.exp(-(q - 2.0) / 2.0)
+    return (k_star, K_star), _objective(which, params, k_star, K_star)
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,13 @@ def run_validation() -> list[CheckResult]:
     ok = ok and lim.lower.value == 1.0 and lim.upper.value == 1.0
     check("exact-endpoints", ok, "q=1 (p=1), q=2 (p=2), q=2 (limiting)")
 
-    # the p=1 whole-space bracket is exact (lower meets upper)
+    # the exact p=1 whole-space constant is the char-ball objective's minimum
     worst = 0.0
     for (N, s, q) in [(1, 0.5, 1.5), (2, 0.3, 1.1), (3, 0.7, 1.25)]:
-        bp = rn(Params(N, s, 1.0, q))
-        worst = max(worst, abs(bp.upper.value - bp.lower.value) / bp.upper.value)
-    check("borderline-rn-exact-bracket", worst <= 1e-10, f"worst gap {worst:.2e}")
+        p = Params(N, s, 1.0, q)
+        m = rayleigh.objective_minimizer(rayleigh.Objective.CHAR_BALL, p)[1]
+        worst = max(worst, abs(m - rn(p).lower.value) / m)
+    check("borderline-rn-char-ball", worst <= 1e-12, f"worst rel {worst:.2e}")
 
     # closed-form minimizers vs golden-section search; the search locates an
     # argmin only to ~sqrt(machine eps) relative (value comparisons go flat),

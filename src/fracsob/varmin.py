@@ -323,19 +323,19 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
 
     p=1 on balls uses the exact characteristic-function value in place of a
     descent output (the constant is attained there); p=1 on the whole space
-    is reported bound-only.  p=2 runs the spectral minimizer (N = 1 grids).
+    is bound-only, since its bracket is the exact constant.  p=2 runs the
+    spectral minimizer (N = 1 grids).
     """
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
     numeric = None
     if params.regime() is Regime.BORDERLINE:
         if not domain.bounded:
-            note = "bound-only: whole-space p=1 attainability unknown"
+            note = "bound-only: the p=1 whole-space bracket is the exact constant"
         else:
             # a bounded domain is a ball or a 1-D interval (= ball)
             numeric = ConstantValue(lo.value, ConstantKind.NUMERIC_ESTIMATE,
-                                    "char-ball-exact",
-                                    error_estimate=lo.error_estimate + 1e-30)
+                                    "char-ball-exact", error_estimate=lo.error_estimate)
             note = "exact char-function value"
     elif params.N != 1:
         note = "bound-only: spectral solver is one-dimensional"

@@ -18,7 +18,14 @@ from fracsob.constants import (
     unit_ball_volume,
 )
 from fracsob.errors import DomainError, RegimeError
-from fracsob.rayleigh import bump_lq_norm, bump_seminorm_sq
+from fracsob.rayleigh import (
+    Objective,
+    RadialProfile,
+    bump_lq_norm,
+    bump_seminorm_sq,
+    gagliardo_seminorm_1d,
+    objective_minimizer,
+)
 
 TWO_PI_E = 17.079468445347134
 
@@ -167,13 +174,13 @@ class TestBorderlineDomain:
     def test_ball_bounds_coincide(self):
         p = Params(2, 0.5, 1.0, 1.2)
         bp = bounds_for(p, DomainSpec.ball(1.0, 2))
-        assert rel(bp.lower.value, bp.upper.value) < 1e-12
+        assert bp.lower.value == bp.upper.value
 
     def test_interval_lower_value(self):
         p = Params(1, 0.5, 1.0, 1.5)
         bp = bounds_for(p, DomainSpec.interval(-1.0, 1.0))
         assert rel(bp.lower.value, 14.254379490245429) < 1e-9
-        assert rel(bp.lower.value, bp.upper.value) < 1e-12  # 1-D interval is a ball
+        assert bp.lower.value == bp.upper.value  # 1-D interval is a ball
 
     def test_critical_limit(self):
         p = Params(1, 0.5, 1.0, 2.0 - 1e-8)  # q -> crit = 2
@@ -188,13 +195,14 @@ class TestBorderlineWholespace:
         bp = rn(Params(2, 0.3, 1.0, 1.0))
         assert bp.lower.value == 1.0 and bp.upper.value == 1.0
 
-    def test_lower_equals_upper(self):
-        # characteristic functions saturate the interpolation, so the
-        # two displayed expressions agree: the constant is exact
+    def test_value_is_the_char_ball_minimum(self):
+        # characteristic functions of balls saturate the interpolation, so
+        # the char-ball objective's closed-form minimum is the constant
         for (N, s, q) in [(1, 0.5, 1.5), (1, 0.25, 1.2), (2, 0.3, 1.1),
                           (3, 0.7, 1.25)]:
-            bp = rn(Params(N, s, 1.0, q))
-            assert rel(bp.lower.value, bp.upper.value) < 1e-10
+            p = Params(N, s, 1.0, q)
+            _, m = objective_minimizer(Objective.CHAR_BALL, p)
+            assert rel(rn(p).lower.value, m) < 1e-12
 
     def test_value_at_example_point(self):
         bp = rn(Params(1, 0.5, 1.0, 1.5))
@@ -204,6 +212,41 @@ class TestBorderlineWholespace:
         p = Params(1, 0.5, 1.0, 2.0 - 1e-8)
         bp = rn(p)
         assert rel(bp.upper.value, frac_isoperimetric(1, 0.5).value) < 1e-6
+
+
+class TestBorderlineExact:
+    """The p = 1 constant is one closed form on every domain DomainSpec
+    admits, so both ends of each bracket are that one value."""
+
+    def test_lower_is_upper_at_seeded_points(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            N = int(rng.integers(1, 5))
+            s = float(rng.uniform(0.05, 0.95))
+            q = float(rng.uniform(1.0, N / (N - s)))
+            size, a = float(rng.uniform(0.01, 10.0)), float(rng.uniform(-5.0, 5.0))
+            bounded = DomainSpec.interval(a, a + size) if N == 1 else DomainSpec.ball(size, N)
+            for dom in (bounded, DomainSpec.whole_space(N=N)):
+                bp = bounds_for(Params(N, s, 1.0, q), dom)
+                assert bp.lower.value == bp.upper.value, (N, s, q, dom)
+
+    @pytest.mark.parametrize("s,q", [(0.3, 1.2), (0.5, 1.5), (0.8, 3.0)])
+    def test_whole_line_by_quadrature(self, s, q):
+        # the attaining char-ball chi_(-k*, k*): Gagliardo seminorm plus the
+        # L^1 mass 2k*, over its L^q norm (2k*)^(1/q)
+        p = Params(1, s, 1.0, q)
+        (k,), _ = objective_minimizer(Objective.CHAR_BALL, p)
+        gag = gagliardo_seminorm_1d(RadialProfile.char_ball(k), s, 1)
+        want = (gag + 2.0 * k) / (2.0 * k) ** (1.0 / q)
+        assert rel(rn(p).lower.value, want) < 1e-11
+
+    @pytest.mark.parametrize("s,q", [(0.3, 1.2), (0.5, 1.5), (0.8, 1.1)])
+    def test_interval_by_quadrature(self, s, q):
+        # chi_(-1, 1) attains the constant on (-1, 1): Gagliardo seminorm over
+        # its L^q norm 2^(1/q)
+        gag = gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), s, 1)
+        bp = bounds_for(Params(1, s, 1.0, q), DomainSpec.interval(-1.0, 1.0))
+        assert rel(bp.lower.value, gag / 2.0 ** (1.0 / q)) < 1e-12
 
 
 class TestHilbertDomain:

@@ -205,6 +205,19 @@ def test_bound_power_out_of_double_range_is_refused(capsys, argv):
     assert "\nerror: " in "\n" + err and " leaves the double range at " in err
 
 
+def test_tiny_c1_is_named_in_its_refusal(capsys):
+    # C1^(-2/q) lifted the limiting lower bound above the upper one, and the
+    # refusal named neither C1 nor the point
+    code, out, err = run_capture(
+        capsys, ["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "5",
+                 "--c1", "1e-320", "--domain", "interval:-1,1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: C1=1e-320 gives no bracket at ")
+    assert "q=5.0" in err and "interval" in err and "exceeds upper bound" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,code", [
     (["sandwich", "--s", "0.25", "--q", "3", "--domain", "rn:1e300", "--grid", "256"], 1),
     (["groundstate", "--box", "1e300", "--grid", "256"], 0),
@@ -337,11 +350,22 @@ class TestSandwichCommand:
             "fracsob sandwich: error: argument --s: invalid float value: '0.25,0.3'\n")
 
     def test_p1_whole_space_bracket_passes(self, capsys):
-        # lower 38.8243256133512 is above upper 38.82432561335114 by rounding,
-        # inside BoundPair's 1e-12 band: the bound-only sandwich used to fail
+        # the p = 1 whole-space bracket is the exact constant at both ends
         code, out, _ = run_capture(
             capsys, ["sandwich", "--p", "1", "--N", "2", "--s", "0.25", "--q", "1.1",
                      "--domain", "rn:200"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["pass"] is True and res["numeric"] is None
+        assert res["lower"]["value"] == res["upper"]["value"]
+
+    def test_bracket_crossing_by_rounding_passes(self, capsys):
+        # lower 1.0000000000034686 is above upper 1.0000000000032447 by
+        # rounding, inside BoundPair's 1e-12 band: the bound-only sandwich
+        # used to fail
+        code, out, _ = run_capture(
+            capsys, ["sandwich", "--p", "2", "--N", "5", "--s", "0.01",
+                     "--q", "2.000000000000001", "--domain", "rn:200"])
         assert code == 0
         res = json.loads(out)["result"]
         assert res["pass"] is True and res["numeric"] is None

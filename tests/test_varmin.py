@@ -283,7 +283,7 @@ class TestSandwich:
         assert rep.passed
         assert rep.numeric is not None
         assert rep.numeric.value == rep.lower.value
-        assert rel(rep.numeric.value, rep.upper.value) < 1e-12
+        assert rep.numeric.value == rep.upper.value
         assert rep.numeric.provenance == "char-ball-exact"
 
     def test_borderline_wholespace_bound_only(self):
@@ -294,15 +294,15 @@ class TestSandwich:
         assert "bound-only" in rep.note
 
     def test_borderline_wholespace_passes_whenever_its_bracket_exists(self):
-        # the p = 1 whole-space bracket is exact, so lower and upper differ by
-        # rounding either way; BoundPair admits lower <= upper (1 + 1e-12), and
-        # a stricter lower <= upper re-check failed 83 of these 200 points
+        # the p = 1 whole-space bracket is the exact constant at both ends,
+        # so the bound-only sandwich passes at every point in scope
         rng = np.random.default_rng(0)
         for _ in range(200):
             N, s = int(rng.integers(1, 4)), float(rng.uniform(0.05, 0.95))
             q = float(rng.uniform(1.0, N / (N - s)))
             rep = sandwich(Params(N, s, 1.0, q), DomainSpec.whole_space(N=N))
             assert rep.numeric is None and rep.passed, (N, s, q)
+            assert rep.lower.value == rep.upper.value, (N, s, q)
 
     def test_hilbert_interval(self):
         p = Params(1, 0.25, 2.0, 3.0)
