@@ -7,11 +7,10 @@ The discrete quotient is
     R(u) = (||(-Lap)^(s/2) u||^2 + ||u||^2) / ||u||_q^2  (whole-space mode)
 
 with the fractional energy applied through the whole-line Fourier multiplier
-on the periodic box; domain mode masks the support, matching the convention
-that competitors live on the line and vanish outside Omega.  Descent is
-projected gradient along the H^s-preconditioned gradient P g,
-P = 1/(symbol + c) applied in Fourier; in domain mode the direction is
-masked, so every step stays on the support, and the projection is |.|.
+on the periodic box; domain mode restricts it to the support, matching the
+convention that competitors live on the line and vanish outside Omega.
+Descent is projected gradient along the H^s-preconditioned gradient P g,
+P = 1/(symbol + c) applied in Fourier, and the projection is |.|.
 The step is Barzilai-Borwein in the P-metric with Armijo backtracking,
 which keeps the quotient trace nonincreasing at every accepted step.  The
 preconditioner makes the iteration count nearly independent of the grid
@@ -19,11 +18,16 @@ preconditioner makes the iteration count nearly independent of the grid
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
 and minimized by `_descend`; the ground-state solver in `pde` runs the same
-kernel with a potential V and a weight Q.  Symbols live on the M/2 + 1
+kernel with a potential V and a weight Q.  Symbols live on the n/2 + 1
 nonnegative frequencies of a real transform, so each operator apply (energy,
-preconditioner, ground-state residual) is one rfft/irfft pair (`_apply`),
-and each trial point takes one power |v|^q, shared by its normalization and
-its quotient.
+preconditioner, ground-state residual) is one rfft/irfft pair (`_apply`) of
+n points, and each trial point takes one power |v|^q, shared by its
+normalization and its quotient.  A whole-space solve or a ground state
+iterates on all M box nodes, with n = M.  A domain solve iterates on the m
+nodes of its support alone: there the masked box operators are m x m
+Toeplitz blocks, applied through circulants of the smallest power-of-two
+size n >= 2m - 1 (or n = M when that is not smaller), each built once per
+solve from its box kernel by one M-point and one n-point transform.
 """
 from __future__ import annotations
 
@@ -95,9 +99,31 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
 
 
 def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fourier multiplier with the given even symbol, held on the M/2 + 1
-    nonnegative `rfft` frequencies, applied to a real field of M samples."""
-    return np.fft.irfft(symbol * np.fft.rfft(u), n=u.shape[0])
+    """The circulant of size n whose spectrum is the given even symbol, held
+    on the n/2 + 1 nonnegative `rfft` frequencies, applied to u zero-padded
+    to n samples; returns the first len(u) entries.  With len(u) = n this is
+    the Fourier multiplier on the periodic box; with len(u) = m < n it is the
+    leading m x m Toeplitz block of that circulant."""
+    n = 2 * (symbol.shape[0] - 1)
+    return np.fft.irfft(symbol * np.fft.rfft(u, n=n), n=n)[:u.shape[0]]
+
+
+def _embed(symbol: np.ndarray, m: int) -> np.ndarray:
+    """The spectrum of a circulant whose leading m x m block is that of the
+    M-point circulant with the given symbol, of the smallest power-of-two
+    size n >= 2m - 1 (Chan-Ng embedding of a symmetric Toeplitz block): its
+    first column e holds the box kernel's offsets -(m-1) .. m-1 and zeros in
+    between.  When n would not be smaller than M the box symbol serves."""
+    M = 2 * (symbol.shape[0] - 1)
+    n = 1 << (2 * m - 2).bit_length()
+    if n >= M:
+        return symbol
+    c = np.fft.irfft(symbol, n=M)
+    e = np.zeros(n)
+    e[:m] = c[:m]
+    e[n - m + 1:] = c[M - m + 1:]
+    # e is even (e[j] = e[n - j]), so its spectrum is real to rounding
+    return np.fft.rfft(e).real
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,44 +189,50 @@ _TAIL_MASS_LIMIT = 1e-6
 
 
 def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
-             tol: float, mask: Optional[np.ndarray] = None,
-             V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None
+             tol: float, V: Optional[np.ndarray] = None,
+             Q: Optional[np.ndarray] = None, support: Optional[slice] = None
              ) -> tuple[np.ndarray, list[float], bool]:
     """Minimize `_quotient` from u by preconditioned projected gradient
     descent.
 
     The gradient g is preconditioned by the H^s Sobolev metric
     P = 1 / (symbol + c), diagonal in Fourier, with c = max V (plus 1 where
-    symbol + max V has a zero); the direction is d = P g, and
-    d = mask P(mask g) on a bounded support, so that every step stays on the
-    support.  Each trial point u - tau d is projected by |.| and normalized
-    onto the weighted L^q sphere.  The step is a Barzilai-Borwein guess in the
-    P-metric, <s, y> / <y, P y> with s, y the last changes of u and g (P y
-    is the change of d, so it costs no FFT), floored at
-    1 / max((symbol + max V) P), and halved until the Armijo condition
-    holds, so the returned quotient trace is nonincreasing.  Stops when the
-    relative decrease falls below tol, or when no step of the line search
-    decreases R (stationary at line-search resolution), or unconverged after
-    _MAX_ITERS iterations.  Returns the minimizer, the trace and the
-    converged flag.
+    symbol + max V has a zero); the direction is d = P g.  Each trial point
+    u - tau d is projected by |.| and normalized onto the weighted L^q
+    sphere.  The step is a Barzilai-Borwein guess in the P-metric,
+    <s, y> / <y, P y> with s, y the last changes of u and g (P y is the
+    change of d, so it costs no FFT), floored at 1 / max((symbol + max V) P),
+    and halved until the Armijo condition holds, so the returned quotient
+    trace is nonincreasing.  Stops when the relative decrease falls below
+    tol, or when no step of the line search decreases R (stationary at
+    line-search resolution), or unconverged after _MAX_ITERS iterations.
+
+    With a `support` slice of m nodes, the iterates vanish off it, and the
+    descent runs on those m nodes alone (V and Q restricted with them): the
+    energy and the preconditioner restricted to them are m x m Toeplitz
+    blocks of the box circulants, applied through the size-n embeddings of
+    `_embed` (n >= 2m - 1), built once per solve from the box's symbol and
+    P.  The minimizer is returned on all M nodes.  Returns the minimizer,
+    the trace and the converged flag.
     """
-    u, w = _normalize(np.abs(u if mask is None else np.where(mask, u, 0.0)), h, q, Q)
     vmax = 0.0 if V is None else float(np.max(V))
     c = vmax if float(np.min(symbol)) + vmax > 0.0 else vmax + 1.0
     P = 1.0 / (symbol + c)
     tau_floor = 1.0 / float(np.max((symbol + vmax) * P))
-
-    def precondition(g: np.ndarray) -> np.ndarray:
-        if mask is None:
-            return _apply(P, g)
-        return np.where(mask, _apply(P, np.where(mask, g, 0.0)), 0.0)
+    M = u.shape[0]
+    if support is not None:
+        m = support.stop - support.start
+        symbol, P, u = _embed(symbol, m), _embed(P, m), u[support]
+        V = None if V is None else V[support]
+        Q = None if Q is None else Q[support]
+    u, w = _normalize(np.abs(u), h, q, Q)
 
     R, g = _quotient(u, symbol, h, q, V, Q, w)
     trace = [R]
     converged = False
     u_prev = g_prev = d_prev = None
     for _ in range(_MAX_ITERS):
-        d = precondition(g)
+        d = _apply(P, g)
         if u_prev is None:
             tau = tau_floor
         else:
@@ -210,8 +242,6 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
             tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau_floor
             tau = min(max(tau, tau_floor), 1e8)
         for _bt in range(80):
-            # u and d are exactly 0.0 off the mask, so u - tau d is as well:
-            # the trial point needs no re-masking
             try:
                 v, wv = _normalize(np.abs(u - tau * d), h, q, Q)
             except ConvergenceError:
@@ -233,7 +263,11 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
         if rel < tol:
             converged = True
             break
-    return u, trace, converged
+    if support is None:
+        return u, trace, converged
+    field = np.zeros(M)
+    field[support] = u
+    return field, trace, converged
 
 
 def _initial_field(grid: Grid, s: float, mode: str,
@@ -252,6 +286,24 @@ def _initial_field(grid: Grid, s: float, mode: str,
     return u
 
 
+def _support(grid: Grid, mask: np.ndarray) -> slice:
+    """The slice of the one run of >= 3 nodes where a support mask is True;
+    any other mask is refused."""
+    if not isinstance(mask, np.ndarray) or mask.shape != (grid.points,):
+        raise GridError(f"the support mask must have shape ({grid.points},), one entry "
+                        f"per grid node, got {np.shape(mask)}")
+    if mask.dtype != np.bool_:
+        raise GridError(f"the support mask must be boolean, got dtype {mask.dtype}")
+    nodes = np.flatnonzero(mask)
+    if nodes.size < 3:
+        raise GridError(f"the support mask holds {nodes.size} nodes; the solver needs "
+                        "at least 3")
+    runs = 1 + int(np.count_nonzero(np.diff(nodes) > 1))
+    if runs > 1:
+        raise GridError(f"the support mask must be one run of nodes, got {runs} runs")
+    return slice(int(nodes[0]), int(nodes[-1]) + 1)
+
+
 def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float,
                       mode: str) -> SolveResult:
     """Minimize the discrete Rayleigh quotient; returns the estimate, the
@@ -259,7 +311,12 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     stops unconverged after _MAX_ITERS iterations.
 
     mode is "domain" (requires a mask; quotient without the mass term) or
-    "whole_space" (adds ||u||_2^2 to the numerator).
+    "whole_space" (adds ||u||_2^2 to the numerator).  A domain mask must be
+    a boolean array with one entry per grid node, True on one run of at
+    least 3 nodes; any other mask is refused (`GridError`).  A domain solve
+    iterates on the m nodes of that run, through circulants of size
+    n >= 2m - 1 (see `_descend`), so its cost per iteration scales with m,
+    not with the M nodes of the box.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
@@ -282,11 +339,14 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError(f"q must be >= 1, got {q}")
 
     symbol = grid.multiplier(s)
+    support = None
     if mode == "whole_space":
         symbol = symbol + 1.0
         mask = None
+    else:
+        support = _support(grid, mask)
     u, trace, converged = _descend(_initial_field(grid, s, mode, mask), symbol,
-                                   grid.spacing, q, _QUOTIENT_TOL, mask=mask)
+                                   grid.spacing, q, _QUOTIENT_TOL, support=support)
 
     tail_warning = False
     if mode == "whole_space":

@@ -319,7 +319,7 @@ class TestSandwichCommand:
         for domain in ("ball:1", "interval:-1,1"):
             code, out, _ = run_capture(capsys, argv + [domain])
             assert code == 0
-            assert json.loads(out)["result"]["numeric"]["value"] == 1.0802463467145691
+            assert json.loads(out)["result"]["numeric"]["value"] == 1.0802463467145702
 
     def test_ball_in_the_plane_is_bound_only(self, capsys):
         code, out, _ = run_capture(

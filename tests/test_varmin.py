@@ -11,6 +11,7 @@ from fracsob.grids import Field, Grid
 from fracsob.varmin import (
     _apply,
     _dot,
+    _embed,
     _quotient,
     default_grid,
     domain_mask,
@@ -112,6 +113,89 @@ class TestRealApply:
             for s in (0.1, 0.3, 0.5, 0.75):
                 assert np.array_equal(grid.multiplier(s),
                                       full_symbol(grid, s)[:M // 2 + 1])
+
+
+class TestEmbeddedApply:
+    """A domain solve applies the masked box operator mask A mask on its m
+    support nodes through a circulant of size n >= 2m - 1 (`_embed`); it
+    must agree with the M-point masked apply to rounding."""
+
+    @pytest.mark.parametrize("M", [64, 1024, 8192])
+    @pytest.mark.parametrize("nodes", ["3", "M/8", "M/2+1"])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_matches_masked_box_apply(self, M, nodes, s):
+        m = {"3": 3, "M/8": M // 8, "M/2+1": M // 2 + 1}[nodes]
+        support = slice(M // 4, M // 4 + m)
+        mask = np.zeros(M, dtype=bool)
+        mask[support] = True
+        symbol = Grid(half_width=8.0, points=M).multiplier(s)
+        rng = np.random.default_rng(M + m)
+        # the energy and the preconditioner P = 1 / (symbol + 1) of `_descend`
+        for f in (symbol, 1.0 / (symbol + 1.0)):
+            spectrum = _embed(f, m)
+            n = 2 * (spectrum.size - 1)
+            if 2 * m - 1 > M // 2:
+                assert spectrum is f   # the box itself serves
+            else:
+                assert 2 * m - 1 <= n < 2 * (2 * m - 1)
+            for u in rng.normal(size=(5, M)):
+                ref = np.where(mask, _apply(f, np.where(mask, u, 0.0)), 0.0)[support]
+                got = _apply(spectrum, u[support])
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_domain_sandwich_transforms_its_support_embedding(self, monkeypatch):
+        # (-1, 1) holds m = 511 of the M = 4096 nodes on L = 8: the descent
+        # transforms n = 1024 points, and only the set-up of the two kernels
+        # (the energy's and the preconditioner's) reads the box
+        lengths = []
+
+        def recorded(f, kind):
+            def wrapped(a, n=None, *args, **kwargs):
+                size = n if n is not None else (
+                    a.shape[-1] if kind == "rfft" else 2 * (a.shape[-1] - 1))
+                lengths.append((kind, size))
+                return f(a, n, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", recorded(np.fft.rfft, "rfft"))
+        monkeypatch.setattr(np.fft, "irfft", recorded(np.fft.irfft, "irfft"))
+        rep = sandwich(Params(1, 0.25, 2.0, 3.0), DomainSpec.interval(-1.0, 1.0),
+                       grid=Grid(half_width=8.0, points=4096))
+        assert rep.passed
+        assert [t for t in lengths if t[1] != 1024] == [("irfft", 4096)] * 2
+        # each apply of the descent is an rfft/irfft pair; the two set-up
+        # spectra add one rfft each
+        pairs = lengths.count(("irfft", 1024))
+        assert pairs > 0 and lengths.count(("rfft", 1024)) == pairs + 2
+
+
+# whole-space solves and ground states run on every box node, through the
+# box circulant itself: these values are bit-exact, so any change to that
+# path shows
+WHOLE_SPACE_LADDER_2048 = (0.7252686913858362, 18)   # q = 32 on rn:10
+GROUND_STATE_I0 = 0.5076669573250613   # TestPinnedEstimates.test_ground_state
+
+
+class TestWholeSpaceBits:
+    def test_ladder_estimate(self):
+        res = minimize_quotient(Grid(half_width=10.0, points=2048), None, 0.5, 32.0,
+                                "whole_space")
+        assert (res.estimate, res.iterations) == WHOLE_SPACE_LADDER_2048
+
+    def test_ground_state_energy(self):
+        from fracsob.pde import ground_state_solve
+        grid = Grid(half_width=20.0, points=1024)
+        bump = np.exp(-grid.x ** 2)
+        _, I0, _ = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
+                                      Field(grid, 1.0 + 2.0 * bump))
+        assert I0 == GROUND_STATE_I0
+
+    def test_box_apply_is_the_plain_transform_pair(self):
+        grid = Grid(half_width=8.0, points=4096)
+        symbol = grid.multiplier(0.25)
+        u = np.random.default_rng(4096).normal(size=4096)
+        assert np.array_equal(_apply(symbol, u),
+                              np.fft.irfft(symbol * np.fft.rfft(u), n=4096))
 
 
 # parent-commit estimates and iteration counts of the complex-FFT descent with
@@ -230,6 +314,23 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
+
+    @pytest.mark.parametrize("case,match", [
+        pytest.param("ten-nodes", r"shape \(1024,\).*got \(10,\)", id="ten-nodes"),
+        pytest.param("float", "must be boolean, got dtype float64", id="float"),
+        pytest.param("empty", "holds 0 nodes", id="empty"),
+        pytest.param("two-intervals", "one run of nodes, got 2 runs", id="two-intervals"),
+    ])
+    def test_malformed_mask_is_refused(self, case, match):
+        grid = Grid(half_width=8.0, points=1024)
+        unit = domain_mask(grid, DomainSpec.interval(-0.5, 0.5))
+        mask = {"ten-nodes": np.ones(10, dtype=bool),
+                "float": unit.astype(float),
+                "empty": np.zeros(1024, dtype=bool),
+                "two-intervals": unit | domain_mask(grid, DomainSpec.interval(3.5, 4.5)),
+                }[case]
+        with pytest.raises(GridError, match=match):
+            minimize_quotient(grid, mask, 0.25, 3.0, "domain")
 
     def test_domain_mask_refusals(self):
         grid = Grid(half_width=8.0, points=1024)
