@@ -319,14 +319,20 @@ def _limiting_wholespace(params: Params, C2: float) -> BoundPair:
     return _pair("limiting-rn", lo, up)
 
 
-def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 1.0
-               ) -> BoundPair:
-    """The bound pair matching the parameter regime and domain.  C1 and C2,
-    read only by the limiting lower bounds, are checked at every point."""
+def _check_tm_constants(C1: float, C2: float) -> None:
+    """Refuse a Trudinger-Moser constant C1 that is not finite and positive,
+    or C2 that is not finite and nonnegative."""
     if not 0.0 < C1 < math.inf:
         raise DomainError(f"C1 must be finite and positive, got {C1}")
     if not 0.0 <= C2 < math.inf:
         raise DomainError(f"C2 must be finite and nonnegative, got {C2}")
+
+
+def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 1.0
+               ) -> BoundPair:
+    """The bound pair matching the parameter regime and domain.  C1 and C2,
+    read only by the limiting lower bounds, are checked at every point."""
+    _check_tm_constants(C1, C2)
     regime = params.regime()
     if regime is Regime.OUT_OF_SCOPE:
         raise RegimeError(f"no bounds available: params {params} out of scope")

@@ -245,15 +245,6 @@ def _emit(args, record: dict, out: _Outcome) -> None:
         sys.stdout.write(text)
 
 
-def _check_tm_constants(args) -> None:
-    """Refuse a bad --c1/--c2 up front, also where the point does not read it."""
-    c1 = getattr(args, "c1", 1.0)   # thresholds has no --c1
-    if not 0.0 < c1 < math.inf:
-        raise DomainError(f"C1 must be finite and positive, got {c1} (--c1)")
-    if not 0.0 <= args.c2 < math.inf:
-        raise DomainError(f"C2 must be finite and nonnegative, got {args.c2} (--c2)")
-
-
 def _warn_tm_constants(args, points: list[Params]) -> None:
     """Limiting-case lower bounds carry C1/C2; say so when they are defaulted."""
     if (getattr(args, "c1", 1.0) == 1.0 and args.c2 == 1.0
@@ -271,7 +262,8 @@ def _constants(args) -> _Outcome:
 
 def _bounds(args) -> _Outcome:
     params = Params(args.N, args.s, args.p, args.q)
-    _check_tm_constants(args)
+    # C1/C2 are refused up front, also where the point does not read them
+    bounds._check_tm_constants(args.c1, args.c2)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, [params])
     pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
@@ -285,7 +277,7 @@ def _sandwich(args) -> _Outcome:
     """sandwich (one point) and sweep (the s-major product of the lists)."""
     ss, qs = (args.s, args.q) if args.cmd == "sweep" else ([args.s], [args.q])
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
-    _check_tm_constants(args)
+    bounds._check_tm_constants(args.c1, args.c2)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, plist)
     grid = varmin.default_grid(domain, args.grid, args.box)
@@ -310,7 +302,7 @@ def _sandwich(args) -> _Outcome:
 
 def _thresholds(args) -> _Outcome:
     params = Params(args.N, args.s, 2.0, args.q)
-    _check_tm_constants(args)
+    bounds._check_tm_constants(1.0, args.c2)   # thresholds has no --c1
     regime = params.regime()
     S = args.S
     note = "caller-supplied S"

@@ -18,7 +18,7 @@ import numpy as np
 from .constants import _power, classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _descend, _dot, _initial_field
+from .varmin import _apply, _descend, _dot, _gaussian
 
 __all__ = [
     "ps_level",
@@ -232,8 +232,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Vv, Qv = V.values, Q.values
 
     # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    u, trace, converged = _descend(_initial_field(grid, s, "whole_space", None),
-                                   mult, h, q, _GROUND_STATE_TOL, V=Vv, Q=Qv)
+    u, trace, converged = _descend(_gaussian(grid), mult, h, q, _GROUND_STATE_TOL,
+                                   V=Vv, Q=Qv)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum

@@ -17,17 +17,19 @@ preconditioner makes the iteration count nearly independent of the grid
 (q = 32 on rn:10: 18 -> 43 iterations from M = 2048 to 16384).
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
-and minimized by `_descend`; the ground-state solver in `pde` runs the same
-kernel with a potential V and a weight Q.  Symbols live on the n/2 + 1
-nonnegative frequencies of a real transform, so each operator apply (energy,
-preconditioner, ground-state residual) is one rfft/irfft pair (`_apply`) of
-n points, and each trial point takes one power |v|^q, shared by its
-normalization and its quotient.  A whole-space solve or a ground state
-iterates on all M box nodes, with n = M.  A domain solve iterates on the m
-nodes of its support alone: there the masked box operators are m x m
-Toeplitz blocks, applied through circulants of the smallest power-of-two
-size n >= 2m - 1 (or n = M when that is not smaller), each built once per
-solve from its box kernel by one M-point and one n-point transform.
+and minimized by `_descend` on the nodes of the field it is given; the
+ground-state solver in `pde` runs the same kernel with a potential V and a
+weight Q.  Symbols live on the n/2 + 1 nonnegative frequencies of a real
+transform, so each operator apply (energy, preconditioner, ground-state
+residual) is one rfft/irfft pair (`_apply`) of n points, and each trial
+point takes one power |v|^q, shared by its normalization and its quotient.
+A whole-space solve or a ground state hands `_descend` all M box nodes,
+with n = M.  A domain solve hands it the m nodes of its support alone
+(`minimize_quotient` takes them out and puts the minimizer back): there the
+masked box operators are m x m Toeplitz blocks, applied through circulants
+of the smallest power-of-two size n >= 2m - 1 (or n = M when that is not
+smaller), each built once per solve from its box kernel by one M-point and
+one n-point transform.
 """
 from __future__ import annotations
 
@@ -77,19 +79,25 @@ class SandwichReport:
 
 
 def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
-    """Boolean support indicator of a bounded 1-D domain on the grid.
+    """Boolean support indicator of a bounded 1-D domain on the grid,
+    centred in the box: the nodes with |x| below the domain's inradius.  The
+    constant is translation invariant and an interval is a 1-D ball, so an
+    interval (a, b) is solved as (-(b - a)/2, (b - a)/2).
 
-    The domain must hold at least 3 nodes: on fewer, the start field
-    (k0^2 - (x-c)^2)_+^s of the solver vanishes on every node."""
+    The inradius must lie below the box half-width, or the periodic box
+    would wrap the domain onto itself.  The domain must hold at least 3
+    nodes: on fewer, the start field (k0^2 - (x-c)^2)_+^s of the solver
+    vanishes on every node."""
     if not domain.bounded:
         raise DomainError("whole-space domains have no mask")
     if domain.dim != 1:
         raise GridError("the spectral solver is one-dimensional")
-    x = grid.x
-    if domain.kind == "interval":
-        mask = (x > domain.a) & (x < domain.b)
-    else:
-        mask = np.abs(x) < domain.radius
+    if not domain.inradius < grid.half_width:
+        raise GridError(
+            f"{domain} does not fit in the box [-{grid.half_width:g}, "
+            f"{grid.half_width:g}): its inradius {domain.inradius:g} must lie below "
+            "the box half-width")
+    mask = np.abs(grid.x) < domain.inradius
     nodes = int(np.count_nonzero(mask))
     if nodes < 3:
         raise GridError(
@@ -190,10 +198,9 @@ _TAIL_MASS_LIMIT = 1e-6
 
 def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
              tol: float, V: Optional[np.ndarray] = None,
-             Q: Optional[np.ndarray] = None, support: Optional[slice] = None
-             ) -> tuple[np.ndarray, list[float], bool]:
-    """Minimize `_quotient` from u by preconditioned projected gradient
-    descent.
+             Q: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[float], bool]:
+    """Minimize `_quotient` from u, over the nodes of u, by preconditioned
+    projected gradient descent.
 
     The gradient g is preconditioned by the H^s Sobolev metric
     P = 1 / (symbol + c), diagonal in Fourier, with c = max V (plus 1 where
@@ -207,24 +214,17 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
     tol, or when no step of the line search decreases R (stationary at
     line-search resolution), or unconverged after _MAX_ITERS iterations.
 
-    With a `support` slice of m nodes, the iterates vanish off it, and the
-    descent runs on those m nodes alone (V and Q restricted with them): the
-    energy and the preconditioner restricted to them are m x m Toeplitz
-    blocks of the box circulants, applied through the size-n embeddings of
-    `_embed` (n >= 2m - 1), built once per solve from the box's symbol and
-    P.  The minimizer is returned on all M nodes.  Returns the minimizer,
-    the trace and the converged flag.
+    symbol is the M-point box symbol, and V and Q live on the nodes of u.
+    The energy and P are applied through the size-n embeddings of `_embed`
+    (n >= 2 len(u) - 1): on m < M nodes they are the m x m Toeplitz blocks
+    of the box circulants, and on all M nodes they are the box circulants
+    themselves.  Returns the minimizer, the trace and the converged flag.
     """
     vmax = 0.0 if V is None else float(np.max(V))
     c = vmax if float(np.min(symbol)) + vmax > 0.0 else vmax + 1.0
     P = 1.0 / (symbol + c)
     tau_floor = 1.0 / float(np.max((symbol + vmax) * P))
-    M = u.shape[0]
-    if support is not None:
-        m = support.stop - support.start
-        symbol, P, u = _embed(symbol, m), _embed(P, m), u[support]
-        V = None if V is None else V[support]
-        Q = None if Q is None else Q[support]
+    symbol, P = _embed(symbol, u.shape[0]), _embed(P, u.shape[0])
     u, w = _normalize(np.abs(u), h, q, Q)
 
     R, g = _quotient(u, symbol, h, q, V, Q, w)
@@ -263,27 +263,16 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
         if rel < tol:
             converged = True
             break
-    if support is None:
-        return u, trace, converged
-    field = np.zeros(M)
-    field[support] = u
-    return field, trace, converged
+    return u, trace, converged
 
 
-def _initial_field(grid: Grid, s: float, mode: str,
-                   mask: Optional[np.ndarray]) -> np.ndarray:
+def _gaussian(grid: Grid) -> np.ndarray:
+    """exp(-x^2) on the box nodes: the start field of whole-space solves and
+    ground states."""
     x = grid.x
-    if mode == "domain":
-        xs = x[mask]
-        center = 0.5 * (xs.max() + xs.min())
-        k0 = 0.5 * (xs.max() - xs.min()) / 2.0
-        u = np.maximum(k0 ** 2 - (x - center) ** 2, 0.0) ** s
-        u[~mask] = 0.0
-    else:
-        # x*x overflows to inf on a huge box, where exp(-inf) = 0 is the limit
-        with np.errstate(over="ignore"):
-            u = np.exp(-x * x)
-    return u
+    # x*x overflows to inf on a huge box, where exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        return np.exp(-x * x)
 
 
 def _support(grid: Grid, mask: np.ndarray) -> slice:
@@ -311,12 +300,13 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     stops unconverged after _MAX_ITERS iterations.
 
     mode is "domain" (requires a mask; quotient without the mass term) or
-    "whole_space" (adds ||u||_2^2 to the numerator).  A domain mask must be
-    a boolean array with one entry per grid node, True on one run of at
-    least 3 nodes; any other mask is refused (`GridError`).  A domain solve
-    iterates on the m nodes of that run, through circulants of size
-    n >= 2m - 1 (see `_descend`), so its cost per iteration scales with m,
-    not with the M nodes of the box.
+    "whole_space" (adds ||u||_2^2 to the numerator; takes no mask, and
+    refuses one with `DomainError`).  A domain mask must be a boolean array
+    with one entry per grid node, True on one run of at least 3 nodes; any
+    other mask is refused (`GridError`).  A domain solve hands `_descend`
+    the m nodes of that run alone, so its cost per iteration scales with m,
+    not with the M nodes of the box, and puts the minimizer back on the
+    box, zero off the run.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
@@ -333,27 +323,33 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "domain" and mask is None:
         raise DomainError("domain mode requires a support mask")
+    if mode == "whole_space" and mask is not None:
+        raise DomainError("whole_space mode takes no support mask")
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
     if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
 
     symbol = grid.multiplier(s)
-    support = None
     if mode == "whole_space":
-        symbol = symbol + 1.0
-        mask = None
-    else:
-        support = _support(grid, mask)
-    u, trace, converged = _descend(_initial_field(grid, s, mode, mask), symbol,
-                                   grid.spacing, q, _QUOTIENT_TOL, support=support)
-
-    tail_warning = False
-    if mode == "whole_space":
-        x = grid.x
-        edge = np.abs(x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
+        u, trace, converged = _descend(_gaussian(grid), symbol + 1.0, grid.spacing, q,
+                                       _QUOTIENT_TOL)
+        edge = np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
         mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)
+    else:
+        # the descent runs on the support's nodes alone, from the cap
+        # (k0^2 - (x-c)^2)_+^s of half its width
+        support = _support(grid, mask)
+        xs = grid.x[support]
+        center = 0.5 * (xs.max() + xs.min())
+        k0 = 0.5 * (xs.max() - xs.min()) / 2.0
+        cap = np.maximum(k0 ** 2 - (xs - center) ** 2, 0.0) ** s
+        u_support, trace, converged = _descend(cap, symbol, grid.spacing, q,
+                                               _QUOTIENT_TOL)
+        u = np.zeros(grid.points)
+        u[support] = u_support
+        tail_warning = False
 
     return SolveResult(estimate=trace[-1], minimizer=Field(grid, u),
                        trace=np.asarray(trace), converged=converged,

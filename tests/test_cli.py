@@ -840,7 +840,6 @@ def test_narrow_field_width_is_its_limit(capsys):
 @pytest.mark.parametrize("argv,nodes", [
     (["--domain", "interval:-1,1", "--grid", "16", "--box", "8"], "holds 1 of the 16"),
     (["--domain", "interval:-1,1", "--grid", "4", "--box", "8"], "holds 1 of the 4"),
-    (["--domain", "interval:1e300,1.0000001e300"], "holds 0 of the 4096"),
 ])
 def test_grid_too_coarse_for_domain(capsys, argv, nodes):
     # these ended in "degenerate field: L^q norm underflow" or in numpy's
@@ -850,6 +849,32 @@ def test_grid_too_coarse_for_domain(capsys, argv, nodes):
     assert out == ""
     assert err.startswith("error: interval") and nodes in err
     assert "the solver needs at least 3\nusage: fracsob" in err
+
+
+def sandwich_numeric(capsys, domain):
+    code, out, _ = run_capture(capsys, ["sandwich", "--s", "0.3", "--q", "2.5",
+                                        "--domain", domain])
+    return code, json.loads(out)["result"]["numeric"]["value"]
+
+
+@pytest.mark.parametrize("domain", ["interval:7,9", "interval:20,22"])
+def test_translated_interval_is_solved_centred(capsys, domain):
+    # (7, 9) was solved on the part (7, 8) of it in the box [-8, 8), with
+    # pass false, and (20, 22) held no node of it
+    assert sandwich_numeric(capsys, domain) == sandwich_numeric(capsys, "interval:-1,1")
+
+
+@pytest.mark.parametrize("box", ["0.5", "1"])
+def test_domain_wider_than_the_box_is_refused(capsys, box):
+    # --box 0.5 printed the periodic box's value 4.08e-31, --box 1 printed 0.0401
+    code, out, err = run_capture(capsys, ["sandwich", "--s", "0.3", "--q", "2.5",
+                                          "--domain", "interval:-1,1", "--box", box,
+                                          "--grid", "1024"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: interval (a=-1, b=1) in R^1 does not fit in the box "
+                          f"[-{box}, {box}): its inradius 1 must lie below")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,word", [
@@ -954,11 +979,11 @@ def test_non_finite_tm_constant_is_named(capsys, argv, name, value):
     (["thresholds", "--N", "1", "--s", "0.25", "--q", "3", "--c2", "nan"], "--c2"),
 ])
 def test_bad_tm_constant_is_refused_where_not_read(capsys, argv, flag):
-    # these exited 0
+    # these exited 0; the refusal is bounds_for's own, naming the constant
     code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: C") and err.splitlines()[0].endswith(f"({flag})")
+    assert err.startswith(f"error: {flag[2:].upper()} must be finite and ")
 
 
 @pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])

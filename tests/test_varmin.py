@@ -174,6 +174,9 @@ class TestEmbeddedApply:
 # path shows
 WHOLE_SPACE_LADDER_2048 = (0.7252686913858362, 18)   # q = 32 on rn:10
 GROUND_STATE_I0 = 0.5076669573250613   # TestPinnedEstimates.test_ground_state
+# a domain solve iterates on its support's nodes: s = 0.75, q = 3 on (-1, 1)
+# with L = 8, M = 8192 (the fine-grid benchmark's domain solve)
+DOMAIN_SOLVE_8192 = (1.8048799390938277, 25)
 
 
 class TestWholeSpaceBits:
@@ -189,6 +192,28 @@ class TestWholeSpaceBits:
         _, I0, _ = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
                                       Field(grid, 1.0 + 2.0 * bump))
         assert I0 == GROUND_STATE_I0
+
+    def test_domain_solve_estimate(self):
+        grid = Grid(half_width=8.0, points=8192)
+        res = minimize_quotient(grid, domain_mask(grid, DomainSpec.interval(-1.0, 1.0)),
+                                0.75, 3.0, "domain")
+        assert (res.estimate, res.iterations) == DOMAIN_SOLVE_8192
+
+    def test_descent_on_the_support_nodes_is_the_domain_solve(self):
+        # _descend minimizes over the nodes it is handed: on the support's
+        # m nodes it returns an m-node minimizer, which minimize_quotient
+        # puts back on the box unchanged
+        grid = Grid(half_width=8.0, points=1024)
+        mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
+        res = minimize_quotient(grid, mask, 0.25, 3.0, "domain")
+        xs = grid.x[mask]
+        c, k0 = 0.5 * (xs.max() + xs.min()), 0.25 * (xs.max() - xs.min())
+        u, trace, converged = varmin._descend(
+            np.maximum(k0 ** 2 - (xs - c) ** 2, 0.0) ** 0.25, grid.multiplier(0.25),
+            grid.spacing, 3.0, varmin._QUOTIENT_TOL)
+        assert u.shape == (int(mask.sum()),)
+        assert np.array_equal(u, res.minimizer.values[mask])
+        assert np.array_equal(trace, res.trace) and converged is res.converged
 
     def test_box_apply_is_the_plain_transform_pair(self):
         grid = Grid(half_width=8.0, points=4096)
@@ -314,6 +339,9 @@ class TestMinimizer:
             minimize_quotient(grid, None, 0.25, 3.0, "domain")
         with pytest.raises(DomainError):
             minimize_quotient(grid, None, 0.25, 3.0, "nonsense")
+        # a whole-space solve dropped a mask, and returned the mask-free estimate
+        with pytest.raises(DomainError, match="whole_space mode takes no support mask"):
+            minimize_quotient(grid, np.abs(grid.x) < 0.5, 0.25, 3.0, "whole_space")
 
     @pytest.mark.parametrize("case,match", [
         pytest.param("ten-nodes", r"shape \(1024,\).*got \(10,\)", id="ten-nodes"),
@@ -324,10 +352,11 @@ class TestMinimizer:
     def test_malformed_mask_is_refused(self, case, match):
         grid = Grid(half_width=8.0, points=1024)
         unit = domain_mask(grid, DomainSpec.interval(-0.5, 0.5))
+        # domain_mask centres every domain, so the second run is built here
         mask = {"ten-nodes": np.ones(10, dtype=bool),
                 "float": unit.astype(float),
                 "empty": np.zeros(1024, dtype=bool),
-                "two-intervals": unit | domain_mask(grid, DomainSpec.interval(3.5, 4.5)),
+                "two-intervals": unit | ((grid.x > 3.5) & (grid.x < 4.5)),
                 }[case]
         with pytest.raises(GridError, match=match):
             minimize_quotient(grid, mask, 0.25, 3.0, "domain")
@@ -338,6 +367,15 @@ class TestMinimizer:
             domain_mask(grid, DomainSpec.whole_space())
         with pytest.raises(GridError, match="one-dimensional"):
             domain_mask(grid, DomainSpec.ball(1.0, 2))
+        with pytest.raises(GridError, match="its inradius 8 must lie below"):
+            domain_mask(grid, DomainSpec.interval(-8.0, 8.0))
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (7.0, 9.0), (20.0, 22.0), (-2.5, -0.5)])
+    def test_domain_mask_is_centred(self, a, b):
+        # a translate of (-1, 1) holds the same nodes: |x| < 1
+        grid = Grid(half_width=8.0, points=1024)
+        assert np.array_equal(domain_mask(grid, DomainSpec.interval(a, b)),
+                              np.abs(grid.x) < 1.0)
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
