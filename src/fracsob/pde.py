@@ -6,7 +6,10 @@ All threshold formulas take the embedding constant S as an input, so that a
 certified lower bound for S propagates to a certified threshold.  The
 ground-state solver runs the same descent kernel as the embedding-constant
 solver (`varmin._descend`), with the potential V and the weight Q; there
-the H^s preconditioner is P = 1/(|2 pi xi|^(2s) + max V).
+the H^s preconditioner is P = 1/(|2 pi xi|^(2s) + max V).  It inverts the
+shifted energy on the box, so the descent carries the applied energy
+A u + V u along with u (A d + V d = g + (V - max V) d for d = P g), and an
+iteration costs one rfft/irfft pair of the grid's points.
 """
 from __future__ import annotations
 

@@ -17,19 +17,23 @@ preconditioner makes the iteration count nearly independent of the grid
 (q = 32 on rn:10: 18 -> 43 iterations from M = 2048 to 16384).
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
-and minimized by `_descend` on the nodes of the field it is given; the
-ground-state solver in `pde` runs the same kernel with a potential V and a
-weight Q.  Symbols live on the n/2 + 1 nonnegative frequencies of a real
-transform, so each operator apply (energy, preconditioner, ground-state
-residual) is one rfft/irfft pair (`_apply`) of n points, and each trial
-point takes one power |v|^q, shared by its normalization and its quotient.
-A whole-space solve or a ground state hands `_descend` all M box nodes,
-with n = M.  A domain solve hands it the m nodes of its support alone
-(`minimize_quotient` takes them out and puts the minimizer back): there the
-masked box operators are m x m Toeplitz blocks, applied through circulants
-of the smallest power-of-two size n >= 2m - 1 (or n = M when that is not
-smaller), each built once per solve from its box kernel by one M-point and
-one n-point transform.
+from the applied energy and minimized by `_descend` on the nodes of the
+field it is given; the ground-state solver in `pde` runs the same kernel
+with a potential V and a weight Q.  Symbols live on the n/2 + 1
+nonnegative frequencies of a real transform, so each operator apply
+(energy, preconditioner, ground-state residual) is one rfft/irfft pair
+(`_apply`) of n points.  A whole-space solve or a ground state hands
+`_descend` all M box nodes, with n = M: there P inverts the shifted
+energy, so the descent carries the applied energy along with the field,
+and an iteration costs one pair, that of the direction P g.  A domain solve
+hands it the m nodes of its support alone (`minimize_quotient` takes them
+out and puts the minimizer back): there the masked box operators are
+m x m Toeplitz blocks, applied through circulants of the smallest
+power-of-two size n >= 2m - 1 (or n = M when that is not smaller), each
+built once per solve from its box kernel by one M-point and one n-point
+transform, and an iteration costs one pair for P g and one for the energy
+of each trial point.  Each trial point takes one power |v|^q, shared by
+its normalization and its quotient.
 """
 from __future__ import annotations
 
@@ -85,9 +89,10 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
     interval (a, b) is solved as (-(b - a)/2, (b - a)/2).
 
     The inradius must lie below the box half-width, or the periodic box
-    would wrap the domain onto itself.  The domain must hold at least 3
-    nodes: on fewer, the start field (k0^2 - (x-c)^2)_+^s of the solver
-    vanishes on every node."""
+    would wrap the domain onto itself, and its square must be finite, or
+    the solver's start field (k0^2 - (x-c)^2)_+^s, with |x - c| and k0
+    below the inradius, would overflow.  The domain must hold at least 3
+    nodes: on fewer, that start field vanishes on every node."""
     if not domain.bounded:
         raise DomainError("whole-space domains have no mask")
     if domain.dim != 1:
@@ -97,6 +102,10 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
             f"{domain} does not fit in the box [-{grid.half_width:g}, "
             f"{grid.half_width:g}): its inradius {domain.inradius:g} must lie below "
             "the box half-width")
+    if not math.isfinite(domain.inradius * domain.inradius):
+        raise GridError(
+            f"{domain} is too wide for the solver: the square of its inradius "
+            f"{domain.inradius:g} overflows a double")
     mask = np.abs(grid.x) < domain.inradius
     nodes = int(np.count_nonzero(mask))
     if nodes < 3:
@@ -142,23 +151,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _quotient(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
-              V: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None,
+def _energy(symbol: np.ndarray, u: np.ndarray, V: Optional[np.ndarray]) -> np.ndarray:
+    """A u + V u, with A applied by `_apply`; V = None stands for V = 0."""
+    Au = _apply(symbol, u)
+    return Au if V is None else Au + V * u
+
+
+def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
+              Q: Optional[np.ndarray] = None,
               w: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """The weighted quotient
 
-        R(u) = h (<A u, u> + sum V u^2) / (h sum Q |u|^q)^(2/q)
+        R(u) = h <A u + V u, u> / (h sum Q |u|^q)^(2/q)
 
-    and its gradient, where A has the given symbol; V = None stands for
-    V = 0 and Q = None for Q = 1.  w is |u|^q when the caller has it (as
+    and its gradient, given the applied energy Au = A u + V u (`_energy`);
+    Q = None stands for Q = 1.  w is |u|^q when the caller has it (as
     `_normalize` returns it); it is computed when None.  Every solver
     descends on this function.
     """
     if w is None:
         w = np.abs(u) ** q
-    Au = _apply(symbol, u)
-    if V is not None:
-        Au = Au + V * u
     E = h * _dot(u, Au)
     G = h * float(np.sum(w if Q is None else Q * w))
     nq2 = G ** (2.0 / q)
@@ -174,9 +186,9 @@ def _quotient(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
 
 
 def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, float]:
     """Scale a field onto the (weighted) unit L^q sphere; returns the scaled
-    field u = v / n and |u|^q = |v|^q / n^q, for `_quotient`."""
+    field u = v / n, |u|^q = |v|^q / n^q (for `_quotient`) and n."""
     # a trial point far off the sphere can overflow |v|^q: refused below
     with np.errstate(over="ignore"):
         w = np.abs(v) ** q
@@ -184,7 +196,7 @@ def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
     n = nq ** (1.0 / q)
     if not 1e-300 < n < math.inf:
         raise ConvergenceError("degenerate field: L^q norm underflow or overflow")
-    return v / n, w / nq
+    return v / n, w / nq, n
 
 
 _ARMIJO = 1e-4   # sufficient-decrease constant of the line search
@@ -218,21 +230,36 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
     The energy and P are applied through the size-n embeddings of `_embed`
     (n >= 2 len(u) - 1): on m < M nodes they are the m x m Toeplitz blocks
     of the box circulants, and on all M nodes they are the box circulants
-    themselves.  Returns the minimizer, the trace and the converged flag.
+    themselves.
+
+    On all M nodes P is the inverse of symbol + c, so the direction's
+    energy is known without a transform, A d + V d = g + (V - c) d, and a
+    trial point x = u - tau d that |.| leaves alone (no negative entry) has
+    A x + V x = (A u + V u) - tau (A d + V d), divided by the same norm as
+    x.  The descent carries A u + V u along with u and applies the energy
+    only at the start and at a trial point where |.| changes an entry, so
+    an iteration costs the one transform pair of d = P g.  On m < M nodes
+    the Toeplitz blocks of symbol + c and P are not inverses, and every
+    trial point's energy is applied.  Returns the minimizer, the trace and
+    the converged flag.
     """
     vmax = 0.0 if V is None else float(np.max(V))
     c = vmax if float(np.min(symbol)) + vmax > 0.0 else vmax + 1.0
     P = 1.0 / (symbol + c)
     tau_floor = 1.0 / float(np.max((symbol + vmax) * P))
     symbol, P = _embed(symbol, u.shape[0]), _embed(P, u.shape[0])
-    u, w = _normalize(np.abs(u), h, q, Q)
+    box = 2 * (symbol.shape[0] - 1) == u.shape[0]   # circulants, not blocks
+    shift = -c if V is None else V - c
+    u, w, _ = _normalize(np.abs(u), h, q, Q)
+    Au = _energy(symbol, u, V)
 
-    R, g = _quotient(u, symbol, h, q, V, Q, w)
+    R, g = _quotient(u, Au, h, q, Q, w)
     trace = [R]
     converged = False
     u_prev = g_prev = d_prev = None
     for _ in range(_MAX_ITERS):
         d = _apply(P, g)
+        Ad = g + shift * d if box else None
         if u_prev is None:
             tau = tau_floor
         else:
@@ -242,12 +269,17 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
             tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau_floor
             tau = min(max(tau, tau_floor), 1e8)
         for _bt in range(80):
+            x = u - tau * d
             try:
-                v, wv = _normalize(np.abs(u - tau * d), h, q, Q)
+                v, wv, n = _normalize(np.abs(x), h, q, Q)
             except ConvergenceError:
                 tau *= 0.5
                 continue
-            Rv, gv = _quotient(v, symbol, h, q, V, Q, wv)
+            if box and float(np.min(x)) >= 0.0:
+                Av = (Au - tau * Ad) / n
+            else:
+                Av = _energy(symbol, v, V)
+            Rv, gv = _quotient(v, Av, h, q, Q, wv)
             decrease = _dot(g, v - u)
             if Rv <= R + _ARMIJO * min(decrease, 0.0):
                 break
@@ -258,7 +290,7 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
             break
         rel = (R - Rv) / max(R, 1e-300)
         u_prev, g_prev, d_prev = u, g, d
-        u, R, g = v, Rv, gv
+        u, R, g, Au = v, Rv, gv, Av
         trace.append(R)
         if rel < tol:
             converged = True

@@ -877,6 +877,18 @@ def test_domain_wider_than_the_box_is_refused(capsys, box):
     assert "Traceback" not in err
 
 
+def test_domain_whose_inradius_squared_overflows_is_refused(capsys):
+    # the cap start (k0^2 - x^2)_+^s overflowed: three RuntimeWarnings, then
+    # "degenerate field", or under -W error a traceback with exit 1
+    code, out, err = run_capture(capsys, ["sandwich", "--s", "0.3", "--q", "2.5",
+                                          "--domain", "interval:-5e299,5e299"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: interval (a=-5e+299, b=5e+299) in R^1 is too wide for "
+                          "the solver: the square of its inradius 5e+299 overflows")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,word", [
     pytest.param(["--s", "0.7", "--q", "3", "--domain", "rn:100", "--grid", "1024"],
                  "error: no bounds available", id="out-of-scope"),

@@ -12,6 +12,7 @@ from fracsob.varmin import (
     _apply,
     _dot,
     _embed,
+    _energy,
     _quotient,
     default_grid,
     domain_mask,
@@ -56,10 +57,11 @@ def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
         d = rng.normal(size=M)
         if mask is not None:
             u, d = np.where(mask, u, 0.0), np.where(mask, d, 0.0)
-        _, g = _quotient(u, symbol, h, q, V, Q)
+        _, g = _quotient(u, _energy(symbol, u, V), h, q, Q)
         eps = 1e-6
-        Rp, _ = _quotient(u + eps * d, symbol, h, q, V, Q)
-        Rm, _ = _quotient(u - eps * d, symbol, h, q, V, Q)
+        up, um = u + eps * d, u - eps * d
+        Rp, _ = _quotient(up, _energy(symbol, up, V), h, q, Q)
+        Rm, _ = _quotient(um, _energy(symbol, um, V), h, q, Q)
         fd = (Rp - Rm) / (2.0 * eps)
         assert abs(float(g @ d) - fd) / max(abs(fd), 1e-10) < 1e-5
 
@@ -172,8 +174,12 @@ class TestEmbeddedApply:
 # whole-space solves and ground states run on every box node, through the
 # box circulant itself: these values are bit-exact, so any change to that
 # path shows
-WHOLE_SPACE_LADDER_2048 = (0.7252686913858362, 18)   # q = 32 on rn:10
-GROUND_STATE_I0 = 0.5076669573250613   # TestPinnedEstimates.test_ground_state
+WHOLE_SPACE_LADDER_2048 = (0.7252686913858366, 18)   # q = 32 on rn:10
+GROUND_STATE_I0 = 0.5076669573250618   # TestPinnedEstimates.test_ground_state
+# the same two solves by the descent that applied the energy at every trial
+# point; carrying A u moves them by rounding only
+WHOLE_SPACE_LADDER_2048_APPLIED = (0.7252686913858362, 18)
+GROUND_STATE_I0_APPLIED = (0.5076669573250613, 14)
 # a domain solve iterates on its support's nodes: s = 0.75, q = 3 on (-1, 1)
 # with L = 8, M = 8192 (the fine-grid benchmark's domain solve)
 DOMAIN_SOLVE_8192 = (1.8048799390938277, 25)
@@ -184,14 +190,18 @@ class TestWholeSpaceBits:
         res = minimize_quotient(Grid(half_width=10.0, points=2048), None, 0.5, 32.0,
                                 "whole_space")
         assert (res.estimate, res.iterations) == WHOLE_SPACE_LADDER_2048
+        estimate, iterations = WHOLE_SPACE_LADDER_2048_APPLIED
+        assert res.iterations == iterations and rel(res.estimate, estimate) <= 1e-14
 
     def test_ground_state_energy(self):
         from fracsob.pde import ground_state_solve
         grid = Grid(half_width=20.0, points=1024)
         bump = np.exp(-grid.x ** 2)
-        _, I0, _ = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
-                                      Field(grid, 1.0 + 2.0 * bump))
+        _, I0, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
+                                        Field(grid, 1.0 + 2.0 * bump))
         assert I0 == GROUND_STATE_I0
+        estimate, iterations = GROUND_STATE_I0_APPLIED
+        assert rep.iterations == iterations and rel(I0, estimate) <= 1e-14
 
     def test_domain_solve_estimate(self):
         grid = Grid(half_width=8.0, points=8192)
@@ -221,6 +231,100 @@ class TestWholeSpaceBits:
         u = np.random.default_rng(4096).normal(size=4096)
         assert np.array_equal(_apply(symbol, u),
                               np.fft.irfft(symbol * np.fft.rfft(u), n=4096))
+
+
+def applied_quotient(symbol, u, h, q, V=None, Q=None):
+    """The quotient of u with its energy applied, not carried."""
+    return _quotient(u, _energy(symbol, u, V), h, q, Q)[0]
+
+
+def count_irfft(monkeypatch):
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return calls
+
+
+class TestCarriedEnergy:
+    """On all M box nodes `_descend` carries A u + V u: P inverts
+    symbol + c, so A d + V d = g + (V - c) d, and a trial point u - tau d
+    that |.| leaves alone has the energy (A u + V u) - tau (A d + V d).  An
+    iteration then costs the one transform pair of d = P g, and the carried
+    energy stays the applied one to rounding."""
+
+    def test_whole_space_solve_transforms_once_per_iteration(self, monkeypatch):
+        calls = count_irfft(monkeypatch)
+        res = minimize_quotient(Grid(half_width=10.0, points=2048), None, 0.5, 32.0,
+                                "whole_space")
+        assert res.converged and res.iterations == 18
+        # the set-up apply of A u, then d = P g once per iteration
+        assert len(calls) == 1 + res.iterations
+
+    def test_ground_state_transforms_once_per_iteration(self, monkeypatch):
+        from fracsob.pde import ground_state_solve
+        calls = count_irfft(monkeypatch)
+        grid = Grid(half_width=20.0, points=1024)
+        bump = np.exp(-grid.x ** 2)
+        _, _, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
+                                       Field(grid, 1.0 + 2.0 * bump))
+        assert rep.converged and rep.iterations == 14
+        # set-up, one P g per iteration, and the residual check's A u0
+        assert len(calls) == 1 + rep.iterations + 1
+
+    def test_ladder_estimate_is_the_applied_quotient(self):
+        # the fine-grid benchmark's finest ladder solve
+        grid = Grid(half_width=10.0, points=16384)
+        res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space")
+        u = res.minimizer.values
+        exact = applied_quotient(grid.multiplier(0.5) + 1.0, u, grid.spacing, 32.0)
+        assert rel(res.estimate, exact) <= 1e-12
+
+    def test_long_descent_keeps_the_applied_quotient(self, monkeypatch):
+        # tol 0 runs the descent to its cap: 2000 carried updates of A u
+        monkeypatch.setattr(varmin, "_MAX_ITERS", 2000)
+        monkeypatch.setattr(varmin, "_QUOTIENT_TOL", 0.0)
+        grid = Grid(half_width=10.0, points=2048)
+        res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space")
+        assert res.iterations == 2000 and not res.converged
+        u = res.minimizer.values
+        exact = applied_quotient(grid.multiplier(0.5) + 1.0, u, grid.spacing, 32.0)
+        assert rel(res.estimate, exact) <= 1e-12
+
+    def test_ground_state_quotient_is_the_applied_one(self):
+        # V - c is nonzero here: the potential's carried term
+        grid = Grid(half_width=20.0, points=1024)
+        bump = np.exp(-grid.x ** 2)
+        V, Q = 1.0 - 0.5 * bump, 1.0 + 2.0 * bump
+        symbol = grid.multiplier(0.5)
+        u, trace, converged = varmin._descend(np.exp(-grid.x ** 2), symbol, grid.spacing,
+                                              4.0, 1e-13, V=V, Q=Q)
+        assert converged
+        assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 4.0, V, Q)) <= 1e-12
+
+    def test_trial_point_that_the_projection_changes_is_applied(self, monkeypatch):
+        # from two bumps, one trial point u - tau d has a negative entry,
+        # which |.| flips: its energy is applied, not carried
+        applied = []
+        energy = varmin._energy
+
+        def recorded(symbol, u, V):
+            applied.append(u)
+            return energy(symbol, u, V)
+
+        monkeypatch.setattr(varmin, "_energy", recorded)
+        grid = Grid(half_width=200.0, points=4096)
+        x, symbol = grid.x, grid.multiplier(0.1) + 1.0
+        u, trace, converged = varmin._descend(
+            np.exp(-(x - 2.0) ** 2) + np.exp(-(x + 2.0) ** 2), symbol, grid.spacing, 3.0,
+            varmin._QUOTIENT_TOL)
+        assert converged
+        assert len(applied) == 2   # the set-up and that trial point
+        assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 3.0)) <= 1e-12
 
 
 # parent-commit estimates and iteration counts of the complex-FFT descent with
@@ -369,6 +473,10 @@ class TestMinimizer:
             domain_mask(grid, DomainSpec.ball(1.0, 2))
         with pytest.raises(GridError, match="its inradius 8 must lie below"):
             domain_mask(grid, DomainSpec.interval(-8.0, 8.0))
+        # the solver's start field squares coordinates below the inradius
+        with pytest.raises(GridError, match="the square of its inradius 2e\\+154 overflows"):
+            domain_mask(Grid(half_width=1e300, points=1024),
+                        DomainSpec.interval(-2e154, 2e154))
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (7.0, 9.0), (20.0, 22.0), (-2.5, -0.5)])
     def test_domain_mask_is_centred(self, a, b):
