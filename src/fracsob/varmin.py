@@ -83,16 +83,14 @@ class SandwichReport:
 
 
 def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
-    """Boolean support indicator of a bounded 1-D domain on the grid,
-    centred in the box: the nodes with |x| below the domain's inradius.  The
-    constant is translation invariant and an interval is a 1-D ball, so an
-    interval (a, b) is solved as (-(b - a)/2, (b - a)/2).
-
-    The inradius must lie below the box half-width, or the periodic box
-    would wrap the domain onto itself, and its square must be finite, or
-    the solver's start field (k0^2 - (x-c)^2)_+^s, with |x - c| and k0
-    below the inradius, would overflow.  The domain must hold at least 3
-    nodes: on fewer, that start field vanishes on every node."""
+    """Boolean support indicator of a bounded 1-D domain, centred in the
+    box: the nodes a whole number of grid steps from the centre node x = 0
+    whose offset (steps times spacing) lies below the inradius, so a node
+    on the boundary is outside and the mask is symmetric.  The constant is
+    translation invariant and an interval is a 1-D ball, so an interval
+    (a, b) is solved as (-(b - a)/2, (b - a)/2).  The inradius must lie
+    below the box half-width, or the periodic box would wrap the domain
+    onto itself; `_support` checks the nodes."""
     if not domain.bounded:
         raise DomainError("whole-space domains have no mask")
     if domain.dim != 1:
@@ -102,17 +100,8 @@ def domain_mask(grid: Grid, domain: DomainSpec) -> np.ndarray:
             f"{domain} does not fit in the box [-{grid.half_width:g}, "
             f"{grid.half_width:g}): its inradius {domain.inradius:g} must lie below "
             "the box half-width")
-    if not math.isfinite(domain.inradius * domain.inradius):
-        raise GridError(
-            f"{domain} is too wide for the solver: the square of its inradius "
-            f"{domain.inradius:g} overflows a double")
-    mask = np.abs(grid.x) < domain.inradius
-    nodes = int(np.count_nonzero(mask))
-    if nodes < 3:
-        raise GridError(
-            f"{domain} holds {nodes} of the {grid.points} nodes on "
-            f"[-{grid.half_width:g}, {grid.half_width:g}); the solver needs at least 3")
-    return mask
+    steps = np.abs(np.arange(grid.points) - grid.points // 2)
+    return steps * grid.spacing < domain.inradius
 
 
 def _apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -308,20 +297,29 @@ def _gaussian(grid: Grid) -> np.ndarray:
 
 
 def _support(grid: Grid, mask: np.ndarray) -> slice:
-    """The slice of the one run of >= 3 nodes where a support mask is True;
-    any other mask is refused."""
+    """The slice of the one run of nodes where a support mask is True; any
+    other mask is refused.  The run holds at least 3 nodes (on fewer the cap
+    start of `minimize_quotient` vanishes) and fewer than all M (where a
+    constant has zero energy), and the square of its half-width is finite
+    (the cap start squares it)."""
     if not isinstance(mask, np.ndarray) or mask.shape != (grid.points,):
         raise GridError(f"the support mask must have shape ({grid.points},), one entry "
                         f"per grid node, got {np.shape(mask)}")
     if mask.dtype != np.bool_:
         raise GridError(f"the support mask must be boolean, got dtype {mask.dtype}")
     nodes = np.flatnonzero(mask)
-    if nodes.size < 3:
-        raise GridError(f"the support mask holds {nodes.size} nodes; the solver needs "
-                        "at least 3")
+    if not 3 <= nodes.size < grid.points:
+        raise GridError(f"the support mask holds {nodes.size} of the {grid.points} nodes "
+                        f"on [-{grid.half_width:g}, {grid.half_width:g}); the solver "
+                        f"needs at least 3 and fewer than {grid.points}")
     runs = 1 + int(np.count_nonzero(np.diff(nodes) > 1))
     if runs > 1:
         raise GridError(f"the support mask must be one run of nodes, got {runs} runs")
+    # Python floats, which overflow to inf without the warning of a numpy scalar
+    half_width = 0.5 * (int(nodes[-1]) - int(nodes[0])) * float(grid.spacing)
+    if not math.isfinite(half_width * half_width):
+        raise GridError(f"the support is too wide for the solver: the square of its "
+                        f"half-width {half_width:g} overflows a double")
     return slice(int(nodes[0]), int(nodes[-1]) + 1)
 
 
@@ -333,12 +331,12 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
 
     mode is "domain" (requires a mask; quotient without the mass term) or
     "whole_space" (adds ||u||_2^2 to the numerator; takes no mask, and
-    refuses one with `DomainError`).  A domain mask must be a boolean array
-    with one entry per grid node, True on one run of at least 3 nodes; any
-    other mask is refused (`GridError`).  A domain solve hands `_descend`
-    the m nodes of that run alone, so its cost per iteration scales with m,
-    not with the M nodes of the box, and puts the minimizer back on the
-    box, zero off the run.
+    refuses one with `DomainError`).  A domain mask (`domain_mask`) must be
+    a boolean array with one entry per grid node, True on one run that
+    `_support` accepts; any other mask is refused (`GridError`).  A domain
+    solve hands `_descend` the m nodes of that run alone, so its cost per
+    iteration scales with m, not with the M nodes of the box, and puts the
+    minimizer back on the box, zero off the run.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the

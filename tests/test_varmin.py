@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -450,20 +451,32 @@ class TestMinimizer:
     @pytest.mark.parametrize("case,match", [
         pytest.param("ten-nodes", r"shape \(1024,\).*got \(10,\)", id="ten-nodes"),
         pytest.param("float", "must be boolean, got dtype float64", id="float"),
-        pytest.param("empty", "holds 0 nodes", id="empty"),
+        pytest.param("empty", r"holds 0 of the 1024 nodes on \[-8, 8\); the solver needs "
+                     "at least 3 and fewer than 1024", id="empty"),
         pytest.param("two-intervals", "one run of nodes, got 2 runs", id="two-intervals"),
+        # the cap start squared the run's half-width: a RuntimeWarning, and a
+        # traceback under -W error
+        pytest.param("huge-coordinates", "the square of its half-width 4.98047e\\+299 "
+                     "overflows a double", id="huge-coordinates"),
+        # a constant has zero energy on the whole periodic box: 2.6e-17, converged
+        pytest.param("whole-box", "holds 1024 of the 1024 nodes", id="whole-box"),
     ])
     def test_malformed_mask_is_refused(self, case, match):
         grid = Grid(half_width=8.0, points=1024)
         unit = domain_mask(grid, DomainSpec.interval(-0.5, 0.5))
+        huge = Grid(half_width=4e300, points=4096)
         # domain_mask centres every domain, so the second run is built here
-        mask = {"ten-nodes": np.ones(10, dtype=bool),
-                "float": unit.astype(float),
-                "empty": np.zeros(1024, dtype=bool),
-                "two-intervals": unit | ((grid.x > 3.5) & (grid.x < 4.5)),
-                }[case]
-        with pytest.raises(GridError, match=match):
-            minimize_quotient(grid, mask, 0.25, 3.0, "domain")
+        grid, mask = {"ten-nodes": (grid, np.ones(10, dtype=bool)),
+                      "float": (grid, unit.astype(float)),
+                      "empty": (grid, np.zeros(1024, dtype=bool)),
+                      "two-intervals": (grid, unit | ((grid.x > 3.5) & (grid.x < 4.5))),
+                      "huge-coordinates": (huge, np.abs(huge.x) < 5e299),
+                      "whole-box": (grid, np.ones(1024, dtype=bool)),
+                      }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=match):
+                minimize_quotient(grid, mask, 0.25, 3.0, "domain")
 
     def test_domain_mask_refusals(self):
         grid = Grid(half_width=8.0, points=1024)
@@ -473,10 +486,13 @@ class TestMinimizer:
             domain_mask(grid, DomainSpec.ball(1.0, 2))
         with pytest.raises(GridError, match="its inradius 8 must lie below"):
             domain_mask(grid, DomainSpec.interval(-8.0, 8.0))
-        # the solver's start field squares coordinates below the inradius
-        with pytest.raises(GridError, match="the square of its inradius 2e\\+154 overflows"):
-            domain_mask(Grid(half_width=1e300, points=1024),
-                        DomainSpec.interval(-2e154, 2e154))
+        # the solver's start field squares the half-width of the support,
+        # here 63 steps of 3.125e152
+        wide = Grid(half_width=1.6e155, points=1024)
+        mask = domain_mask(wide, DomainSpec.interval(-2e154, 2e154))
+        with pytest.raises(GridError, match="the square of its half-width 1.96875e\\+154 "
+                                            "overflows"):
+            minimize_quotient(wide, mask, 0.25, 3.0, "domain")
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (7.0, 9.0), (20.0, 22.0), (-2.5, -0.5)])
     def test_domain_mask_is_centred(self, a, b):
@@ -484,6 +500,27 @@ class TestMinimizer:
         grid = Grid(half_width=8.0, points=1024)
         assert np.array_equal(domain_mask(grid, DomainSpec.interval(a, b)),
                               np.abs(grid.x) < 1.0)
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, 3.0, 1e3, 0.3, 0.1, 0.01, 1e-12, 1e50, 1e-6])
+    def test_domain_mask_counts_whole_steps(self, r):
+        # |x| < r on the box coordinates held 513 nodes at r = 0.1 and an
+        # asymmetric 512 at r = 1e-6: a node on the boundary rounded in or out
+        dom = DomainSpec.interval(-r, r)
+        mask = domain_mask(default_grid(dom), dom)
+        assert np.count_nonzero(mask) == 511
+        assert np.array_equal(mask[1:], mask[:0:-1])   # symmetric about x = 0
+
+    @pytest.mark.parametrize("r", [1e-3, 0.01, 0.1, 0.3, 3.0, 10.0])
+    def test_domain_solve_is_dilation_invariant(self, r):
+        # the estimate on (-r, r) at the default grid, times r^(2s - 1 + 2/q),
+        # does not move under a dilation; it was 1.07017 at r = 0.1 against
+        # 1.07200 at r = 1 (-0.17%)
+        def scaled(r, s=0.3, q=2.5):
+            dom = DomainSpec.interval(-r, r)
+            grid = default_grid(dom)
+            res = minimize_quotient(grid, domain_mask(grid, dom), s, q, "domain")
+            return res.estimate * r ** (2.0 * s - 1.0 + 2.0 / q)
+        assert rel(scaled(r), scaled(1.0)) < 1e-8
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
