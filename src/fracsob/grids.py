@@ -33,6 +33,9 @@ class Grid:
         M = self.points
         if M < 2 or (M & (M - 1)) != 0:
             raise GridError(f"points must be a power of two >= 2, got {M}")
+        if not math.isfinite(self.spacing):
+            raise GridError(f"grid half_width {self.half_width:g} is too large: the "
+                            "spacing 2 half_width / points overflows a double")
 
     @property
     def spacing(self) -> float:

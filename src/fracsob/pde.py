@@ -4,17 +4,18 @@ nonexistence diagnostic.
 
 All threshold formulas take the embedding constant S as an input, so that a
 certified lower bound for S propagates to a certified threshold.  The
-ground-state solver runs the same descent kernel as the embedding-constant
-solver (`varmin._descend`), with the potential V and the weight Q; there
-the H^s preconditioner is P = 1/(|2 pi xi|^(2s) + max V).  It inverts the
-shifted energy on the box, so the descent carries the applied energy
-A u + V u along with u (A d + V d = g + (V - max V) d for d = P g), and an
-iteration costs one rfft/irfft pair of the grid's points.
+ground-state solver runs the descent kernel of the embedding-constant
+solver (`varmin._descend`) with the weight Q and the operators it states:
+the energy A u + V u, A = |2 pi xi|^(2s), and P = 1/(A + max V), which
+inverts that energy shifted by c = max V on the box.  It passes the shift
+V - max V, so the descent carries A u + V u along with u, and an iteration
+costs one rfft/irfft pair of the grid's points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -212,10 +213,11 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Works on the scale-invariant quotient I(u) / (int Q|u|^q)^(2/q), which
     has the same minimizers, with the descent kernel of the embedding-constant
     solver (`varmin._descend`: projected gradient with positivity along the
-    preconditioned gradient P g, P = 1/(|2 pi xi|^(2s) + max V), a
-    Barzilai-Borwein step in the P-metric and Armijo backtracking) from
-    exp(-x^2), which takes a few dozen iterations whatever the grid and at
-    most `varmin._MAX_ITERS`.  Returns (u0, I0, report) with
+    preconditioned gradient P g, a Barzilai-Borwein step in the P-metric and
+    Armijo backtracking) from exp(-x^2), which takes a few dozen iterations
+    whatever the grid and at most `varmin._MAX_ITERS`.  P = 1/(A + max V)
+    inverts the energy A + V shifted by max V, which is > 0 as V > 0, so the
+    solve passes the shift V - max V.  Returns (u0, I0, report) with
     u0 = (2 I0)^(1/(q-2)) u.  V and Q outside their hypotheses are refused.
     """
     if not 0.0 < s < 1.0:
@@ -235,8 +237,12 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Vv, Qv = V.values, Q.values
 
     # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    u, trace, converged = _descend(_gaussian(grid), mult, h, q, _GROUND_STATE_TOL,
-                                   V=Vv, Q=Qv)
+    vmax = float(np.max(Vv))
+    P = 1.0 / (mult + vmax)
+    u, trace, converged = _descend(
+        _gaussian(grid), lambda v: _apply(mult, v) + Vv * v, partial(_apply, P),
+        1.0 / float(np.max((mult + vmax) * P)), h, q, _GROUND_STATE_TOL, Q=Qv,
+        shift=Vv - vmax)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum

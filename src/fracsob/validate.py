@@ -140,15 +140,14 @@ def run_validation() -> list[CheckResult]:
     # closed-form minimizers vs golden-section search; the search locates an
     # argmin only to ~sqrt(machine eps) relative (value comparisons go flat),
     # so the double-precision check uses 2e-7 (the test suite repeats this
-    # oracle in high precision at 1e-8)
+    # oracle in high precision at 1e-8); borderline-rn-char-ball checks the
+    # char-ball minimum, the p = 1 bracket [v, v]
     p1 = Params(1, 0.5, 1.0, 1.5)
-    (k1,), m1 = rayleigh.objective_minimizer(rayleigh.Objective.CHAR_BALL, p1)
+    (k1,), _ = rayleigh.objective_minimizer(rayleigh.Objective.CHAR_BALL, p1)
     k1g = _golden_min(lambda k: rayleigh.objective_value(
         rayleigh.Objective.CHAR_BALL, p1, k), 1e-3, 1e3)
-    up1 = rn(p1).upper.value
-    check("char-ball-minimizer",
-          abs(k1 - k1g) / k1 <= 2e-7 and abs(m1 - up1) / up1 <= 1e-12,
-          f"k*={k1:.8f} vs search {k1g:.8f}; min matches upper bound")
+    check("char-ball-minimizer", abs(k1 - k1g) / k1 <= 2e-7,
+          f"k*={k1:.8f} vs search {k1g:.8f}")
     p2 = Params(1, 0.25, 2.0, 3.0)
     (k2,), m2 = rayleigh.objective_minimizer(rayleigh.Objective.BUMP, p2)
     k2g = _golden_min(lambda k: rayleigh.objective_value(

@@ -10,36 +10,37 @@ with the fractional energy applied through the whole-line Fourier multiplier
 on the periodic box; domain mode restricts it to the support, matching the
 convention that competitors live on the line and vanish outside Omega.
 Descent is projected gradient along the H^s-preconditioned gradient P g,
-P = 1/(symbol + c) applied in Fourier, and the projection is |.|.
+and the projection is |.|.
 The step is Barzilai-Borwein in the P-metric with Armijo backtracking,
 which keeps the quotient trace nonincreasing at every accepted step.  The
 preconditioner makes the iteration count nearly independent of the grid
 (q = 32 on rn:10: 18 -> 43 iterations from M = 2048 to 16384).
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
-from the applied energy and minimized by `_descend` on the nodes of the
-field it is given; the ground-state solver in `pde` runs the same kernel
-with a potential V and a weight Q.  Symbols live on the n/2 + 1
-nonnegative frequencies of a real transform, so each operator apply
-(energy, preconditioner, ground-state residual) is one rfft/irfft pair
-(`_apply`) of n points.  A whole-space solve or a ground state hands
-`_descend` all M box nodes, with n = M: there P inverts the shifted
-energy, so the descent carries the applied energy along with the field,
-and an iteration costs one pair, that of the direction P g.  A domain solve
-hands it the m nodes of its support alone (`minimize_quotient` takes them
-out and puts the minimizer back): there the masked box operators are
-m x m Toeplitz blocks, applied through circulants of the smallest
-power-of-two size n >= 2m - 1 (or n = M when that is not smaller), each
-built once per solve from its box kernel by one M-point and one n-point
-transform, and an iteration costs one pair for P g and one for the energy
-of each trial point.  Each trial point takes one power |v|^q, shared by
-its normalization and its quotient.
+from the applied energy and minimized by `_descend`, which takes the
+energy A, the preconditioner P and the step floor from its caller; the
+ground-state solver in `pde` runs the same kernel with a potential V and a
+weight Q.  Symbols live on the n/2 + 1 nonnegative frequencies of a real
+transform, so each operator apply is one rfft/irfft pair (`_apply`) of n
+points.  A whole-space solve states A = symbol + 1 and P = 1/A on all M
+box nodes: P inverts the energy, so the solve passes the shift and the
+descent carries the applied energy along with the field, and an iteration
+costs one pair, that of the direction P g.  A domain solve runs on the m
+nodes of its support alone (`minimize_quotient` takes them out and puts
+the minimizer back), with the m x m Toeplitz blocks of symbol and of
+P = 1/(symbol + 1), applied through circulants of the smallest
+power-of-two size n >= 2m - 1 (or n = M when that is not smaller;
+`_embed`).  The blocks do not invert each other, so it passes no shift, and
+an iteration costs one pair for P g and one for the energy of each trial
+point.  Each trial point takes one power |v|^q, shared by its normalization
+and its quotient.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -140,26 +141,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _energy(symbol: np.ndarray, u: np.ndarray, V: Optional[np.ndarray]) -> np.ndarray:
-    """A u + V u, with A applied by `_apply`; V = None stands for V = 0."""
-    Au = _apply(symbol, u)
-    return Au if V is None else Au + V * u
-
-
 def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
-              Q: Optional[np.ndarray] = None,
-              w: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
+              Q: Optional[np.ndarray], w: np.ndarray) -> tuple[float, np.ndarray]:
     """The weighted quotient
 
         R(u) = h <A u + V u, u> / (h sum Q |u|^q)^(2/q)
 
-    and its gradient, given the applied energy Au = A u + V u (`_energy`);
-    Q = None stands for Q = 1.  w is |u|^q when the caller has it (as
-    `_normalize` returns it); it is computed when None.  Every solver
+    and its gradient, given the applied energy Au = A u + V u and w = |u|^q
+    (as `_normalize` returns it); Q = None stands for Q = 1.  Every solver
     descends on this function.
     """
-    if w is None:
-        w = np.abs(u) ** q
     E = h * _dot(u, Au)
     G = h * float(np.sum(w if Q is None else Q * w))
     nq2 = G ** (2.0 / q)
@@ -197,58 +188,44 @@ _TAIL_FRACTION = 0.05
 _TAIL_MASS_LIMIT = 1e-6
 
 
-def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
-             tol: float, V: Optional[np.ndarray] = None,
-             Q: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[float], bool]:
+def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
+             P: Callable[[np.ndarray], np.ndarray], tau_floor: float, h: float,
+             q: float, tol: float, Q: Optional[np.ndarray] = None,
+             shift: Optional[np.ndarray | float] = None
+             ) -> tuple[np.ndarray, list[float], bool]:
     """Minimize `_quotient` from u, over the nodes of u, by preconditioned
     projected gradient descent.
 
-    The gradient g is preconditioned by the H^s Sobolev metric
-    P = 1 / (symbol + c), diagonal in Fourier, with c = max V (plus 1 where
-    symbol + max V has a zero); the direction is d = P g.  Each trial point
-    u - tau d is projected by |.| and normalized onto the weighted L^q
-    sphere.  The step is a Barzilai-Borwein guess in the P-metric,
-    <s, y> / <y, P y> with s, y the last changes of u and g (P y is the
-    change of d, so it costs no FFT), floored at 1 / max((symbol + max V) P),
-    and halved until the Armijo condition holds, so the returned quotient
-    trace is nonincreasing.  Stops when the relative decrease falls below
-    tol, or when no step of the line search decreases R (stationary at
-    line-search resolution), or unconverged after _MAX_ITERS iterations.
+    A applies the energy, u -> A u + V u, and P the preconditioner; the
+    direction is d = P g for the gradient g.  Each trial point u - tau d is
+    projected by |.| and normalized onto the weighted L^q sphere.  The step
+    is a Barzilai-Borwein guess in the P-metric, <s, y> / <y, P y> with s, y
+    the last changes of u and g (P y is the change of d, so it costs no
+    apply), floored at tau_floor (1 / max((A + V) P) over the spectrum,
+    with max V for V), and halved until the Armijo condition holds, so the
+    returned quotient trace is nonincreasing.  Stops when the
+    relative decrease falls below tol, or when no step of the line search
+    decreases R (stationary at line-search resolution), or unconverged after
+    _MAX_ITERS iterations.
 
-    symbol is the M-point box symbol, and V and Q live on the nodes of u.
-    The energy and P are applied through the size-n embeddings of `_embed`
-    (n >= 2 len(u) - 1): on m < M nodes they are the m x m Toeplitz blocks
-    of the box circulants, and on all M nodes they are the box circulants
-    themselves.
-
-    On all M nodes P is the inverse of symbol + c, so the direction's
-    energy is known without a transform, A d + V d = g + (V - c) d, and a
-    trial point x = u - tau d that |.| leaves alone (no negative entry) has
-    A x + V x = (A u + V u) - tau (A d + V d), divided by the same norm as
-    x.  The descent carries A u + V u along with u and applies the energy
-    only at the start and at a trial point where |.| changes an entry, so
-    an iteration costs the one transform pair of d = P g.  On m < M nodes
-    the Toeplitz blocks of symbol + c and P are not inverses, and every
-    trial point's energy is applied.  Returns the minimizer, the trace and
-    the converged flag.
+    shift = V - c is given when P inverts the energy shifted by c.  Then
+    A d + V d = g + shift d, and a trial point x = u - tau d that |.| leaves
+    alone (no negative entry) has the energy (A u + V u) - tau (A d + V d),
+    divided by the same norm as x: the descent carries A u + V u and applies
+    A only at the start and where |.| changes an entry.  Without shift every
+    trial point is applied.  Returns the minimizer, the trace and the
+    converged flag.
     """
-    vmax = 0.0 if V is None else float(np.max(V))
-    c = vmax if float(np.min(symbol)) + vmax > 0.0 else vmax + 1.0
-    P = 1.0 / (symbol + c)
-    tau_floor = 1.0 / float(np.max((symbol + vmax) * P))
-    symbol, P = _embed(symbol, u.shape[0]), _embed(P, u.shape[0])
-    box = 2 * (symbol.shape[0] - 1) == u.shape[0]   # circulants, not blocks
-    shift = -c if V is None else V - c
     u, w, _ = _normalize(np.abs(u), h, q, Q)
-    Au = _energy(symbol, u, V)
+    Au = A(u)
 
     R, g = _quotient(u, Au, h, q, Q, w)
     trace = [R]
     converged = False
     u_prev = g_prev = d_prev = None
     for _ in range(_MAX_ITERS):
-        d = _apply(P, g)
-        Ad = g + shift * d if box else None
+        d = P(g)
+        Ad = None if shift is None else g + shift * d
         if u_prev is None:
             tau = tau_floor
         else:
@@ -264,10 +241,10 @@ def _descend(u: np.ndarray, symbol: np.ndarray, h: float, q: float,
             except ConvergenceError:
                 tau *= 0.5
                 continue
-            if box and float(np.min(x)) >= 0.0:
+            if Ad is not None and float(np.min(x)) >= 0.0:
                 Av = (Au - tau * Ad) / n
             else:
-                Av = _energy(symbol, v, V)
+                Av = A(v)
             Rv, gv = _quotient(v, Av, h, q, Q, wv)
             decrease = _dot(g, v - u)
             if Rv <= R + _ARMIJO * min(decrease, 0.0):
@@ -333,10 +310,15 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     "whole_space" (adds ||u||_2^2 to the numerator; takes no mask, and
     refuses one with `DomainError`).  A domain mask (`domain_mask`) must be
     a boolean array with one entry per grid node, True on one run that
-    `_support` accepts; any other mask is refused (`GridError`).  A domain
-    solve hands `_descend` the m nodes of that run alone, so its cost per
-    iteration scales with m, not with the M nodes of the box, and puts the
-    minimizer back on the box, zero off the run.
+    `_support` accepts; any other mask is refused (`GridError`).
+
+    Each mode states the operators of `_descend`.  A whole-space solve runs
+    on all M box nodes with A = symbol + 1 and P = 1/A, which inverts it:
+    it passes the shift 0.  A domain solve hands `_descend` the m nodes of
+    that run alone, so its cost per iteration scales with m, not with M,
+    with the Toeplitz blocks (`_embed`) of symbol and of P = 1/(symbol + 1),
+    which are not inverses: no shift.  It puts the minimizer back on the
+    box, zero off the run.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
@@ -362,8 +344,11 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
 
     symbol = grid.multiplier(s)
     if mode == "whole_space":
-        u, trace, converged = _descend(_gaussian(grid), symbol + 1.0, grid.spacing, q,
-                                       _QUOTIENT_TOL)
+        A = symbol + 1.0
+        P = 1.0 / A
+        u, trace, converged = _descend(_gaussian(grid), partial(_apply, A),
+                                       partial(_apply, P), 1.0 / float(np.max(A * P)),
+                                       grid.spacing, q, _QUOTIENT_TOL, shift=0.0)
         edge = np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
         mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)
@@ -375,8 +360,11 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         center = 0.5 * (xs.max() + xs.min())
         k0 = 0.5 * (xs.max() - xs.min()) / 2.0
         cap = np.maximum(k0 ** 2 - (xs - center) ** 2, 0.0) ** s
-        u_support, trace, converged = _descend(cap, symbol, grid.spacing, q,
-                                               _QUOTIENT_TOL)
+        P = 1.0 / (symbol + 1.0)
+        u_support, trace, converged = _descend(
+            cap, partial(_apply, _embed(symbol, cap.size)),
+            partial(_apply, _embed(P, cap.size)), 1.0 / float(np.max(symbol * P)),
+            grid.spacing, q, _QUOTIENT_TOL)
         u = np.zeros(grid.points)
         u[support] = u_support
         tail_warning = False

@@ -232,6 +232,24 @@ def test_huge_box_starts_without_warnings(capsys, argv, code):
         assert json.loads(out)["result"]["pass"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "interval:-1,1", "--box", "1e308"],
+    ["groundstate", "--box", "1e308"],
+], ids=["sandwich", "groundstate"])
+def test_box_whose_spacing_overflows_is_refused(capsys, argv):
+    # the spacing 2L/M was inf: the sandwich warned "invalid value encountered
+    # in multiply" and said its mask "holds 0 of the 4096 nodes", and the
+    # ground state ended in a traceback under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid half_width 1e+308 is too large: the spacing "
+                          "2 half_width / points overflows a double")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("domain", ["interval:1", "interval:1,2,3"])
 def test_interval_arity_prints_the_grammar(capsys, domain):
     # said "not enough values to unpack" / "too many values to unpack"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fracsob.pde import (
     pohozaev_defect,
     ps_level,
 )
-from fracsob.varmin import _descend
+from fracsob.varmin import _apply, _descend
 
 
 def rel(a, b):
@@ -235,8 +236,11 @@ class TestGroundState:
         u0, I0, rep = ground_state_solve(grid, 0.5, 4.0, ones, ones)
         # the embedding-constant descent of minimize_quotient (whole space,
         # from exp(-x^2)), run to the ground state's tolerance
-        _, trace, _ = _descend(np.exp(-grid.x ** 2), grid.multiplier(0.5) + 1.0,
-                               grid.spacing, 4.0, 1e-13)
+        A = grid.multiplier(0.5) + 1.0
+        P = 1.0 / A
+        _, trace, _ = _descend(np.exp(-grid.x ** 2), partial(_apply, A), partial(_apply, P),
+                               1.0 / float(np.max(A * P)), grid.spacing, 4.0, 1e-13,
+                               shift=0.0)
         assert rel(2.0 * I0, trace[-1]) < 1e-9
 
     @pytest.mark.parametrize("s,q,depth,amp", [(0.5, 4.0, 0.0, 2.0), (0.3, 3.5, 0.5, 1.5)])
@@ -261,8 +265,12 @@ class TestGroundState:
         V = np.ones(grid.points)
         Q = 1.0 + 2.0 * np.exp(-grid.x * grid.x)
         start = np.exp(-grid.x ** 2)
-        runs = [_descend(u, grid.multiplier(0.5), grid.spacing, 4.0, _GROUND_STATE_TOL,
-                         V=V, Q=Q)
+        # the operators of ground_state_solve for V = 1: P inverts A + 1
+        mult = grid.multiplier(0.5)
+        P = 1.0 / (mult + 1.0)
+        runs = [_descend(u, lambda v: _apply(mult, v) + V * v, partial(_apply, P),
+                         1.0 / float(np.max((mult + 1.0) * P)), grid.spacing, 4.0,
+                         _GROUND_STATE_TOL, Q=Q, shift=V - 1.0)
                 for u in (start, start * (1.0 + 2.0 ** -52 * np.cos(grid.x)))]
         (_, trace, converged), (_, trace_p, converged_p) = runs
         assert converged and converged_p

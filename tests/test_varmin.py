@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fracsob.varmin import (
     _apply,
     _dot,
     _embed,
-    _energy,
     _quotient,
     default_grid,
     domain_mask,
@@ -27,12 +27,43 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def energy(symbol, u, V=None):
+    """A u + V u, with A applied by `_apply`; V = None stands for V = 0."""
+    Au = _apply(symbol, u)
+    return Au if V is None else Au + V * u
+
+
+def whole_space_operators(grid, s):
+    """The energy, preconditioner and step floor of a whole-space
+    `minimize_quotient`: A = symbol + 1 and P = 1 / A."""
+    A = grid.multiplier(s) + 1.0
+    P = 1.0 / A
+    return partial(_apply, A), partial(_apply, P), 1.0 / float(np.max(A * P))
+
+
+def ground_state_operators(grid, s, V):
+    """The energy, preconditioner, step floor and shift V - max V of
+    `pde.ground_state_solve`."""
+    mult, vmax = grid.multiplier(s), float(np.max(V))
+    P = 1.0 / (mult + vmax)
+    return (lambda v: _apply(mult, v) + V * v, partial(_apply, P),
+            1.0 / float(np.max((mult + vmax) * P)), V - vmax)
+
+
 class TestGridField:
     def test_power_of_two(self):
         with pytest.raises(GridError):
             Grid(half_width=1.0, points=1000)
         with pytest.raises(GridError):
             Grid(half_width=-1.0, points=1024)
+
+    def test_overflowing_spacing_is_refused(self):
+        # Grid(1e308, 4096).spacing was inf, and x, the masks and the
+        # start fields took inf - inf = nan from it
+        with pytest.raises(GridError, match=r"grid half_width 1e\+308 is too large: "
+                           "the spacing 2 half_width / points overflows a double"):
+            Grid(half_width=1e308, points=4096)
+        assert Grid(half_width=8e307, points=4096).spacing < math.inf
 
     def test_half_spectrum_multiplier(self):
         # the M/2 + 1 nonnegative frequencies xi_j = j/(2L) of a real transform
@@ -58,11 +89,11 @@ def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
         d = rng.normal(size=M)
         if mask is not None:
             u, d = np.where(mask, u, 0.0), np.where(mask, d, 0.0)
-        _, g = _quotient(u, _energy(symbol, u, V), h, q, Q)
+        _, g = _quotient(u, energy(symbol, u, V), h, q, Q, np.abs(u) ** q)
         eps = 1e-6
         up, um = u + eps * d, u - eps * d
-        Rp, _ = _quotient(up, _energy(symbol, up, V), h, q, Q)
-        Rm, _ = _quotient(um, _energy(symbol, um, V), h, q, Q)
+        Rp, _ = _quotient(up, energy(symbol, up, V), h, q, Q, np.abs(up) ** q)
+        Rm, _ = _quotient(um, energy(symbol, um, V), h, q, Q, np.abs(um) ** q)
         fd = (Rp - Rm) / (2.0 * eps)
         assert abs(float(g @ d) - fd) / max(abs(fd), 1e-10) < 1e-5
 
@@ -133,7 +164,7 @@ class TestEmbeddedApply:
         mask[support] = True
         symbol = Grid(half_width=8.0, points=M).multiplier(s)
         rng = np.random.default_rng(M + m)
-        # the energy and the preconditioner P = 1 / (symbol + 1) of `_descend`
+        # the energy and the preconditioner P = 1 / (symbol + 1) of a domain solve
         for f in (symbol, 1.0 / (symbol + 1.0)):
             spectrum = _embed(f, m)
             n = 2 * (spectrum.size - 1)
@@ -177,8 +208,8 @@ class TestEmbeddedApply:
 # path shows
 WHOLE_SPACE_LADDER_2048 = (0.7252686913858366, 18)   # q = 32 on rn:10
 GROUND_STATE_I0 = 0.5076669573250618   # TestPinnedEstimates.test_ground_state
-# the same two solves by the descent that applied the energy at every trial
-# point; carrying A u moves them by rounding only
+# the same two solves by the descent without a shift, which applies the
+# energy at every trial point; carrying A u moves them by rounding only
 WHOLE_SPACE_LADDER_2048_APPLIED = (0.7252686913858362, 18)
 GROUND_STATE_I0_APPLIED = (0.5076669573250613, 14)
 # a domain solve iterates on its support's nodes: s = 0.75, q = 3 on (-1, 1)
@@ -191,18 +222,25 @@ class TestWholeSpaceBits:
         res = minimize_quotient(Grid(half_width=10.0, points=2048), None, 0.5, 32.0,
                                 "whole_space")
         assert (res.estimate, res.iterations) == WHOLE_SPACE_LADDER_2048
-        estimate, iterations = WHOLE_SPACE_LADDER_2048_APPLIED
-        assert res.iterations == iterations and rel(res.estimate, estimate) <= 1e-14
+        assert rel(res.estimate, WHOLE_SPACE_LADDER_2048_APPLIED[0]) <= 1e-14
+        grid = Grid(half_width=10.0, points=2048)
+        A, P, floor = whole_space_operators(grid, 0.5)
+        _, trace, _ = varmin._descend(varmin._gaussian(grid), A, P, floor, grid.spacing,
+                                      32.0, varmin._QUOTIENT_TOL)
+        assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_APPLIED
 
     def test_ground_state_energy(self):
-        from fracsob.pde import ground_state_solve
+        from fracsob.pde import _GROUND_STATE_TOL, ground_state_solve
         grid = Grid(half_width=20.0, points=1024)
         bump = np.exp(-grid.x ** 2)
-        _, I0, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, 1.0 - 0.5 * bump),
-                                        Field(grid, 1.0 + 2.0 * bump))
+        V, Q = 1.0 - 0.5 * bump, 1.0 + 2.0 * bump
+        _, I0, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, V), Field(grid, Q))
         assert I0 == GROUND_STATE_I0
-        estimate, iterations = GROUND_STATE_I0_APPLIED
-        assert rep.iterations == iterations and rel(I0, estimate) <= 1e-14
+        assert rel(I0, GROUND_STATE_I0_APPLIED[0]) <= 1e-14
+        A, P, floor, _ = ground_state_operators(grid, 0.5, V)
+        _, trace, _ = varmin._descend(varmin._gaussian(grid), A, P, floor, grid.spacing,
+                                      4.0, _GROUND_STATE_TOL, Q=Q)
+        assert (0.5 * trace[-1], len(trace) - 1) == GROUND_STATE_I0_APPLIED
 
     def test_domain_solve_estimate(self):
         grid = Grid(half_width=8.0, points=8192)
@@ -219,9 +257,12 @@ class TestWholeSpaceBits:
         res = minimize_quotient(grid, mask, 0.25, 3.0, "domain")
         xs = grid.x[mask]
         c, k0 = 0.5 * (xs.max() + xs.min()), 0.25 * (xs.max() - xs.min())
+        symbol = grid.multiplier(0.25)
+        P = 1.0 / (symbol + 1.0)
         u, trace, converged = varmin._descend(
-            np.maximum(k0 ** 2 - (xs - c) ** 2, 0.0) ** 0.25, grid.multiplier(0.25),
-            grid.spacing, 3.0, varmin._QUOTIENT_TOL)
+            np.maximum(k0 ** 2 - (xs - c) ** 2, 0.0) ** 0.25,
+            partial(_apply, _embed(symbol, xs.size)), partial(_apply, _embed(P, xs.size)),
+            1.0 / float(np.max(symbol * P)), grid.spacing, 3.0, varmin._QUOTIENT_TOL)
         assert u.shape == (int(mask.sum()),)
         assert np.array_equal(u, res.minimizer.values[mask])
         assert np.array_equal(trace, res.trace) and converged is res.converged
@@ -236,7 +277,7 @@ class TestWholeSpaceBits:
 
 def applied_quotient(symbol, u, h, q, V=None, Q=None):
     """The quotient of u with its energy applied, not carried."""
-    return _quotient(u, _energy(symbol, u, V), h, q, Q)[0]
+    return _quotient(u, energy(symbol, u, V), h, q, Q, np.abs(u) ** q)[0]
 
 
 def count_irfft(monkeypatch):
@@ -252,8 +293,8 @@ def count_irfft(monkeypatch):
 
 
 class TestCarriedEnergy:
-    """On all M box nodes `_descend` carries A u + V u: P inverts
-    symbol + c, so A d + V d = g + (V - c) d, and a trial point u - tau d
+    """Given the shift V - c, `_descend` carries A u + V u: P inverts
+    A + c, so A d + V d = g + (V - c) d, and a trial point u - tau d
     that |.| leaves alone has the energy (A u + V u) - tau (A d + V d).  An
     iteration then costs the one transform pair of d = P g, and the carried
     energy stays the applied one to rounding."""
@@ -302,27 +343,27 @@ class TestCarriedEnergy:
         bump = np.exp(-grid.x ** 2)
         V, Q = 1.0 - 0.5 * bump, 1.0 + 2.0 * bump
         symbol = grid.multiplier(0.5)
-        u, trace, converged = varmin._descend(np.exp(-grid.x ** 2), symbol, grid.spacing,
-                                              4.0, 1e-13, V=V, Q=Q)
+        A, P, floor, shift = ground_state_operators(grid, 0.5, V)
+        u, trace, converged = varmin._descend(np.exp(-grid.x ** 2), A, P, floor,
+                                              grid.spacing, 4.0, 1e-13, Q=Q, shift=shift)
         assert converged
         assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 4.0, V, Q)) <= 1e-12
 
-    def test_trial_point_that_the_projection_changes_is_applied(self, monkeypatch):
+    def test_trial_point_that_the_projection_changes_is_applied(self):
         # from two bumps, one trial point u - tau d has a negative entry,
         # which |.| flips: its energy is applied, not carried
         applied = []
-        energy = varmin._energy
-
-        def recorded(symbol, u, V):
-            applied.append(u)
-            return energy(symbol, u, V)
-
-        monkeypatch.setattr(varmin, "_energy", recorded)
         grid = Grid(half_width=200.0, points=4096)
         x, symbol = grid.x, grid.multiplier(0.1) + 1.0
+        A, P, floor = whole_space_operators(grid, 0.1)
+
+        def recorded(v):
+            applied.append(v)
+            return A(v)
+
         u, trace, converged = varmin._descend(
-            np.exp(-(x - 2.0) ** 2) + np.exp(-(x + 2.0) ** 2), symbol, grid.spacing, 3.0,
-            varmin._QUOTIENT_TOL)
+            np.exp(-(x - 2.0) ** 2) + np.exp(-(x + 2.0) ** 2), recorded, P, floor,
+            grid.spacing, 3.0, varmin._QUOTIENT_TOL, shift=0.0)
         assert converged
         assert len(applied) == 2   # the set-up and that trial point
         assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 3.0)) <= 1e-12
