@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ class Grid:
         if not math.isfinite(self.spacing):
             raise GridError(f"grid half_width {self.half_width:g} is too large: the "
                             "spacing 2 half_width / points overflows a double")
+        if self.spacing < sys.float_info.min:
+            raise GridError(f"grid half_width {self.half_width:g} is too small: the "
+                            "spacing 2 half_width / points lies below the smallest "
+                            "normal double")
 
     @property
     def spacing(self) -> float:
@@ -47,8 +52,14 @@ class Grid:
 
     def multiplier(self, s: float) -> np.ndarray:
         """|2 pi xi|^(2s) on the M/2 + 1 nonnegative frequencies of a real
-        transform (`rfft` order): the half spectrum of a real field."""
-        return (2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.spacing)) ** (2.0 * s)
+        transform (`rfft` order): the half spectrum of a real field.  An s
+        whose top entry (pi / spacing)^(2s) overflows a double is refused."""
+        with np.errstate(over="ignore"):
+            symbol = (2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.spacing)) ** (2.0 * s)
+        if not math.isfinite(symbol[-1]):
+            raise GridError(f"grid half_width {self.half_width:g} is too small for s={s}: "
+                            "the top symbol (pi / spacing)^(2s) overflows a double")
+        return symbol
 
 
 @dataclass

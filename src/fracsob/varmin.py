@@ -27,7 +27,9 @@ box nodes: P inverts the energy, so the solve passes the shift and the
 descent carries the applied energy along with the field, and an iteration
 costs one pair, that of the direction P g.  A domain solve runs on the m
 nodes of its support alone (`minimize_quotient` takes them out and puts
-the minimizer back), with the m x m Toeplitz blocks of symbol and of
+the minimizer back), on a grid dilated by the power of two 2^-k that puts
+the support's half-width in [1/2, 1), so the solve does not depend on the
+domain's scale; it has the m x m Toeplitz blocks of symbol and of
 P = 1/(symbol + 1), applied through circulants of the smallest
 power-of-two size n >= 2m - 1 (or n = M when that is not smaller;
 `_embed`).  The blocks do not invert each other, so it passes no shift, and
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import DomainSpec, bounds_for
-from .constants import ConstantKind, ConstantValue, Params, Regime
+from .constants import ConstantKind, ConstantValue, Params, Regime, _power
 from .errors import ConvergenceError, DomainError, FracsobError, GridError
 from .grids import Field, Grid
 
@@ -277,8 +279,8 @@ def _support(grid: Grid, mask: np.ndarray) -> slice:
     """The slice of the one run of nodes where a support mask is True; any
     other mask is refused.  The run holds at least 3 nodes (on fewer the cap
     start of `minimize_quotient` vanishes) and fewer than all M (where a
-    constant has zero energy), and the square of its half-width is finite
-    (the cap start squares it)."""
+    constant has zero energy).  Its scale is the solve's: any width will
+    do."""
     if not isinstance(mask, np.ndarray) or mask.shape != (grid.points,):
         raise GridError(f"the support mask must have shape ({grid.points},), one entry "
                         f"per grid node, got {np.shape(mask)}")
@@ -292,11 +294,6 @@ def _support(grid: Grid, mask: np.ndarray) -> slice:
     runs = 1 + int(np.count_nonzero(np.diff(nodes) > 1))
     if runs > 1:
         raise GridError(f"the support mask must be one run of nodes, got {runs} runs")
-    # Python floats, which overflow to inf without the warning of a numpy scalar
-    half_width = 0.5 * (int(nodes[-1]) - int(nodes[0])) * float(grid.spacing)
-    if not math.isfinite(half_width * half_width):
-        raise GridError(f"the support is too wide for the solver: the square of its "
-                        f"half-width {half_width:g} overflows a double")
     return slice(int(nodes[0]), int(nodes[-1]) + 1)
 
 
@@ -320,6 +317,16 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     which are not inverses: no shift.  It puts the minimizer back on the
     box, zero off the run.
 
+    A domain solve owns its scale: with rho = (m - 1) h / 2 the run's
+    half-width and k the exponent with rho 2^-k in [1/2, 1), it solves on
+    Grid(L 2^-k, M), the same discrete problem (a power of two changes the
+    spacing, nodes and frequencies exactly) at the scale that the shift 1
+    of P and the step bounds of `_descend` suit.  The estimate and trace
+    come back times 2^(k e), e = 1 - 2s - 2/q, and the minimizer times
+    2^(-k/q), all in the caller's scale; a factor or a trace outside the
+    double range is a `DomainError`.  (-1, 1) at the default grid has rho = 255/256, so
+    k = 0.
+
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
     periodic kernel irfft(grid.multiplier(s), n=M) is nonpositive off the
@@ -342,8 +349,8 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
 
-    symbol = grid.multiplier(s)
     if mode == "whole_space":
+        symbol = grid.multiplier(s)
         A = symbol + 1.0
         P = 1.0 / A
         u, trace, converged = _descend(_gaussian(grid), partial(_apply, A),
@@ -354,9 +361,15 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)
     else:
         # the descent runs on the support's nodes alone, from the cap
-        # (k0^2 - (x-c)^2)_+^s of half its width
+        # (k0^2 - (x-c)^2)_+^s of half its width, on the box scaled by 2^-k
         support = _support(grid, mask)
-        xs = grid.x[support]
+        rho = 0.5 * (support.stop - support.start - 1) * grid.spacing
+        k = math.frexp(rho)[1]
+        at = f"s={s}, q={q} on a support of half-width {rho:g}"
+        scale = _power(2.0, k * (1.0 - 2.0 * s - 2.0 / q), at)
+        unit = Grid(math.ldexp(grid.half_width, -k), grid.points)
+        symbol = unit.multiplier(s)
+        xs = unit.x[support]
         center = 0.5 * (xs.max() + xs.min())
         k0 = 0.5 * (xs.max() - xs.min()) / 2.0
         cap = np.maximum(k0 ** 2 - (xs - center) ** 2, 0.0) ** s
@@ -364,9 +377,12 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         u_support, trace, converged = _descend(
             cap, partial(_apply, _embed(symbol, cap.size)),
             partial(_apply, _embed(P, cap.size)), 1.0 / float(np.max(symbol * P)),
-            grid.spacing, q, _QUOTIENT_TOL)
+            unit.spacing, q, _QUOTIENT_TOL)
+        trace = [scale * t for t in trace]
+        if not 0.0 < trace[-1] <= trace[0] < math.inf:
+            raise DomainError(f"the quotient times {scale!r} leaves the double range at {at}")
         u = np.zeros(grid.points)
-        u[support] = u_support
+        u[support] = _power(2.0, -k / q, at) * u_support
         tail_warning = False
 
     return SolveResult(estimate=trace[-1], minimizer=Field(grid, u),
@@ -383,8 +399,12 @@ def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
                  half_width: float | None = None) -> Grid:
     """The sandwich grid: `points` nodes on [-half_width, half_width], by
     default 8 x the inradius of a bounded domain or the whole-space
-    truncation."""
+    truncation.  A bounded domain whose default box, of width 16 x its
+    inradius, overflows a double is refused."""
     if half_width is None:
+        if domain.bounded and not math.isfinite(16.0 * domain.inradius):
+            raise GridError(f"the default box of {domain} overflows a double: its width "
+                            f"16 x the inradius {domain.inradius:g} is not finite")
         half_width = 8.0 * domain.inradius if domain.bounded else domain.truncation
     return Grid(half_width=half_width, points=points)
 

@@ -897,16 +897,50 @@ def test_domain_wider_than_the_box_is_refused(capsys, box):
     assert "Traceback" not in err
 
 
-def test_domain_whose_inradius_squared_overflows_is_refused(capsys):
+def test_domain_whose_inradius_squared_overflows_is_solved(capsys):
     # the cap start (k0^2 - x^2)_+^s overflowed: three RuntimeWarnings, then
-    # "degenerate field", or under -W error a traceback with exit 1
-    code, out, err = run_capture(capsys, ["sandwich", "--s", "0.3", "--q", "2.5",
-                                          "--domain", "interval:-5e299,5e299"])
+    # "degenerate field", or under -W error a traceback with exit 1; later a
+    # refusal.  At unit scale it is (-1, 1) dilated by r = 5e299
+    argv = ["sandwich", "--s", "0.3", "--q", "2.5", "--domain"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv + ["interval:-5e299,5e299"])
+        _, unit, _ = run_capture(capsys, argv + ["interval:-1,1"])
+    assert code == 0
+    assert err == ""
+    doc, ref = json.loads(out)["result"], json.loads(unit)["result"]
+    assert doc["pass"] is True and doc["note"] == ""
+    scaled = doc["numeric"]["value"] * 5e299 ** (2 * 0.3 - 1 + 2 / 2.5)
+    assert abs(scaled - ref["numeric"]["value"]) < 1e-8 * ref["numeric"]["value"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "rn:2e-305"],
+                 "grid half_width 2e-305 is too small: the spacing", id="rn-2e-305"),
+    pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "rn:200",
+                  "--box", "1e-310"],
+                 "grid half_width 1e-310 is too small: the spacing", id="sandwich-box"),
+    pytest.param(["groundstate", "--box", "1e-310", "--V", "const:1", "--Q", "const:1"],
+                 "grid half_width 1e-310 is too small: the spacing", id="groundstate-box"),
+    pytest.param(["groundstate", "--s", "0.9", "--box", "1e-290", "--V", "const:1",
+                  "--Q", "const:1"],
+                 "grid half_width 1e-290 is too small for s=0.9: the top symbol",
+                 id="groundstate-symbol"),
+    pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain",
+                  "interval:-8e307,8e307"],
+                 "the default box of interval (a=-8e+307, b=8e+307) in R^1 overflows "
+                 "a double", id="default-box"),
+])
+def test_grid_out_of_double_range_is_refused(capsys, argv, message):
+    # a subnormal spacing or an overflowing symbol warned and ended in "got
+    # nan" or "non-finite entries"; 8 x the inradius 8e307 said "got inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: the support is too wide for the solver: the square of "
-                          "its half-width 4.98047e+299 overflows a double")
-    assert "Traceback" not in err
+    assert err.startswith("error: " + message)
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv,word", [

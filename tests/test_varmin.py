@@ -65,6 +65,29 @@ class TestGridField:
             Grid(half_width=1e308, points=4096)
         assert Grid(half_width=8e307, points=4096).spacing < math.inf
 
+    @pytest.mark.parametrize("half_width,points", [(1e-310, 4096), (2e-305, 4096),
+                                                   (2.3e-308, 4)])
+    def test_subnormal_spacing_is_refused(self, half_width, points):
+        # a subnormal spacing gave nan symbols and start fields, with
+        # RuntimeWarnings: "constant must be finite and positive, got nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=f"grid half_width {half_width:g} is too "
+                               "small: the spacing 2 half_width / points lies below the "
+                               "smallest normal double"):
+                Grid(half_width=half_width, points=points)
+        assert Grid(half_width=2.3e-308, points=2).spacing == 2.3e-308
+
+    def test_overflowing_top_symbol_is_refused(self):
+        # (pi / h)^(2s) overflowed with "overflow encountered in power"
+        grid = Grid(half_width=1e-290, points=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=r"grid half_width 1e-290 is too small for "
+                               r"s=0.9: the top symbol \(pi / spacing\)\^\(2s\) overflows"):
+                grid.multiplier(0.9)
+            assert np.all(np.isfinite(grid.multiplier(0.5)))
+
     def test_half_spectrum_multiplier(self):
         # the M/2 + 1 nonnegative frequencies xi_j = j/(2L) of a real transform
         g = Grid(half_width=4.0, points=16)
@@ -495,23 +518,17 @@ class TestMinimizer:
         pytest.param("empty", r"holds 0 of the 1024 nodes on \[-8, 8\); the solver needs "
                      "at least 3 and fewer than 1024", id="empty"),
         pytest.param("two-intervals", "one run of nodes, got 2 runs", id="two-intervals"),
-        # the cap start squared the run's half-width: a RuntimeWarning, and a
-        # traceback under -W error
-        pytest.param("huge-coordinates", "the square of its half-width 4.98047e\\+299 "
-                     "overflows a double", id="huge-coordinates"),
         # a constant has zero energy on the whole periodic box: 2.6e-17, converged
         pytest.param("whole-box", "holds 1024 of the 1024 nodes", id="whole-box"),
     ])
     def test_malformed_mask_is_refused(self, case, match):
         grid = Grid(half_width=8.0, points=1024)
         unit = domain_mask(grid, DomainSpec.interval(-0.5, 0.5))
-        huge = Grid(half_width=4e300, points=4096)
         # domain_mask centres every domain, so the second run is built here
         grid, mask = {"ten-nodes": (grid, np.ones(10, dtype=bool)),
                       "float": (grid, unit.astype(float)),
                       "empty": (grid, np.zeros(1024, dtype=bool)),
                       "two-intervals": (grid, unit | ((grid.x > 3.5) & (grid.x < 4.5))),
-                      "huge-coordinates": (huge, np.abs(huge.x) < 5e299),
                       "whole-box": (grid, np.ones(1024, dtype=bool)),
                       }[case]
         with warnings.catch_warnings():
@@ -527,13 +544,42 @@ class TestMinimizer:
             domain_mask(grid, DomainSpec.ball(1.0, 2))
         with pytest.raises(GridError, match="its inradius 8 must lie below"):
             domain_mask(grid, DomainSpec.interval(-8.0, 8.0))
-        # the solver's start field squares the half-width of the support,
-        # here 63 steps of 3.125e152
-        wide = Grid(half_width=1.6e155, points=1024)
-        mask = domain_mask(wide, DomainSpec.interval(-2e154, 2e154))
-        with pytest.raises(GridError, match="the square of its half-width 1.96875e\\+154 "
-                                            "overflows"):
-            minimize_quotient(wide, mask, 0.25, 3.0, "domain")
+
+    def test_default_box_that_overflows_is_refused(self):
+        # 8 x the inradius overflowed: "grid half_width must be finite and
+        # positive, got inf", a value never given
+        dom = DomainSpec.interval(-8e307, 8e307)
+        with pytest.raises(GridError, match=r"the default box of interval \(a=-8e\+307, "
+                           r"b=8e\+307\) in R\^1 overflows a double"):
+            default_grid(dom)
+        assert default_grid(dom, half_width=8.5e307).half_width == 8.5e307
+        assert default_grid(DomainSpec.interval(-5e306, 5e306)).half_width == 4e307
+
+    @pytest.mark.parametrize("L,M,r,hand_made", [
+        # a hand-made mask, np.abs(x) < 5e299: 255 steps of 1.95e297
+        pytest.param(4e300, 4096, 5e299, True, id="huge-coordinates"),
+        # 63 steps of 3.125e152
+        pytest.param(1.6e155, 1024, 2e154, False, id="inradius-2e154"),
+    ])
+    def test_wide_support_is_solved(self, L, M, r, hand_made):
+        # the cap start squared the support's half-width, and both supports
+        # were refused; solved at unit scale, each is (-1, 1) on the box
+        # [-8, 8) dilated by r
+        s, q = 0.25, 3.0
+        grid = Grid(half_width=L, points=M)
+        unit = Grid(half_width=8.0, points=M)
+        mask = (np.abs(grid.x) < r if hand_made
+                else domain_mask(grid, DomainSpec.interval(-r, r)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize_quotient(grid, mask, s, q, "domain")
+        ref = minimize_quotient(unit, domain_mask(unit, DomainSpec.interval(-1.0, 1.0)),
+                                s, q, "domain")
+        assert res.converged
+        assert rel(res.estimate * r ** (2.0 * s - 1.0 + 2.0 / q), ref.estimate) < 1e-8
+        assert np.count_nonzero(res.minimizer.values) == np.count_nonzero(ref.minimizer.values)
+        # the minimizer is on the caller's L^q sphere, not the unit-scale one
+        assert rel(grid.spacing * np.sum(res.minimizer.values ** q), 1.0) < 1e-12
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (7.0, 9.0), (20.0, 22.0), (-2.5, -0.5)])
     def test_domain_mask_is_centred(self, a, b):
@@ -551,17 +597,47 @@ class TestMinimizer:
         assert np.count_nonzero(mask) == 511
         assert np.array_equal(mask[1:], mask[:0:-1])   # symmetric about x = 0
 
-    @pytest.mark.parametrize("r", [1e-3, 0.01, 0.1, 0.3, 3.0, 10.0])
+    @staticmethod
+    def default_solve(r, s, q):
+        dom = DomainSpec.interval(-r, r)
+        grid = default_grid(dom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return minimize_quotient(grid, domain_mask(grid, dom), s, q, "domain")
+
+    def scaled(self, r, s=0.3, q=2.5):
+        return self.default_solve(r, s, q).estimate * r ** (2.0 * s - 1.0 + 2.0 / q)
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-12, 1e-3, 0.01, 0.1, 0.3, 3.0, 10.0, 1e6,
+                                   1e50, 5e299])
     def test_domain_solve_is_dilation_invariant(self, r):
         # the estimate on (-r, r) at the default grid, times r^(2s - 1 + 2/q),
         # does not move under a dilation; it was 1.07017 at r = 0.1 against
-        # 1.07200 at r = 1 (-0.17%)
-        def scaled(r, s=0.3, q=2.5):
-            dom = DomainSpec.interval(-r, r)
-            grid = default_grid(dom)
-            res = minimize_quotient(grid, domain_mask(grid, dom), s, q, "domain")
-            return res.estimate * r ** (2.0 * s - 1.0 + 2.0 / q)
-        assert rel(scaled(r), scaled(1.0)) < 1e-8
+        # 1.07200 at r = 1 (-0.17%), and before the solve took a unit scale
+        # +11.2% at r = 1e-12, +39.5% at r = 1e50, and 1e-300 and 5e299
+        # were refused
+        assert rel(self.scaled(r), self.scaled(1.0)) < 1e-8
+
+    @pytest.mark.parametrize("r", [1e-12, 0.01, 3.0, 1e6, 1e50])
+    def test_domain_solve_is_dilation_invariant_above_s_half(self, r):
+        assert rel(self.scaled(r, 0.75, 3.0), self.scaled(1.0, 0.75, 3.0)) < 1e-7
+
+    def test_tiny_domain_converges(self):
+        # r = 1e-12 ran into the 20000-iteration cap
+        res = self.default_solve(1e-12, 0.3, 2.5)
+        assert res.converged and res.iterations < 100
+
+    @pytest.mark.parametrize("s,q,r", [
+        (0.4, 1.0, 5e299),
+        (0.4, 1.0, 1e-300),
+        # the factor 2^(365 * 2.8) fits, yet the estimate times it is inf
+        (0.9, 1.0, math.ldexp(0.6, -365)),
+    ])
+    def test_scale_beyond_the_double_range_is_refused(self, s, q, r):
+        # the constant at this scale leaves the double range: the estimate
+        # must not come out as 0.0, inf or an OverflowError
+        with pytest.raises(DomainError, match=f"leaves the double range at s={s}, q={q}"):
+            self.default_solve(r, s, q)
 
 
 # estimates of the unpreconditioned descent (tol 1e-9, one BLAS thread): the
