@@ -4,25 +4,21 @@ nonexistence diagnostic.
 
 All threshold formulas take the embedding constant S as an input, so that a
 certified lower bound for S propagates to a certified threshold.  The
-ground-state solver runs the descent kernel of the embedding-constant
-solver (`varmin._descend`) with the weight Q and the operators it states:
-the energy A u + V u, A = |2 pi xi|^(2s), and P = 1/(A + max V), which
-inverts that energy shifted by c = max V on the box.  It passes the shift
-V - max V, so the descent carries A u + V u along with u, and an iteration
-costs one rfft/irfft pair of the grid's points.
+ground-state solver is the whole-box descent of the embedding-constant
+solver (`varmin._box_descent`) with the potential V and the weight Q, so
+at V = Q = 1 it is the whole-space solve of S.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .constants import _power, classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _descend, _dot, _gaussian
+from .varmin import _apply, _box_descent, _dot
 
 __all__ = [
     "ps_level",
@@ -211,13 +207,12 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     solution of (-Lap)^s u + V u = Q |u|^(q-2) u.
 
     Works on the scale-invariant quotient I(u) / (int Q|u|^q)^(2/q), which
-    has the same minimizers, with the descent kernel of the embedding-constant
-    solver (`varmin._descend`: projected gradient with positivity along the
-    preconditioned gradient P g, a Barzilai-Borwein step in the P-metric and
-    Armijo backtracking) from exp(-x^2), which takes a few dozen iterations
-    whatever the grid and at most `varmin._MAX_ITERS`.  P = 1/(A + max V)
-    inverts the energy A + V shifted by max V, which is > 0 as V > 0, so the
-    solve passes the shift V - max V.  Returns (u0, I0, report) with
+    has the same minimizers, with the whole-box descent of the
+    embedding-constant solver (`varmin._box_descent`, at the tolerance
+    _GROUND_STATE_TOL), which takes a few dozen iterations whatever the grid
+    and at most `varmin._MAX_ITERS`.  At V = Q = 1 it is the whole-space
+    solve of `minimize_quotient` run to that tolerance: 2 I0 is its
+    estimate bit for bit.  Returns (u0, I0, report) with
     u0 = (2 I0)^(1/(q-2)) u.  V and Q outside their hypotheses are refused.
     """
     if not 0.0 < s < 1.0:
@@ -231,23 +226,17 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     check_potential_hypotheses(V)
 
     h = grid.spacing
-    # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the descent, the residual
-    # and ||u0||_{H^s}^2 = h (<u0, A u0> + <u0, u0>)
-    mult = grid.multiplier(s)
     Vv, Qv = V.values, Q.values
 
-    # the kernel minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
-    vmax = float(np.max(Vv))
-    P = 1.0 / (mult + vmax)
-    u, trace, converged = _descend(
-        _gaussian(grid), lambda v: _apply(mult, v) + Vv * v, partial(_apply, P),
-        1.0 / float(np.max((mult + vmax) * P)), h, q, _GROUND_STATE_TOL, Q=Qv,
-        shift=Vv - vmax)
+    # the descent minimizes R = 2 I / (int Q|u|^q)^(2/q); J = R/2 is reported
+    u, trace, converged = _box_descent(grid, s, q, _GROUND_STATE_TOL, Vv, Qv)
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum
     u0_vals = (2.0 * I0) ** (1.0 / (q - 2.0)) * u
-    Au0 = _apply(mult, u0_vals)
+    # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the residual and in
+    # ||u0||_{H^s}^2 = h (<u0, A u0> + <u0, u0>)
+    Au0 = _apply(grid.multiplier(s), u0_vals)
     nonlin = Qv * np.abs(u0_vals) ** (q - 2.0) * u0_vals
     resid = Au0 + Vv * u0_vals - nonlin
     rnorm = math.sqrt(h * float(np.sum(resid ** 2)))

@@ -18,14 +18,14 @@ preconditioner makes the iteration count nearly independent of the grid
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
 from the applied energy and minimized by `_descend`, which takes the
-energy A, the preconditioner P and the step floor from its caller; the
-ground-state solver in `pde` runs the same kernel with a potential V and a
-weight Q.  Symbols live on the n/2 + 1 nonnegative frequencies of a real
-transform, so each operator apply is one rfft/irfft pair (`_apply`) of n
-points.  A whole-space solve states A = symbol + 1 and P = 1/A on all M
-box nodes: P inverts the energy, so the solve passes the shift and the
-descent carries the applied energy along with the field, and an iteration
-costs one pair, that of the direction P g.  A domain solve runs on the m
+energy A, the preconditioner P and the step floor from its caller.
+Symbols live on the n/2 + 1 nonnegative frequencies of a real transform,
+so each operator apply is one rfft/irfft pair (`_apply`) of n points.  A
+whole-space solve is `_box_descent` on all M box nodes with V = 1; the
+ground-state solver in `pde` runs it with a potential V and a weight Q.
+There P inverts the energy up to a pointwise shift, so the descent
+carries the applied energy along with the field, and an iteration costs
+one pair, that of the direction P g.  A domain solve runs on the m
 nodes of its support alone (`minimize_quotient` takes them out and puts
 the minimizer back), on a grid dilated by the power of two 2^-k that puts
 the support's half-width in [1/2, 1), so the solve does not depend on the
@@ -203,9 +203,8 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     projected by |.| and normalized onto the weighted L^q sphere.  The step
     is a Barzilai-Borwein guess in the P-metric, <s, y> / <y, P y> with s, y
     the last changes of u and g (P y is the change of d, so it costs no
-    apply), floored at tau_floor (1 / max((A + V) P) over the spectrum,
-    with max V for V), and halved until the Armijo condition holds, so the
-    returned quotient trace is nonincreasing.  Stops when the
+    apply), floored at tau_floor, and halved until the Armijo condition
+    holds, so the returned quotient trace is nonincreasing.  Stops when the
     relative decrease falls below tol, or when no step of the line search
     decreases R (stationary at line-search resolution), or unconverged after
     _MAX_ITERS iterations.
@@ -266,13 +265,27 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     return u, trace, converged
 
 
-def _gaussian(grid: Grid) -> np.ndarray:
-    """exp(-x^2) on the box nodes: the start field of whole-space solves and
-    ground states."""
+def _box_descent(grid: Grid, s: float, q: float, tol: float,
+                 V: np.ndarray | float, Q: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, list[float], bool]:
+    """`_descend` on all M box nodes for the energy (-Lap)^s u + V u, from
+    exp(-x^2): the whole-space solve (V = 1) and the ground state share it.
+
+    With c = max V it applies the energy as (symbol + c) v through the box
+    circulant plus (V - c) v pointwise, and P = 1/(symbol + c) inverts the
+    spectral part, so it passes the shift V - c and the step floor
+    1 / max((symbol + c) P).  V = 1 gives A = symbol + 1 and the shift 0.
+    """
     x = grid.x
     # x*x overflows to inf on a huge box, where exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
-        return np.exp(-x * x)
+        start = np.exp(-x * x)
+    c = float(np.max(V))
+    A = grid.multiplier(s) + c
+    P = 1.0 / A
+    shift = V - c
+    return _descend(start, lambda v: _apply(A, v) + shift * v, partial(_apply, P),
+                    1.0 / float(np.max(A * P)), grid.spacing, q, tol, Q=Q, shift=shift)
 
 
 def _support(grid: Grid, mask: np.ndarray) -> slice:
@@ -309,13 +322,13 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     a boolean array with one entry per grid node, True on one run that
     `_support` accepts; any other mask is refused (`GridError`).
 
-    Each mode states the operators of `_descend`.  A whole-space solve runs
-    on all M box nodes with A = symbol + 1 and P = 1/A, which inverts it:
-    it passes the shift 0.  A domain solve hands `_descend` the m nodes of
-    that run alone, so its cost per iteration scales with m, not with M,
-    with the Toeplitz blocks (`_embed`) of symbol and of P = 1/(symbol + 1),
-    which are not inverses: no shift.  It puts the minimizer back on the
-    box, zero off the run.
+    A whole-space solve is `_box_descent` with V = 1, at the tolerance
+    _QUOTIENT_TOL, and warns when its minimizer's q-mass reaches the box
+    edge.  A domain solve hands `_descend` the m nodes of that run alone,
+    so its cost per iteration scales with m, not with M, with the Toeplitz
+    blocks (`_embed`) of symbol and of P = 1/(symbol + 1), which are not
+    inverses: no shift.  It puts the minimizer back on the box, zero off
+    the run.
 
     A domain solve owns its scale: with rho = (m - 1) h / 2 the run's
     half-width and k the exponent with rho 2^-k in [1/2, 1), it solves on
@@ -350,12 +363,7 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError(f"q must be >= 1, got {q}")
 
     if mode == "whole_space":
-        symbol = grid.multiplier(s)
-        A = symbol + 1.0
-        P = 1.0 / A
-        u, trace, converged = _descend(_gaussian(grid), partial(_apply, A),
-                                       partial(_apply, P), 1.0 / float(np.max(A * P)),
-                                       grid.spacing, q, _QUOTIENT_TOL, shift=0.0)
+        u, trace, converged = _box_descent(grid, s, q, _QUOTIENT_TOL, 1.0)
         edge = np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
         mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)

@@ -943,6 +943,30 @@ def test_grid_out_of_double_range_is_refused(capsys, argv, message):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("cmd,q,domain", [
+    pytest.param("sandwich", "1.5", "interval:-8e307,8e307", id="sandwich-interval"),
+    pytest.param("sandwich", "1.5", "ball:8e307", id="sandwich-ball"),
+    pytest.param("sweep", "1.2,1.5", "interval:-8e307,8e307", id="sweep-interval"),
+])
+def test_point_that_does_not_solve_needs_no_default_box(capsys, cmd, q, domain):
+    # the default box was built before dispatch and refused, though a p = 1
+    # point takes its exact value and solves nothing: exit 2, "the default
+    # box of ... overflows a double"
+    argv = ["--p", "1", "--N", "1", "--s", "0.5", "--domain", domain]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, [cmd, "--q", q] + argv)
+        values = []
+        for q_ in q.split(","):
+            _, bound, _ = run_capture(capsys, ["bounds", "--q", q_] + argv)
+            values.append(json.loads(bound)["result"]["lower"]["value"])
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    for doc, value in zip(result if cmd == "sweep" else [result], values, strict=True):
+        assert doc["pass"] is True
+        assert doc["lower"]["value"] == doc["upper"]["value"] == value
+
+
 @pytest.mark.parametrize("argv,word", [
     pytest.param(["--s", "0.7", "--q", "3", "--domain", "rn:100", "--grid", "1024"],
                  "error: no bounds available", id="out-of-scope"),

@@ -1,9 +1,9 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
+from fracsob import varmin
 from fracsob.bounds import DomainSpec, bounds_for
 from fracsob.constants import Params, classical_sobolev, frac_sobolev_hilbert
 from fracsob.errors import DomainError, GridError, RegimeError
@@ -21,7 +21,6 @@ from fracsob.pde import (
     pohozaev_defect,
     ps_level,
 )
-from fracsob.varmin import _apply, _descend
 
 
 def rel(a, b):
@@ -231,17 +230,16 @@ class TestGroundState:
             ground_state_solve(grid, 0.5, 4.0, ones, dip)
 
     def test_flat_weight_recovers_embedding_constant(self):
-        grid = Grid(half_width=100.0, points=2048)
-        ones = Field(grid, np.ones(grid.points))
-        u0, I0, rep = ground_state_solve(grid, 0.5, 4.0, ones, ones)
-        # the embedding-constant descent of minimize_quotient (whole space,
-        # from exp(-x^2)), run to the ground state's tolerance
-        A = grid.multiplier(0.5) + 1.0
-        P = 1.0 / A
-        _, trace, _ = _descend(np.exp(-grid.x ** 2), partial(_apply, A), partial(_apply, P),
-                               1.0 / float(np.max(A * P)), grid.spacing, 4.0, 1e-13,
-                               shift=0.0)
-        assert rel(2.0 * I0, trace[-1]) < 1e-9
+        # at V = Q = 1 the ground state is the whole-space descent of
+        # minimize_quotient run to the ground state's tolerance, bit for bit
+        for L, M, s, q in [(100.0, 2048, 0.5, 4.0), (40.0, 4096, 0.3, 3.5),
+                           (40.0, 16384, 0.75, 8.0)]:
+            grid = Grid(half_width=L, points=M)
+            ones = Field(grid, np.ones(grid.points))
+            _, I0, rep = ground_state_solve(grid, s, q, ones, ones)
+            _, trace, _ = varmin._box_descent(grid, s, q, _GROUND_STATE_TOL, 1.0)
+            assert 2.0 * I0 == trace[-1]
+            assert np.array_equal(rep.energy_trace, 0.5 * np.asarray(trace))
 
     @pytest.mark.parametrize("s,q,depth,amp", [(0.5, 4.0, 0.0, 2.0), (0.3, 3.5, 0.5, 1.5)])
     def test_h_norm_sq_is_the_plancherel_sum(self, s, q, depth, amp):
@@ -257,22 +255,20 @@ class TestGroundState:
         assert rel(rep.h_norm_sq, plancherel) <= 1e-13
 
     @pytest.mark.parametrize("M", [2048, 16384])
-    def test_iterations_stable_under_rounding_perturbation(self, M):
+    def test_iterations_stable_under_rounding_perturbation(self, M, monkeypatch):
         # the work of a solve must not hang on rounding: the ground-state
         # descent from a start perturbed in its last bit takes (nearly) the
         # same number of iterations
         grid = Grid(half_width=40.0, points=M)
         V = np.ones(grid.points)
         Q = 1.0 + 2.0 * np.exp(-grid.x * grid.x)
-        start = np.exp(-grid.x ** 2)
-        # the operators of ground_state_solve for V = 1: P inverts A + 1
-        mult = grid.multiplier(0.5)
-        P = 1.0 / (mult + 1.0)
-        runs = [_descend(u, lambda v: _apply(mult, v) + V * v, partial(_apply, P),
-                         1.0 / float(np.max((mult + 1.0) * P)), grid.spacing, 4.0,
-                         _GROUND_STATE_TOL, Q=Q, shift=V - 1.0)
-                for u in (start, start * (1.0 + 2.0 ** -52 * np.cos(grid.x)))]
-        (_, trace, converged), (_, trace_p, converged_p) = runs
+        _, trace, converged = varmin._box_descent(grid, 0.5, 4.0, _GROUND_STATE_TOL, V, Q)
+        # the same operators, from exp(-x^2) perturbed in its last bit
+        descend = varmin._descend
+        monkeypatch.setattr(varmin, "_descend", lambda u, *args, **kwargs: descend(
+            u * (1.0 + 2.0 ** -52 * np.cos(grid.x)), *args, **kwargs))
+        _, trace_p, converged_p = varmin._box_descent(grid, 0.5, 4.0, _GROUND_STATE_TOL,
+                                                      V, Q)
         assert converged and converged_p
         assert abs(len(trace) - len(trace_p)) <= 2
         assert len(trace) - 1 <= 100

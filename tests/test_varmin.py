@@ -42,12 +42,12 @@ def whole_space_operators(grid, s):
 
 
 def ground_state_operators(grid, s, V):
-    """The energy, preconditioner, step floor and shift V - max V of
-    `pde.ground_state_solve`."""
+    """The energy, preconditioner and step floor of a ground state, with the
+    energy A u + V u applied whole (A = symbol): P = 1 / (symbol + max V)."""
     mult, vmax = grid.multiplier(s), float(np.max(V))
     P = 1.0 / (mult + vmax)
     return (lambda v: _apply(mult, v) + V * v, partial(_apply, P),
-            1.0 / float(np.max((mult + vmax) * P)), V - vmax)
+            1.0 / float(np.max((mult + vmax) * P)))
 
 
 class TestGridField:
@@ -230,9 +230,10 @@ class TestEmbeddedApply:
 # box circulant itself: these values are bit-exact, so any change to that
 # path shows
 WHOLE_SPACE_LADDER_2048 = (0.7252686913858366, 18)   # q = 32 on rn:10
-GROUND_STATE_I0 = 0.5076669573250618   # TestPinnedEstimates.test_ground_state
+GROUND_STATE_I0 = 0.5076669573250614   # TestPinnedEstimates.test_ground_state
 # the same two solves by the descent without a shift, which applies the
-# energy at every trial point; carrying A u moves them by rounding only
+# energy (the ground state's as symbol u + V u) at every trial point;
+# carrying A u and splitting off max V move them by rounding only
 WHOLE_SPACE_LADDER_2048_APPLIED = (0.7252686913858362, 18)
 GROUND_STATE_I0_APPLIED = (0.5076669573250613, 14)
 # a domain solve iterates on its support's nodes: s = 0.75, q = 3 on (-1, 1)
@@ -248,7 +249,7 @@ class TestWholeSpaceBits:
         assert rel(res.estimate, WHOLE_SPACE_LADDER_2048_APPLIED[0]) <= 1e-14
         grid = Grid(half_width=10.0, points=2048)
         A, P, floor = whole_space_operators(grid, 0.5)
-        _, trace, _ = varmin._descend(varmin._gaussian(grid), A, P, floor, grid.spacing,
+        _, trace, _ = varmin._descend(np.exp(-grid.x ** 2), A, P, floor, grid.spacing,
                                       32.0, varmin._QUOTIENT_TOL)
         assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_APPLIED
 
@@ -260,8 +261,8 @@ class TestWholeSpaceBits:
         _, I0, rep = ground_state_solve(grid, 0.5, 4.0, Field(grid, V), Field(grid, Q))
         assert I0 == GROUND_STATE_I0
         assert rel(I0, GROUND_STATE_I0_APPLIED[0]) <= 1e-14
-        A, P, floor, _ = ground_state_operators(grid, 0.5, V)
-        _, trace, _ = varmin._descend(varmin._gaussian(grid), A, P, floor, grid.spacing,
+        A, P, floor = ground_state_operators(grid, 0.5, V)
+        _, trace, _ = varmin._descend(np.exp(-grid.x ** 2), A, P, floor, grid.spacing,
                                       4.0, _GROUND_STATE_TOL, Q=Q)
         assert (0.5 * trace[-1], len(trace) - 1) == GROUND_STATE_I0_APPLIED
 
@@ -366,9 +367,7 @@ class TestCarriedEnergy:
         bump = np.exp(-grid.x ** 2)
         V, Q = 1.0 - 0.5 * bump, 1.0 + 2.0 * bump
         symbol = grid.multiplier(0.5)
-        A, P, floor, shift = ground_state_operators(grid, 0.5, V)
-        u, trace, converged = varmin._descend(np.exp(-grid.x ** 2), A, P, floor,
-                                              grid.spacing, 4.0, 1e-13, Q=Q, shift=shift)
+        u, trace, converged = varmin._box_descent(grid, 0.5, 4.0, 1e-13, V, Q)
         assert converged
         assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 4.0, V, Q)) <= 1e-12
 
