@@ -5,9 +5,8 @@ Three regimes are covered (see `constants.Regime`):
 * borderline (p = 1): the exact constant, one closed form on every domain
   `DomainSpec` admits (a ball, an interval, the whole space), printed as
   both ends of the pair;
-* Hilbert (p = 2, N > 2s): Hoelder lower bound and the bump-profile upper
-  bound on domains; Young-interpolation lower and bump-family upper on the
-  whole space;
+* Hilbert (p = 2, N > 2s): Hoelder lower bound and the cap-profile upper
+  bound on domains;
 * limiting (p = 2, N = 1, s = 1/2): truncated-logarithm upper bounds and
   exponential-integrability lower bounds, the latter carrying the caller
   supplied Trudinger-Moser constants C1 (domain) and C2 (whole space).
@@ -16,10 +15,16 @@ Three regimes are covered (see `constants.Regime`):
 once (scope, the domain's dimension, C1 and C2) and dispatches to one private
 formula per regime and domain kind.
 
+Two scaling facts have one owner each: a dilation multiplies a constant by
+lambda^(N - sp - Np/q) (`_dilation_exponent`), and the least quotient of
+the dilates of a profile is kappa(theta) E^theta B^(1-theta) / G
+(`_dilation_min`).  Every whole-space bound for p = 1, 2 is that minimum:
+of a critical constant (lower; for p = 1 both ends) or of the cap
+(1 - |x|^2)_+^s, whose norms are `_cap_norms` (upper).
+
 Every bound holds for 1 <= q below the critical exponent, the scope of
-`Params.regime()`.  All q-dependent exponents are evaluated through
-`_inv_gap` as fused differences to avoid cancellation near the critical
-exponent.
+`Params.regime()`.  The q-dependent weights and domain exponents are fused
+differences (`_inv_gap`), safe from cancellation near the critical exponent.
 """
 from __future__ import annotations
 
@@ -156,21 +161,47 @@ def _inv_gap(q: float, q_crit: float) -> float:
     return (q_crit - q) / (q * q_crit)
 
 
+def _dilation_exponent(N: int, s: float, p: float, q: float) -> float:
+    """N - sp - Np/q, the exponent of S(lambda Omega) = lambda^e S(Omega)."""
+    return N - s * p - N * p / q
+
+
+def _dilation_weights(params: Params) -> tuple[float, float]:
+    """theta = (N/s)(1/p - 1/q) and phi = (N/s)(1/q - 1/crit) = 1 - theta."""
+    N, s = params.N, params.s
+    return (N / s * _inv_gap(params.p, params.q),
+            N / s * _inv_gap(params.q, params.critical_exponent))
+
+
+def _dilation_min(theta: float, phi: float, E: float, B: float) -> float:
+    """kappa(theta) E^theta B^phi, kappa = theta^-theta phi^-phi, the minimum
+    over lambda of lambda^(-ps phi) E + lambda^(ps theta) B (at lambda^(ps) =
+    phi E / (theta B)): times 1/G, the quotient of u(x/lambda) for a profile
+    u with energy E, ||u||_p^p = B and ||u||_q^p = G (Weinstein's scaling)."""
+    return phi ** (-phi) * theta ** (-theta) * E ** theta * B ** phi
+
+
+def _cap_norms(N: int, s: float, q: float) -> tuple[float, float, float]:
+    """E = ||(-Lap)^(s/2) u||^2 = 2^(2s+1) Gamma(s+1)^2 c / (N+2s), B = ||u||_2^2
+    = c B(N/2, 2s+1) and G = ||u||_q^2 = (c B(N/2, qs+1))^(2/q), c = omega_N N/2,
+    of the cap u = (1 - |x|^2)_+^s in R^N."""
+    c = unit_ball_volume(N) * N / 2.0
+    return (2.0 ** (2.0 * s + 1.0) * gamma_fn(s + 1.0) ** 2 * c / (N + 2.0 * s),
+            c * beta_fn(N / 2.0, 2.0 * s + 1.0),
+            (c * beta_fn(N / 2.0, q * s + 1.0)) ** (2.0 / q))
+
+
 def dilation_transfer(S: float, lam: float, params: Params) -> float:
-    """Rescale a constant under the dilation group: the constant on Omega in
-    terms of the constant on lambda*Omega."""
+    """Rescale a constant under the dilation group: the constant on
+    lambda*Omega from the constant S on Omega, lambda^(N - sp - Np/q) S."""
     if not lam > 0.0:
         raise DomainError(f"dilation factor must be positive, got {lam}")
     if not S > 0.0:
         raise DomainError(f"constant must be positive, got {S}")
     N, s, p, q = params.N, params.s, params.p, params.q
-    if N > p * s:
-        expo = N * p * _inv_gap(q, params.critical_exponent) * (-1.0)
-        # N p (1/p_s^* - 1/q) = -N p (1/q - 1/p_s^*)
-        return _power(lam, expo, str(params)) * S
-    if N == p * s:
-        return _power(lam, -N * p / q, str(params)) * S
-    raise RegimeError(f"dilation transfer undefined for N < ps (N={N}, s={s}, p={p})")
+    if N < p * s:
+        raise RegimeError(f"dilation transfer undefined for N < ps (N={N}, s={s}, p={p})")
+    return _power(lam, _dilation_exponent(N, s, p, q), str(params)) * S
 
 
 def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
@@ -221,17 +252,12 @@ def _borderline_domain(params: Params, domain: DomainSpec) -> BoundPair:
 
 def _borderline_wholespace(params: Params) -> BoundPair:
     """p=1 whole-space constant, exact: q=1 gives 1; for 1 < q < crit the
-    interpolation identity, which characteristic functions of balls
-    saturate, as both ends of the pair."""
-    N, s, q = params.N, params.s, params.q
-    if q == 1.0:
+    dilation minimum kappa(theta) S^theta of the interpolation, which
+    characteristic functions of balls saturate, as both ends of the pair."""
+    if params.q == 1.0:
         return _exact_one("borderline-rn-q1")
-    S = frac_isoperimetric(N, s).value
-    gap = _inv_gap(q, params.critical_exponent)   # 1/q - 1/crit > 0
-    gap1 = 1.0 - 1.0 / q
-    v = ((N / s * gap) ** (-N / s * gap)
-         * (N / s * gap1) ** (-N / s * gap1)
-         * S ** (N / s * gap1))
+    S = frac_isoperimetric(params.N, params.s).value
+    v = _dilation_min(*_dilation_weights(params), S, 1.0)
     return _pair("borderline-rn", v, v)
 
 
@@ -240,40 +266,28 @@ def _borderline_wholespace(params: Params) -> BoundPair:
 
 def _hilbert_domain(params: Params, domain: DomainSpec) -> BoundPair:
     """p=2 bounds on a bounded domain: Hoelder lower bound against the
-    critical constant, bump-profile upper bound through the inradius."""
-    N, s, q = params.N, params.s, params.q
-    crit = params.critical_exponent
-    Ss = frac_sobolev_hilbert(N, s).value
-    w = unit_ball_volume(N)
+    critical constant, and the cap's E/G dilated to the inradius ball."""
+    e = 2.0 * _inv_gap(params.critical_exponent, params.q)   # 2 (1/crit - 1/q)
+    E, _, G = _cap_norms(params.N, params.s, params.q)
     at = f"{params} on {domain}"
-    lo = Ss * _power(domain.measure, 2.0 * _inv_gap(crit, q), at)
-    up = (2.0 ** (2.0 * s + 2.0 / q) * (w * N) ** (1.0 - 2.0 / q) / (N + 2.0 * s)
-          * gamma_fn(s + 1.0) ** 2 * beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
-          * _power(domain.inradius, 2.0 * N * _inv_gap(crit, q), at))
+    lo = frac_sobolev_hilbert(params.N, params.s).value * _power(domain.measure, e, at)
+    up = E / G * _power(domain.inradius, params.N * e, at)
     return _pair("hilbert-domain", lo, up)
 
 
 def _hilbert_wholespace(params: Params) -> BoundPair:
     """p=2 whole-space bounds for 2 <= q < crit: q=2 is exactly 1; otherwise
-    the Young-interpolation lower bound and the bump-family upper bound."""
+    the dilation minima kappa S*^theta of the critical constant (the Young
+    interpolation) and kappa E^theta B^phi / G of the cap."""
     N, s, q = params.N, params.s, params.q
     if q < 2.0:
         raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
     if q == 2.0:
         return _exact_one("hilbert-rn-q2")
-    Ss = frac_sobolev_hilbert(N, s).value
-    gap = _inv_gap(q, params.critical_exponent)   # 1/q - 1/crit
-    gap2 = _inv_gap(q, 2.0) * (-1.0)   # 1/2 - 1/q
-    lo = ((N / s * gap) ** (-N / s * gap)
-          * (N / s * gap2) ** (-N / s * gap2)
-          * Ss ** (N / s * gap2))
-    w = unit_ball_volume(N)
-    up = (w ** (1.0 - 2.0 / q) * s
-          * ((2.0 ** (2.0 * s + 1.0 - 2.0 * s / N) * gamma_fn(s + 1.0) ** 2)
-             / ((N + 2.0 * s) * gap2)) ** (N / s * gap2)
-          * (N * beta_fn(N / 2.0, q * s + 1.0)) ** (-2.0 / q)
-          * (beta_fn(N / 2.0, 2.0 * s + 1.0) / gap) ** (N / s * gap))
-    return _pair("hilbert-rn", lo, up)
+    theta, phi = _dilation_weights(params)
+    E, B, G = _cap_norms(N, s, q)
+    lo = _dilation_min(theta, phi, frac_sobolev_hilbert(N, s).value, 1.0)
+    return _pair("hilbert-rn", lo, _dilation_min(theta, phi, E, B) / G)
 
 
 # ---------------------------------------------------------------------------

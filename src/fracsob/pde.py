@@ -213,7 +213,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     and at most `varmin._MAX_ITERS`.  At V = Q = 1 it is the whole-space
     solve of `minimize_quotient` run to that tolerance: 2 I0 is its
     estimate bit for bit.  Returns (u0, I0, report) with
-    u0 = (2 I0)^(1/(q-2)) u.  V and Q outside their hypotheses are refused.
+    u0 = (2 I0)^(1/(q-2)) u; a scale outside the double range (q near 2) is a
+    `DomainError`.  V and Q outside their hypotheses are refused.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
@@ -233,7 +234,7 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum
-    u0_vals = (2.0 * I0) ** (1.0 / (q - 2.0)) * u
+    u0_vals = _power(2.0 * I0, 1.0 / (q - 2.0), f"s={s}, q={q}") * u
     # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the residual and in
     # ||u0||_{H^s}^2 = h (<u0, A u0> + <u0, u0>)
     Au0 = _apply(grid.multiplier(s), u0_vals)

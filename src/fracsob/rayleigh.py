@@ -8,9 +8,11 @@ Profiles (radial, N = 1 for the quadrature oracles):
 
 Each test-function family, inserted into the whole-space Rayleigh quotient,
 produces a one- or two-parameter objective whose closed-form minimum is the
-corresponding whole-space upper bound; the two-parameter Moser objectives
-come from the truncated logarithm, constant ln(K/k) on |x| <= k and
-ln(K/|x|) on k <= |x| <= K.
+corresponding whole-space upper bound.  The cap's norms are those of
+`bounds._cap_norms` scaled to radius k, and the char-ball and bump argmins
+are the dilation argmin of `bounds._dilation_min`; the two-parameter Moser
+objectives come from the truncated logarithm, constant ln(K/k) on |x| <= k
+and ln(K/|x|) on k <= |x| <= K.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _inv_gap
+from .bounds import _cap_norms, _dilation_exponent, _dilation_weights
 from .constants import Params, Regime, frac_isoperimetric, unit_ball_volume
 from .errors import DomainError, RegimeError
-from .specfun import QuadratureConfig, beta_fn, gamma_fn, integrate
+from .specfun import QuadratureConfig, integrate
 
 __all__ = [
     "RadialProfile",
@@ -72,20 +74,18 @@ class RadialProfile:
 
 def bump_seminorm_sq(N: int, s: float, k: float) -> float:
     """Closed form ||(-Lap)^(s/2) u||_2^2 for the cap profile (k^2-|x|^2)^s:
-    2^(2s) omega_N N / (N+2s) Gamma(s+1)^2 k^(N+2s)."""
+    the unit cap's E (`bounds._cap_norms`) times k^(N+2s)."""
     if not (N >= 1 and 0.0 < s < 1.0 and k > 0.0):
         raise DomainError(f"invalid bump parameters N={N}, s={s}, k={k}")
-    return (2.0 ** (2.0 * s) * unit_ball_volume(N) * N / (N + 2.0 * s)
-            * gamma_fn(s + 1.0) ** 2 * k ** (N + 2.0 * s))
+    return _cap_norms(N, s, 2.0)[0] * k ** (N + 2.0 * s)
 
 
 def bump_lq_norm(N: int, s: float, q: float, k: float) -> float:
-    """Closed form ||u||_q for the cap profile:
-    [omega_N N/2 B(N/2, qs+1) k^(N+2qs)]^(1/q)."""
+    """Closed form ||u||_q for the cap profile: the square root of the unit
+    cap's G (`bounds._cap_norms`) times k^(N/q+2s)."""
     if not (N >= 1 and 0.0 < s < 1.0 and k > 0.0 and q >= 1.0):
         raise DomainError(f"invalid parameters N={N}, s={s}, q={q}, k={k}")
-    return (unit_ball_volume(N) * N / 2.0 * beta_fn(N / 2.0, q * s + 1.0)
-            * k ** (N + 2.0 * q * s)) ** (1.0 / q)
+    return math.sqrt(_cap_norms(N, s, q)[2]) * k ** (N / q + 2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +112,24 @@ def _require_regime(which: Objective, params: Params) -> None:
                           f"regime, got {params}")
 
 
+def _unit_norms(which: Objective, params: Params) -> tuple[float, float, float]:
+    """E, B = ||u||_p^p and G = ||u||_q^p of the family's radius-1 profile: the
+    cap's `bounds._cap_norms`, or for the unit ball S w^(1/crit) (its
+    s-perimeter, S the isoperimetric constant), w and w^(1/q), w = omega_N."""
+    N, s, q = params.N, params.s, params.q
+    if which is Objective.BUMP:
+        return _cap_norms(N, s, q)
+    w = unit_ball_volume(N)
+    E = frac_isoperimetric(N, s).value * w ** (1.0 / params.critical_exponent)
+    return E, w, w ** (1.0 / q)
+
+
 def _objective(which: Objective, params: Params, k: float, K: float | None) -> float:
     """The objective at (k, K), unchecked."""
-    N, s, q = params.N, params.s, params.q
-    if which is Objective.CHAR_BALL:
-        crit = params.critical_exponent
-        S = frac_isoperimetric(N, s).value
-        w = unit_ball_volume(N)
-        return (w ** (1.0 / crit - 1.0 / q) * S * k ** (N * (1.0 / crit - 1.0 / q))
-                + w ** (1.0 - 1.0 / q) * k ** (N * (1.0 - 1.0 / q)))
-    if which is Objective.BUMP:
-        crit = params.critical_exponent
-        w = unit_ball_volume(N)
-        bq = beta_fn(N / 2.0, q * s + 1.0) ** (-2.0 / q)
-        a = 2.0 ** (2.0 * s + 2.0 / q) / (N + 2.0 * s) * gamma_fn(s + 1.0) ** 2 * bq
-        b = 2.0 ** (2.0 / q - 1.0) * beta_fn(N / 2.0, 2.0 * s + 1.0) * bq
-        return (w * N) ** (1.0 - 2.0 / q) * (
-            a * k ** (2.0 * N * _inv_gap(crit, q)) + b * k ** (N * (1.0 - 2.0 / q)))
+    N, s, p, q = params.N, params.s, params.p, params.q
+    if which in (Objective.CHAR_BALL, Objective.BUMP):   # radius k dilates E, B and G
+        E, B, G = _unit_norms(which, params)
+        return (E * k ** _dilation_exponent(N, s, p, q) + B * k ** (N - p * N / q)) / G
     if which is Objective.MOSER_BALL:
         return 2.0 ** (-2.0 / q) * math.pi * k ** (-2.0 / q) / math.log(K / k)
     return 2.0 ** (-2.0 / q) * (
@@ -157,29 +158,21 @@ def objective_minimizer(which: Objective, params: Params
     upper bound of the matching theorem-regime formula.
     """
     _require_regime(which, params)
-    N, s, q = params.N, params.s, params.q
-    if which is Objective.CHAR_BALL:
-        if q == 1.0:
-            raise RegimeError("no attained minimizer at q = 1 (infimum 1 as k -> inf)")
-        crit = params.critical_exponent
-        S = frac_isoperimetric(N, s).value
-        w = unit_ball_volume(N)
-        k_star = (S * _inv_gap(q, crit) / (w ** (s / N) * (1.0 - 1.0 / q))) ** (1.0 / s)
-        return (k_star,), _objective(which, params, k_star, None)
+    q = params.q
     if which is Objective.MOSER_BALL:
         k_star, K_star = math.exp(-q / 2.0), 1.0
         return (k_star, K_star), _objective(which, params, k_star, K_star)
-    if q <= 2.0:   # bump and moser-line
-        raise RegimeError("no attained minimizer at q <= 2")
-    if which is Objective.BUMP:
-        crit = params.critical_exponent
-        k_star = ((2.0 ** (2.0 * s + 1.0) * gamma_fn(s + 1.0) ** 2 * _inv_gap(q, crit))
-                  / ((N + 2.0 * s) * beta_fn(N / 2.0, 2.0 * s + 1.0)
-                     * (0.5 - 1.0 / q))) ** (1.0 / (2.0 * s))
-        return (k_star,), _objective(which, params, k_star, None)
-    K_star = 2.0 * math.pi / (q - 2.0) ** 2
-    k_star = K_star * math.exp(-(q - 2.0) / 2.0)
-    return (k_star, K_star), _objective(which, params, k_star, K_star)
+    if q <= params.p:   # the infimum is approached as k -> inf
+        raise RegimeError(f"no attained minimizer at q <= p = {params.p:g}")
+    if which is Objective.MOSER_LINE:
+        K_star = 2.0 * math.pi / (q - 2.0) ** 2
+        k_star = K_star * math.exp(-(q - 2.0) / 2.0)
+        return (k_star, K_star), _objective(which, params, k_star, K_star)
+    # the dilation argmin k^(ps) = phi E / (theta B) of `bounds._dilation_min`
+    theta, phi = _dilation_weights(params)
+    E, B, _ = _unit_norms(which, params)
+    k_star = (phi * E / (theta * B)) ** (1.0 / (params.p * params.s))
+    return (k_star,), _objective(which, params, k_star, None)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import DomainSpec, bounds_for
+from .bounds import DomainSpec, _dilation_exponent, bounds_for
 from .constants import ConstantKind, ConstantValue, Params, Regime, _power
 from .errors import ConvergenceError, DomainError, FracsobError, GridError
 from .grids import Field, Grid
@@ -335,10 +335,10 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     Grid(L 2^-k, M), the same discrete problem (a power of two changes the
     spacing, nodes and frequencies exactly) at the scale that the shift 1
     of P and the step bounds of `_descend` suit.  The estimate and trace
-    come back times 2^(k e), e = 1 - 2s - 2/q, and the minimizer times
-    2^(-k/q), all in the caller's scale; a factor or a trace outside the
-    double range is a `DomainError`.  (-1, 1) at the default grid has rho = 255/256, so
-    k = 0.
+    come back times 2^(k e), e = 1 - 2s - 2/q the dilation exponent, and the
+    minimizer times 2^(-k/q), all in the caller's scale; a factor or a trace
+    outside the double range is a `DomainError`.  (-1, 1) at the default
+    grid has rho = 255/256, so k = 0.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
     projection |.| does not raise the discrete energy.  For s <= 1/2 the
@@ -374,7 +374,7 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         rho = 0.5 * (support.stop - support.start - 1) * grid.spacing
         k = math.frexp(rho)[1]
         at = f"s={s}, q={q} on a support of half-width {rho:g}"
-        scale = _power(2.0, k * (1.0 - 2.0 * s - 2.0 / q), at)
+        scale = _power(2.0, k * _dilation_exponent(1, s, 2.0, q), at)
         unit = Grid(math.ldexp(grid.half_width, -k), grid.points)
         symbol = unit.multiplier(s)
         xs = unit.x[support]
@@ -426,7 +426,8 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
     p=1 on balls uses the exact characteristic-function value in place of a
     descent output (the constant is attained there); p=1 on the whole space
     is bound-only, since its bracket is the exact constant.  p=2 runs the
-    spectral minimizer (N = 1 grids).
+    spectral minimizer (N = 1 grids); a whole-space record notes when no
+    field on its box, or on its grid, can reach the bracket.
     """
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
@@ -455,6 +456,17 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
             notes.append("solver hit its iteration cap")
         if res.tail_mass_warning:
             notes.append("tail mass near truncation boundary")
+        if not domain.bounded:
+            # q >= 2 puts every quotient on the box in [h^e, (2L)^e], e = 1 - 2/q:
+            # a constant field has zero energy, and ||u||_lq <= ||u||_l2
+            e = 1.0 - 2.0 / params.q
+            flat, spike = (2.0 * grid.half_width) ** e, grid.spacing ** e
+            if flat < lo.value * (1 - _SANDWICH_TOL):
+                notes.append("the box cannot reach the bracket: a constant field has "
+                             f"quotient {flat:g}")
+            if spike > up.value * (1 + _SANDWICH_TOL):
+                notes.append("the grid cannot reach the bracket: every field on it has "
+                             f"quotient at least {spike:g}")
         note = "; ".join(notes)
 
     if numeric is None:   # bound-only: BoundPair has checked lower <= upper

@@ -7,6 +7,9 @@ import pytest
 from fracsob.bounds import (
     BoundPair,
     DomainSpec,
+    _cap_norms,
+    _dilation_min,
+    _dilation_weights,
     bounds_for,
     dilation_transfer,
     young_lower,
@@ -266,6 +269,51 @@ class TestHilbertDomain:
         p = Params(1, 0.25, 2.0, 4.0 - 1e-9)
         bp = bounds_for(p, DomainSpec.interval(-3.0, 1.0))
         assert rel(bp.lower.value, Ss) < 1e-6
+
+
+class TestScalingLaws:
+    """The cap's norms and the dilation minimum, which every Hilbert upper
+    bound reads, against routes that do not read them."""
+
+    @pytest.mark.parametrize("N,s,q", [
+        (1, 0.25, 3.0), (1, 0.45, 1.5), (2, 0.5, 2.5), (2, 0.05, 1.01), (3, 0.75, 4.0),
+        (3, 0.3, 10.0), (4, 0.1, 1.1), (5, 0.9, 2.2), (5, 0.5, 2.4)])
+    def test_cap_norms_by_dyda_and_quadrature(self, N, s, q):
+        # Dyda: (-Lap)^s (1 - |x|^2)_+^s = lambda_0 on the unit ball, so
+        # E = lambda_0 int_B (1 - |x|^2)^s; B and ||u||_q^q are radial
+        # quadratures omega_N N int_0^1 r^(N-1) (1 - r^2)^(qs) dr
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            Nm, sm, qm = mp.mpf(N), mp.mpf(s), mp.mpf(q)
+            sphere = 2 * mp.pi ** (Nm / 2) / mp.gamma(Nm / 2)   # omega_N N
+
+            def radial(a):
+                return sphere * mp.quad(lambda r: r ** (Nm - 1) * (1 - r * r) ** a, [0, 1])
+
+            lam0 = 2 ** (2 * sm) * mp.gamma(1 + sm) * mp.gamma(Nm / 2 + sm) / mp.gamma(Nm / 2)
+            want = (lam0 * radial(sm), radial(2 * sm), radial(qm * sm) ** (2 / qm))
+        for got, w in zip(_cap_norms(N, s, q), want):
+            assert rel(got, float(w)) < 1e-13
+
+    @pytest.mark.parametrize("N,s,q", [(1, 0.25, 3.0), (2, 0.5, 2.5), (3, 0.75, 3.5)])
+    def test_dilation_min_is_the_least_dilated_quotient(self, N, s, q):
+        # the cap of radius k, (k^2 - |x|^2)_+^s, has quotient
+        # (||(-Lap)^(s/2) u||^2 + ||u||_2^2) / ||u||_q^2; its least value over
+        # k, searched numerically, is the dilation minimum over G
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def quotient(t):
+            k = math.exp(t)
+            return ((bump_seminorm_sq(N, s, k) + bump_lq_norm(N, s, 2.0, k) ** 2)
+                    / bump_lq_norm(N, s, q, k) ** 2)
+
+        res = optimize.minimize_scalar(quotient, bounds=(-10.0, 10.0), method="bounded",
+                                       options={"xatol": 1e-10})
+        theta, phi = _dilation_weights(Params(N, s, 2.0, q))
+        E, B, G = _cap_norms(N, s, q)
+        assert rel(res.fun, _dilation_min(theta, phi, E, B) / G) < 1e-12
+        # at the argmin k^(2s) = phi E / (theta B)
+        assert rel(math.exp(2.0 * s * res.x), phi * E / (theta * B)) < 1e-6
 
 
 class TestHilbertWholespace:

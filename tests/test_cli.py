@@ -349,10 +349,13 @@ class TestSandwichCommand:
         assert res["note"] == "bound-only: spectral solver is one-dimensional"
 
     @pytest.mark.parametrize("s,q,note,passed", [
-        ("0.15", "2.2", "tail mass near truncation boundary", False),
+        ("0.15", "2.2", "tail mass near truncation boundary; the box cannot reach the "
+         "bracket: a constant field has quotient 1.72405", False),
         ("0.4", "3", "", True)])
     def test_tail_mass_note(self, capsys, s, q, note, passed):
-        # a slowly decaying minimizer keeps q-mass in the outer 5% of the box
+        # a slowly decaying minimizer keeps q-mass in the outer 5% of the box;
+        # at s = 0.15 a constant field's quotient 400^(1 - 2/q) lies below the
+        # bracket, so no field on this box reaches it
         code, out, _ = run_capture(
             capsys, ["sandwich", "--p", "2", "--N", "1", "--s", s, "--q", q,
                      "--domain", "rn:200", "--grid", "256"])
@@ -645,6 +648,33 @@ def test_huge_q_groundstate_converges(capsys):
     assert err == ""
     res = json.loads(out)["result"]
     assert res["converged"] and res["residual_ok"]
+
+
+@pytest.mark.parametrize("q", ["2.00001", "2.000000001"])
+def test_groundstate_scale_out_of_the_double_range_is_refused(capsys, q):
+    # (2 I0)^(1/(q-2)) underflowed to 0: exit 1 with h_norm_sq, lq_norm and
+    # residual 0, residual_rel "inf" and "thresholds_satisfied": true
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, ["groundstate", "--q", q])
+    assert (code, out) == (2, "")
+    head = err.splitlines()[0]
+    assert head.startswith("error: 0.617") and "Traceback" not in err
+    assert head.endswith(f" leaves the double range at s=0.5, q={q}")
+
+
+def test_grid_that_cannot_reach_the_bracket_says_so(capsys):
+    # on rn:1e300 the spacing h = 2e300 / 4096 puts every quotient on the box
+    # at or above h^(1 - 2/q) = 2.17638e+59, far above the bracket; the
+    # record said pass: false with an empty note
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(
+            capsys, ["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "rn:1e300"])
+    res = json.loads(out)["result"]
+    assert (code, err, res["pass"]) == (1, "", False)
+    assert res["note"] == ("the grid cannot reach the bracket: every field on it has "
+                           "quotient at least 2.17638e+59")
 
 
 _TM_WARNING = "warning: Trudinger-Moser constants --c1/--c2 defaulted"

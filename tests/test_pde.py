@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ class TestGroundState:
         dip = Field(grid, 1.0 - 0.5 * np.exp(-grid.x ** 2))
         with pytest.raises(DomainError, match="weight must satisfy Q >= 1"):
             ground_state_solve(grid, 0.5, 4.0, ones, dip)
+
+    @pytest.mark.parametrize("q", [2.00001, 2.000000001])
+    def test_scale_out_of_the_double_range_is_refused(self, q):
+        # with the CLI's default weight Q = 1 + 2 exp(-x^2) the scale
+        # (2 I0)^(1/(q-2)) is about 0.617^100000 at q = 2.00001: it underflowed
+        # to 0, and the solve returned a zero field with residual 0
+        grid = Grid(half_width=20.0, points=256)
+        V = Field(grid, np.ones(grid.points))
+        Q = Field(grid, 1.0 + 2.0 * np.exp(-grid.x ** 2))
+        with pytest.raises(DomainError,
+                           match=rf"leaves the double range at s=0.5, q={re.escape(str(q))}$"):
+            ground_state_solve(grid, 0.5, q, V, Q)
 
     def test_flat_weight_recovers_embedding_constant(self):
         # at V = Q = 1 the ground state is the whole-space descent of

@@ -736,6 +736,33 @@ class TestSandwich:
                        grid=Grid(half_width=8.0, points=2048))
         assert rep.numeric is not None and rep.passed
 
+    def test_every_box_quotient_lies_between_the_grid_floors(self):
+        # the two notes below rest on this: for q >= 2 a constant field has
+        # quotient (2L)^(1-2/q) (zero energy), and ||u||_lq <= ||u||_l2 puts
+        # every quotient at or above h^(1-2/q)
+        grid, q = Grid(half_width=50.0, points=512), 2.5
+        symbol, e = grid.multiplier(0.3) + 1.0, 1.0 - 2.0 / q
+        flat = applied_quotient(symbol, np.ones(grid.points), grid.spacing, q)
+        assert rel(flat, 100.0 ** e) < 1e-13
+        rng = np.random.default_rng(29)
+        for u in (rng.standard_normal(grid.points), np.eye(grid.points)[256]):
+            assert applied_quotient(symbol, u, grid.spacing, q) >= grid.spacing ** e
+
+    def test_box_that_cannot_reach_the_bracket_says_so(self):
+        # on rn:200 a constant field's quotient 400^(1-2/q) = 1.10854 lies
+        # below the bracket [1.329, 1.345]; the descent converges to it
+        rep = sandwich(Params(1, 0.103, 2.0, 2.035), DomainSpec.whole_space(200.0))
+        assert rep.note == ("tail mass near truncation boundary; the box cannot reach "
+                            "the bracket: a constant field has quotient 1.10854")
+        assert not rep.passed
+
+    def test_iteration_cap_note(self, monkeypatch):
+        # a descent stopped by its iteration cap says so
+        monkeypatch.setattr(varmin, "_MAX_ITERS", 2)
+        rep = sandwich(Params(1, 0.25, 2.0, 3.0), DomainSpec.interval(-1.0, 1.0),
+                       grid=Grid(half_width=8.0, points=1024))
+        assert rep.note == "solver hit its iteration cap"
+
     def test_default_grid_when_none_given(self):
         p = Params(1, 0.25, 2.0, 3.0)
         dom = DomainSpec.interval(-1.0, 1.0)
