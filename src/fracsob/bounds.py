@@ -18,8 +18,9 @@ formula per regime and domain kind.
 Two scaling facts have one owner each: a dilation multiplies a constant by
 lambda^(N - sp - Np/q) (`_dilation_exponent`), and the least quotient of
 the dilates of a profile is kappa(theta) E^theta B^(1-theta) / G
-(`_dilation_min`).  Every whole-space bound for p = 1, 2 is that minimum:
-of a critical constant (lower; for p = 1 both ends) or of the cap
+(`_dilation_min`, attained at `_dilation_argmin`, where `varmin` starts
+its whole-space descents).  Every whole-space bound for p = 1, 2 is that
+minimum: of a critical constant (lower; for p = 1 both ends) or of the cap
 (1 - |x|^2)_+^s, whose norms are `_cap_norms` (upper).
 
 Every bound holds for 1 <= q below the critical exponent, the scope of
@@ -179,6 +180,12 @@ def _dilation_min(theta: float, phi: float, E: float, B: float) -> float:
     phi E / (theta B)): times 1/G, the quotient of u(x/lambda) for a profile
     u with energy E, ||u||_p^p = B and ||u||_q^p = G (Weinstein's scaling)."""
     return phi ** (-phi) * theta ** (-theta) * E ** theta * B ** phi
+
+
+def _dilation_argmin(theta: float, phi: float, E: float, B: float, ps: float) -> float:
+    """The lambda = (phi E / (theta B))^(1/(ps)) at which `_dilation_min` is
+    attained.  A Python float power that overflows raises OverflowError."""
+    return (phi * E / (theta * B)) ** (1.0 / ps)
 
 
 def _cap_norms(N: int, s: float, q: float) -> tuple[float, float, float]:

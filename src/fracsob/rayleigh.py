@@ -10,9 +10,9 @@ Each test-function family, inserted into the whole-space Rayleigh quotient,
 produces a one- or two-parameter objective whose closed-form minimum is the
 corresponding whole-space upper bound.  The cap's norms are those of
 `bounds._cap_norms` scaled to radius k, and the char-ball and bump argmins
-are the dilation argmin of `bounds._dilation_min`; the two-parameter Moser
-objectives come from the truncated logarithm, constant ln(K/k) on |x| <= k
-and ln(K/|x|) on k <= |x| <= K.
+are `bounds._dilation_argmin`, where `bounds._dilation_min` is attained;
+the two-parameter Moser objectives come from the truncated logarithm,
+constant ln(K/k) on |x| <= k and ln(K/|x|) on k <= |x| <= K.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _cap_norms, _dilation_exponent, _dilation_weights
+from .bounds import _cap_norms, _dilation_argmin, _dilation_exponent, _dilation_weights
 from .constants import Params, Regime, frac_isoperimetric, unit_ball_volume
 from .errors import DomainError, RegimeError
 from .specfun import QuadratureConfig, integrate
@@ -168,10 +168,8 @@ def objective_minimizer(which: Objective, params: Params
         K_star = 2.0 * math.pi / (q - 2.0) ** 2
         k_star = K_star * math.exp(-(q - 2.0) / 2.0)
         return (k_star, K_star), _objective(which, params, k_star, K_star)
-    # the dilation argmin k^(ps) = phi E / (theta B) of `bounds._dilation_min`
-    theta, phi = _dilation_weights(params)
     E, B, _ = _unit_norms(which, params)
-    k_star = (phi * E / (theta * B)) ** (1.0 / (params.p * params.s))
+    k_star = _dilation_argmin(*_dilation_weights(params), E, B, params.p * params.s)
     return (k_star,), _objective(which, params, k_star, None)
 
 

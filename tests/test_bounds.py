@@ -8,6 +8,7 @@ from fracsob.bounds import (
     BoundPair,
     DomainSpec,
     _cap_norms,
+    _dilation_argmin,
     _dilation_min,
     _dilation_weights,
     bounds_for,
@@ -314,6 +315,16 @@ class TestScalingLaws:
         assert rel(res.fun, _dilation_min(theta, phi, E, B) / G) < 1e-12
         # at the argmin k^(2s) = phi E / (theta B)
         assert rel(math.exp(2.0 * s * res.x), phi * E / (theta * B)) < 1e-6
+        # and the dilation argmin attains the minimum
+        k = _dilation_argmin(theta, phi, E, B, 2.0 * s)
+        assert rel(quotient(math.log(k)), _dilation_min(theta, phi, E, B) / G) < 1e-14
+
+    @pytest.mark.parametrize("theta,p,s", [(0.3, 2.0, 0.5), (0.9, 1.0, 0.25), (0.01, 2.0, 0.1)])
+    def test_dilation_argmin_is_stationary(self, theta, p, s):
+        # d/dmu (mu^(-phi) E + mu^theta B) = 0 at mu = lambda^(ps)
+        phi, E, B = 1.0 - theta, 1.7, 0.6
+        mu = _dilation_argmin(theta, phi, E, B, p * s) ** (p * s)
+        assert rel(phi * mu ** (-phi - 1.0) * E, theta * mu ** (theta - 1.0) * B) < 1e-13
 
 
 class TestHilbertWholespace:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracsob import varmin
-from fracsob.bounds import DomainSpec
+from fracsob.bounds import DomainSpec, _dilation_argmin, _dilation_min
 from fracsob.constants import ConstantKind, Params
 from fracsob.errors import DomainError, GridError
 from fracsob.grids import Field, Grid
@@ -39,6 +39,21 @@ def whole_space_operators(grid, s):
     A = grid.multiplier(s) + 1.0
     P = 1.0 / A
     return partial(_apply, A), partial(_apply, P), 1.0 / float(np.max(A * P))
+
+
+def unit_start_descent(grid, s, q, tol, V, Q=None):
+    """`_descend` with `_box_descent`'s operators from exp(-x^2), the start
+    that `_box_descent` keeps where no best dilation applies: the kernel
+    path that the pins taken from exp(-x^2) hold."""
+    c = float(np.max(V))
+    A = grid.multiplier(s) + c
+    P = 1.0 / A
+    shift = V - c
+    with np.errstate(over="ignore"):   # x*x overflows on a huge box: exp(-inf) = 0
+        start = np.exp(-grid.x * grid.x)
+    return varmin._descend(start, lambda v: _apply(A, v) + shift * v,
+                           partial(_apply, P), 1.0 / float(np.max(A * P)), grid.spacing,
+                           q, tol, Q=Q, shift=shift)
 
 
 def ground_state_operators(grid, s, V):
@@ -229,13 +244,16 @@ class TestEmbeddedApply:
 # whole-space solves and ground states run on every box node, through the
 # box circulant itself: these values are bit-exact, so any change to that
 # path shows
-WHOLE_SPACE_LADDER_2048 = (0.7252686913858366, 18)   # q = 32 on rn:10
+WHOLE_SPACE_LADDER_2048 = (0.7252686913858304, 9)   # q = 32 on rn:10
 GROUND_STATE_I0 = 0.5076669573250614   # TestPinnedEstimates.test_ground_state
 # the same two solves by the descent without a shift, which applies the
 # energy (the ground state's as symbol u + V u) at every trial point;
 # carrying A u and splitting off max V move them by rounding only
-WHOLE_SPACE_LADDER_2048_APPLIED = (0.7252686913858362, 18)
+WHOLE_SPACE_LADDER_2048_APPLIED = (0.7252686913858303, 9)
 GROUND_STATE_I0_APPLIED = (0.5076669573250613, 14)
+# the ladder solve from exp(-x^2) (`unit_start_descent`), carried and applied
+WHOLE_SPACE_LADDER_2048_UNIT = (0.7252686913858366, 18)
+WHOLE_SPACE_LADDER_2048_UNIT_APPLIED = (0.7252686913858362, 18)
 # a domain solve iterates on its support's nodes: s = 0.75, q = 3 on (-1, 1)
 # with L = 8, M = 8192 (the fine-grid benchmark's domain solve)
 DOMAIN_SOLVE_8192 = (1.8048799390938277, 25)
@@ -249,9 +267,16 @@ class TestWholeSpaceBits:
         assert rel(res.estimate, WHOLE_SPACE_LADDER_2048_APPLIED[0]) <= 1e-14
         grid = Grid(half_width=10.0, points=2048)
         A, P, floor = whole_space_operators(grid, 0.5)
+        width = varmin._start_width(0.5, 32.0, 1.0, None)
+        _, trace, _ = varmin._descend(np.exp(-(grid.x / width) ** 2), A, P, floor,
+                                      grid.spacing, 32.0, varmin._QUOTIENT_TOL)
+        assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_APPLIED
+        # from exp(-x^2) the kernel takes its older path, bit for bit
+        _, trace, _ = unit_start_descent(grid, 0.5, 32.0, varmin._QUOTIENT_TOL, 1.0)
+        assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_UNIT
         _, trace, _ = varmin._descend(np.exp(-grid.x ** 2), A, P, floor, grid.spacing,
                                       32.0, varmin._QUOTIENT_TOL)
-        assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_APPLIED
+        assert (trace[-1], len(trace) - 1) == WHOLE_SPACE_LADDER_2048_UNIT_APPLIED
 
     def test_ground_state_energy(self):
         from fracsob.pde import _GROUND_STATE_TOL, ground_state_solve
@@ -327,7 +352,7 @@ class TestCarriedEnergy:
         calls = count_irfft(monkeypatch)
         res = minimize_quotient(Grid(half_width=10.0, points=2048), None, 0.5, 32.0,
                                 "whole_space")
-        assert res.converged and res.iterations == 18
+        assert res.converged and res.iterations == 9
         # the set-up apply of A u, then d = P g once per iteration
         assert len(calls) == 1 + res.iterations
 
@@ -351,12 +376,23 @@ class TestCarriedEnergy:
         assert rel(res.estimate, exact) <= 1e-12
 
     def test_long_descent_keeps_the_applied_quotient(self, monkeypatch):
-        # tol 0 runs the descent to its cap: 2000 carried updates of A u
+        # tol 0 from exp(-x^2) runs the descent to its cap: 2000 carried
+        # updates of A u
+        monkeypatch.setattr(varmin, "_MAX_ITERS", 2000)
+        grid = Grid(half_width=10.0, points=2048)
+        u, trace, converged = unit_start_descent(grid, 0.5, 32.0, 0.0, 1.0)
+        assert len(trace) - 1 == 2000 and not converged
+        exact = applied_quotient(grid.multiplier(0.5) + 1.0, u, grid.spacing, 32.0)
+        assert rel(trace[-1], exact) <= 1e-12
+
+    def test_descent_from_the_best_dilation_stops_stationary(self, monkeypatch):
+        # tol 0 from the Gaussian's best dilation: no step of the line
+        # search decreases the quotient after 17 iterations
         monkeypatch.setattr(varmin, "_MAX_ITERS", 2000)
         monkeypatch.setattr(varmin, "_QUOTIENT_TOL", 0.0)
         grid = Grid(half_width=10.0, points=2048)
         res = minimize_quotient(grid, None, 0.5, 32.0, "whole_space")
-        assert res.iterations == 2000 and not res.converged
+        assert res.iterations == 17 and res.converged
         u = res.minimizer.values
         exact = applied_quotient(grid.multiplier(0.5) + 1.0, u, grid.spacing, 32.0)
         assert rel(res.estimate, exact) <= 1e-12
@@ -391,6 +427,108 @@ class TestCarriedEnergy:
         assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 3.0)) <= 1e-12
 
 
+def sampling_bias(s, width, half_width, terms=6):
+    """The grid energy h <u, symbol u> of u = exp(-(x/width)^2) on a box of
+    this half-width, less the whole-line energy: the frequency step
+    d = 1/(2L) samples f(xi) = |xi|^(2s) g(xi), g = (2 pi)^(2s) pi width^2
+    exp(-2 pi^2 width^2 xi^2), and with f(0) = 0 the sum over j of d f(j d)
+    exceeds the integral by Navot's 2 sum_k zeta(-2s-2k) g^(2k)(0)/(2k)!
+    d^(2s+2k+1) (of order d^(1+2s): 8e-5 relative at s = 1/2 on L = 100)."""
+    mp = pytest.importorskip("mpmath")
+    d = 1.0 / (2.0 * half_width)
+    g0, a = (2.0 * math.pi) ** (2.0 * s) * math.pi * width ** 2, -2.0 * (math.pi * width) ** 2
+    return sum(2.0 * float(mp.zeta(-2.0 * s - 2.0 * k)) * g0 * a ** k / math.factorial(k)
+               * d ** (2.0 * s + 2.0 * k + 1.0) for k in range(terms))
+
+
+class TestGaussianStart:
+    """A whole-box descent with constant V = c > 0 and Q starts from
+    exp(-(x/lambda)^2) at the best dilation lambda of Weinstein's scaling,
+    where 0 < theta = (1/s)(1/2 - 1/q) < 1; elsewhere from exp(-x^2)."""
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_gaussian_norms_are_the_grid_norms(self, s):
+        grid = Grid(half_width=40.0, points=4096)
+        u, h = np.exp(-grid.x ** 2), grid.spacing
+        E, B = varmin._gaussian_norms(s)
+        grid_E = h * _dot(u, _apply(grid.multiplier(s), u)) - sampling_bias(s, 1.0, 40.0)
+        assert rel(grid_E, E) <= 1e-12
+        assert rel(h * _dot(u, u), B) <= 1e-12
+
+    @pytest.mark.parametrize("s,q,c", [(0.5, 4.0, 1.0), (0.25, 3.0, 1.0), (0.75, 6.0, 0.5),
+                                       (0.5, 32.0, 1.0), (0.9, 8.0, 2.0)])
+    def test_start_quotient_is_the_dilation_minimum(self, s, q, c):
+        grid = Grid(half_width=40.0, points=16384)
+        h, width = grid.spacing, varmin._start_width(s, q, c, None)
+        theta = (0.5 - 1.0 / q) / s
+        E, B = varmin._gaussian_norms(s)
+        G = (math.pi / q) ** (1.0 / q)   # ||exp(-x^2)||_q^2
+        best = _dilation_min(theta, 1.0 - theta, E, c * B) / G
+        # the closed-form quotient of u(x/width): E, B and G dilate
+        assert rel((width ** (1.0 - 2.0 * s) * E + c * width * B)
+                   / (width ** (2.0 / q) * G), best) <= 1e-14
+        # the grid quotient of the start, less the sampling bias
+        u = np.exp(-(grid.x / width) ** 2)
+        grid_E = h * _dot(u, _apply(grid.multiplier(s), u)) - sampling_bias(s, width, 40.0)
+        grid_R = (grid_E + c * h * _dot(u, u)) / (h * float(np.sum(u ** q))) ** (2.0 / q)
+        assert rel(grid_R, best) <= 1e-12
+        # and the descent starts there
+        _, trace, _ = varmin._box_descent(grid, s, q, varmin._QUOTIENT_TOL, c)
+        assert rel(trace[0], applied_quotient(grid.multiplier(s) + c, u, h, q)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["q=2", "q<2", "q above crit", "V varies", "Q varies",
+                                      "overflow", "width underflows"])
+    def test_start_falls_back_to_the_unit_gaussian(self, case):
+        grid = Grid(half_width=20.0, points=1024)
+        bump = np.exp(-grid.x ** 2)
+        s, q, V, Q = 0.5, 4.0, 1.0, None
+        if case == "q=2":
+            q = 2.0
+        elif case == "q<2":
+            q = 1.5
+        elif case == "q above crit":   # crit = 2/(1 - 2s) = 2.5
+            s, q = 0.1, 6.0
+        elif case == "V varies":
+            V = 1.0 - 0.5 * bump
+        elif case == "Q varies":
+            Q = 1.0 + 2.0 * bump
+        elif case == "overflow":   # the argmin's float power overflows
+            s, q = 0.01, 2.0 + 1e-9
+            theta = (0.5 - 1.0 / q) / s
+            with pytest.raises(OverflowError):
+                _dilation_argmin(theta, 1.0 - theta, *varmin._gaussian_norms(s), 2.0 * s)
+        else:   # the argmin underflows to 0 just below crit = 2/(1 - 2s)
+            s, q = 0.01, 2.0 / 0.98 - 1e-9
+            theta = (0.5 - 1.0 / q) / s
+            assert _dilation_argmin(theta, 1.0 - theta, *varmin._gaussian_norms(s),
+                                    2.0 * s) == 0.0
+        assert varmin._start_width(s, q, V, Q) == 1.0
+        u, trace, converged = varmin._box_descent(grid, s, q, varmin._QUOTIENT_TOL, V, Q)
+        u1, trace1, converged1 = unit_start_descent(grid, s, q, varmin._QUOTIENT_TOL, V, Q)
+        assert np.array_equal(u, u1) and trace == trace1 and converged is converged1
+
+    def test_constant_V_and_Q_arrays_take_the_best_dilation(self):
+        grid = Grid(half_width=20.0, points=1024)
+        ones = np.ones(grid.points)
+        width = varmin._start_width(0.5, 4.0, 1.0, None)
+        assert width != 1.0
+        assert varmin._start_width(0.5, 4.0, ones, 3.0 * ones) == width
+
+    @pytest.mark.parametrize("s,q,L", [(0.01, 2.0001, 200.0), (0.49, 2.0 + 1e-9, 200.0),
+                                       (0.49, 99.0, 200.0), (0.99, 50.0, 200.0),
+                                       (0.3, 2.5, 1e-300), (0.3, 2.5, 1e300)])
+    def test_edge_points_solve_without_warnings(self, s, q, L):
+        grid = Grid(half_width=L, points=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = minimize_quotient(grid, None, s, q, "whole_space")
+            _, trace, _ = unit_start_descent(grid, s, q, varmin._QUOTIENT_TOL, 1.0)
+        assert res.converged and 0.0 < res.estimate < math.inf
+        # the same discrete minimum: from exp(-x^2) the descent stops within
+        # its stop test's reach of it
+        assert rel(res.estimate, trace[-1]) <= 1e-8
+
+
 # parent-commit estimates and iteration counts of the complex-FFT descent with
 # three powers per trial point: (mode, s, q, estimate, iterations), domain
 # (-1, 1) on L = 8 and whole space on L = 10, both at M = 1024
@@ -404,21 +542,42 @@ PINNED_SOLVES = [
 ]
 
 
+# minimize_quotient's whole-space solves from the Gaussian's best dilation,
+# (s, q, estimate, iterations); at q <= 2 and at q >= crit = 2/(1 - 2s) the
+# start stays exp(-x^2)
+WHOLE_SPACE_SOLVES = [
+    (0.5, 4.0, 2.2099859604042695, 12),
+    (0.1, 6.0, 0.23519340299477604, 24),
+    (0.25, 1.5, 0.36840314986407247, 13),
+]
+
+
 class TestPinnedEstimates:
     """The real-FFT apply and the shared |u|^q move every estimate by
-    rounding only (stated tolerance 1e-12 relative) and no iteration count."""
+    rounding only (stated tolerance 1e-12 relative) and no iteration count.
+    A whole-space pin holds the descent from exp(-x^2)
+    (`unit_start_descent`), the start these pins were taken from."""
 
     @pytest.mark.parametrize("mode,s,q,estimate,iterations", PINNED_SOLVES)
     def test_solve(self, mode, s, q, estimate, iterations):
         if mode == "domain":
             grid = Grid(half_width=8.0, points=1024)
             mask = domain_mask(grid, DomainSpec.interval(-1.0, 1.0))
+            res = minimize_quotient(grid, mask, s, q, mode)
+            trace, converged = res.trace, res.converged
         else:
-            grid, mask = Grid(half_width=10.0, points=1024), None
-        res = minimize_quotient(grid, mask, s, q, mode)
+            _, trace, converged = unit_start_descent(
+                Grid(half_width=10.0, points=1024), s, q, varmin._QUOTIENT_TOL, 1.0)
+        assert converged
+        assert len(trace) - 1 == iterations
+        assert rel(trace[-1], estimate) < 1e-12
+
+    @pytest.mark.parametrize("s,q,estimate,iterations", WHOLE_SPACE_SOLVES)
+    def test_whole_space_solve(self, s, q, estimate, iterations):
+        grid = Grid(half_width=10.0, points=1024)
+        res = minimize_quotient(grid, None, s, q, "whole_space")
         assert res.converged
-        assert res.iterations == iterations
-        assert rel(res.estimate, estimate) < 1e-12
+        assert (res.estimate, res.iterations) == (estimate, iterations)
 
     def test_ground_state(self):
         from fracsob.pde import ground_state_solve
@@ -659,6 +818,11 @@ class TestPreconditionedDescent:
         assert all(res.converged for res in ladder.values())
         assert its[16384] <= 100
         assert its[16384] <= 3 * its[2048]
+
+    def test_ladder_starts_at_its_scale(self, ladder):
+        # from the Gaussian's best dilation the ladder takes 9/9/9/11
+        # iterations; from exp(-x^2) it takes 18/23/30/43
+        assert all(res.iterations <= 12 for res in ladder.values())
 
     @pytest.mark.parametrize("M", sorted(LADDER_BEFORE))
     def test_ladder_estimates_unchanged(self, ladder, M):
