@@ -6,10 +6,11 @@ s-major product; the others take one --s and one --q.  Each subcommand
 returns its params, domain, result, provenance and exit code, and `run`
 builds the one record from them.  Output is that record as a JSON document
 by default, or with --format csv one row per result item, derived from the
-same result (the columns are `_CSV_COLUMNS`); numeric fields are serialized
-with 17 significant digits so values round-trip losslessly.  Identical
-invocations produce byte-identical output (pass --timing to include wall
-time, which breaks that determinism).
+same result (the columns are `_CSV_COLUMNS`).  The standard library's json
+and csv write them: a number prints as Python's shortest round-trip text (an
+integral float as 3.0), which parses back to the same double, and a record
+holds only finite numbers.  Identical invocations produce byte-identical
+output (pass --timing to include wall time, which breaks that determinism).
 
 argparse types every number flag.  The CLI parses by hand only the two
 grammars that need N or the grid: the domain, ball:R | interval:a,b | rn:L
@@ -52,39 +53,6 @@ _CSV_COLUMNS = {
                     "lq_norm", "lq_threshold", "iterations", "converged"],
     "validate": ["check", "passed", "detail"],
 }
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_dumps(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return f'"{obj!r}"'
-        return format(obj, ".17g")
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def _numbers(text: str) -> list[float]:
@@ -203,7 +171,8 @@ def _csv_rows(args, out: _Outcome) -> list[dict]:
     """One row per result item (the result itself, or each entry of a list):
     the argv fields, then the record's params, then the item, with nested
     params spread out and each constant payload under key flattened to
-    <key> (its value) and <key>_provenance."""
+    <key> (its value) and <key>_provenance.  csv writes a missing or None
+    cell empty and a number as its shortest round-trip text."""
     rows = []
     for item in out.result if isinstance(out.result, list) else [out.result]:
         if "error" in item:   # a refused sweep point
@@ -224,16 +193,14 @@ def _csv_rows(args, out: _Outcome) -> list[dict]:
 
 def _emit(args, record: dict, out: _Outcome) -> None:
     if args.format == "csv":
-        columns = _CSV_COLUMNS[args.cmd]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS[args.cmd],
+                                lineterminator="\n", extrasaction="ignore")
         writer.writeheader()
-        for row in _csv_rows(args, out):
-            writer.writerow({k: ("" if row.get(k) is None else _fmt(row.get(k)))
-                             for k in columns})
+        writer.writerows(_csv_rows(args, out))
         text = buf.getvalue()
     else:
-        text = _dumps(record) + "\n"
+        text = json.dumps(record, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     path = getattr(args, "out", None)   # validate has no --out
     if path:
         try:
@@ -262,8 +229,6 @@ def _constants(args) -> _Outcome:
 
 def _bounds(args) -> _Outcome:
     params = Params(args.N, args.s, args.p, args.q)
-    # C1/C2 are refused up front, also where the point does not read them
-    bounds._check_tm_constants(args.c1, args.c2)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, [params])
     pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)

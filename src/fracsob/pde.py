@@ -11,6 +11,7 @@ at V = Q = 1 it is the whole-space solve of S.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,9 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     solve of `minimize_quotient` run to that tolerance: 2 I0 is its
     estimate bit for bit.  Returns (u0, I0, report) with
     u0 = (2 I0)^(1/(q-2)) u; a scale outside the double range (q near 2) is a
-    `DomainError`.  V and Q outside their hypotheses are refused.
+    `DomainError`, and so is a scale whose ||u0||_{H^s}^2, ||u0||_q^q or
+    squared residual leaves the normal double range.  V and Q outside their
+    hypotheses are refused.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
@@ -240,14 +243,24 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     Au0 = _apply(grid.multiplier(s), u0_vals)
     nonlin = Qv * np.abs(u0_vals) ** (q - 2.0) * u0_vals
     resid = Au0 + Vv * u0_vals - nonlin
-    rnorm = math.sqrt(h * float(np.sum(resid ** 2)))
+    hs_sq = h * (_dot(u0_vals, Au0) + _dot(u0_vals, u0_vals))
+    lq_q = h * float(np.sum(np.abs(u0_vals) ** q))
+    res_sq = h * float(np.sum(resid ** 2))
+    # near q = 2 the scale is a double but these sums of powers of u0 are
+    # not: they underflow to subnormals or to 0, and a norm or a residual
+    # taken from them is no longer one
+    for name, value in (("h_norm_sq", hs_sq), ("lq_norm^q", lq_q),
+                        ("residual^2", res_sq)):
+        if not sys.float_info.min <= value < math.inf:
+            raise DomainError(f"{name} = {value!r} of u0 = (2 I0)^(1/(q-2)) u "
+                              f"leaves the normal double range at s={s}, q={q}")
+    rnorm = math.sqrt(res_sq)
     scale = max(math.sqrt(h * float(np.sum(Au0 ** 2))),
                 math.sqrt(h * float(np.sum((Vv * u0_vals) ** 2))),
                 math.sqrt(h * float(np.sum(nonlin ** 2))))
-    rel_res = rnorm / scale if scale > 0 else math.inf
+    rel_res = rnorm / scale
 
-    hs_sq = h * (_dot(u0_vals, Au0) + _dot(u0_vals, u0_vals))
-    lqn = float((h * np.sum(np.abs(u0_vals) ** q)) ** (1.0 / q))
+    lqn = lq_q ** (1.0 / q)
     report = GroundStateReport(
         iterations=len(trace) - 1, converged=converged,
         energy_trace=trace, residual=rnorm, residual_rel=rel_res,

@@ -13,7 +13,7 @@ import pytest
 
 import fracsob
 from fracsob.bounds import DomainSpec, bounds_for
-from fracsob.cli import _fmt, run
+from fracsob.cli import run
 from fracsob.constants import Params
 from fracsob.errors import (
     ConvergenceError,
@@ -438,7 +438,7 @@ class TestSweepCommand:
         code, out, _ = run_capture(capsys, argv + ["--format", "csv"])
         assert code == 1
         row = list(csv.DictReader(io.StringIO(out)))[1]
-        assert (row["N"], row["s"], row["p"], row["q"]) == ("1", "0.25", "2", "5")
+        assert (row["N"], row["s"], row["p"], row["q"]) == ("1", "0.25", "2.0", "5.0")
         assert row["pass"] == "False" and row["note"].startswith("error: RegimeError")
 
 
@@ -663,6 +663,19 @@ def test_groundstate_scale_out_of_the_double_range_is_refused(capsys, q):
     assert head.endswith(f" leaves the double range at s=0.5, q={q}")
 
 
+def test_groundstate_norm_out_of_the_double_range_is_refused(capsys):
+    # at q = 2.001 the scale (2 I0)^(1/(q-2)) is a double near 1e-209, but
+    # u0^2 underflows: this exited 1 with h_norm_sq, lq_norm and residual 0,
+    # residual_rel "inf" and "thresholds_satisfied": true
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, ["groundstate", "--q", "2.001"])
+    assert (code, out) == (2, "")
+    head = err.splitlines()[0]
+    assert head.startswith("error: h_norm_sq = 0.0 ") and "Traceback" not in err
+    assert head.endswith(" leaves the normal double range at s=0.5, q=2.001")
+
+
 def test_grid_that_cannot_reach_the_bracket_says_so(capsys):
     # on rn:1e300 the spacing h = 2e300 / 4096 puts every quotient on the box
     # at or above h^(1 - 2/q) = 2.17638e+59, far above the bracket; the
@@ -728,7 +741,7 @@ def _json_field(doc: dict, item: dict, column: str, argv: list[str]):
     pytest.param(["validate"], id="argv7"),
 ])
 def test_csv_cells_match_json_fields(capsys, argv):
-    # every CSV cell is the 17-digit text of the JSON field its column names;
+    # every CSV cell is the str of the JSON field its column names;
     # a sweep point that raised has only its params, domain, pass and note
     code, out, _ = run_capture(capsys, argv)
     code_csv, out_csv, _ = run_capture(capsys, argv + ["--format", "csv"])
@@ -745,7 +758,7 @@ def test_csv_cells_match_json_fields(capsys, argv):
                          "pass": False, "note": "error: " + item["error"]}.get(column)
             else:
                 value = _json_field(doc, item, column, argv)
-            assert cell == ("" if value is None else _fmt(value)), column
+            assert cell == ("" if value is None else str(value)), column
 
 
 def _readme_cli_lines() -> list[str]:
@@ -761,6 +774,15 @@ def test_readme_cli_examples_run(capsys):
         code, out, _ = run_capture(capsys, shlex.split(line)[1:])
         assert code == 0, line
         assert out
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_examples_print_json_dumps_text(capsys, line):
+    # the record is json.dumps's own text at indent 2: numbers in their
+    # shortest round-trip form, not a hand-rolled 17-digit format
+    code, out, _ = run_capture(capsys, shlex.split(line)[1:])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
 
 
 def _subprocess_env() -> dict:

@@ -242,6 +242,19 @@ class TestGroundState:
                            match=rf"leaves the double range at s=0.5, q={re.escape(str(q))}$"):
             ground_state_solve(grid, 0.5, q, V, Q)
 
+    @pytest.mark.parametrize("q,name", [(2.001, "h_norm_sq"), (2.0014, "residual^2")])
+    def test_norm_out_of_the_double_range_is_refused(self, q, name):
+        # the scale (2 I0)^(1/(q-2)) is a double, about 1e-209 at q = 2.001,
+        # but u0^2 underflowed: the solve reported h_norm_sq, lq_norm and the
+        # residual 0 and residual_rel inf.  At q = 2.0014 h_norm_sq is normal
+        # but the squared residual is subnormal, a residual with few digits
+        grid = Grid(half_width=40.0, points=2048)
+        V = Field(grid, np.ones(grid.points))
+        Q = Field(grid, 1.0 + 2.0 * np.exp(-grid.x ** 2))
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} = .* leaves the "
+                                              rf"normal double range at s=0.5, q={re.escape(str(q))}$"):
+            ground_state_solve(grid, 0.5, q, V, Q)
+
     def test_flat_weight_recovers_embedding_constant(self):
         # at V = Q = 1 the ground state is the whole-space descent of
         # minimize_quotient run to the ground state's tolerance, bit for bit
