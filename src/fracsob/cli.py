@@ -245,10 +245,9 @@ def _sandwich(args) -> _Outcome:
     bounds._check_tm_constants(args.c1, args.c2)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, plist)
-    # `varmin.sandwich` builds the default grid only at a point that solves
-    grid = (None if (args.grid, args.box) == (varmin._DEFAULT_POINTS, None)
-            else varmin.default_grid(domain, args.grid, args.box))
-    reports = varmin.sweep(plist, domain, grid, C1=args.c1, C2=args.c2)
+    # `varmin.sweep` builds the grid only at a point that solves
+    reports = varmin.sweep(plist, domain, C1=args.c1, C2=args.c2, points=args.grid,
+                           half_width=args.box)
     if args.cmd == "sandwich" and isinstance(reports[0], FracsobError):
         raise reports[0]
     payloads, prov = [], []

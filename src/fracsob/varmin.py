@@ -17,7 +17,7 @@ preconditioner makes the iteration count nearly independent of the grid,
 and a whole-box descent starts from the Gaussian at its best dilation
 (Weinstein's scaling, `_start_width`), so it need not search for the
 minimizer's scale (q = 32 on rn:10: 9 -> 11 iterations from M = 2048 to
-16384; 18 -> 43 from exp(-x^2)).
+16384; 13 -> 20 from exp(-x^2)).
 
 Both modes are instances of one weighted quotient, evaluated by `_quotient`
 from the applied energy and minimized by `_descend`, which takes the
@@ -172,11 +172,12 @@ def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
 
 def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scale a field onto the (weighted) unit L^q sphere; returns the scaled
-    field u = v / n, |u|^q = |v|^q / n^q (for `_quotient`) and n."""
-    # a trial point far off the sphere can overflow |v|^q: refused below
+    """Scale a nonnegative field v (callers pass |.| of theirs) onto the
+    (weighted) unit L^q sphere; returns the scaled field u = v / n,
+    u^q = v^q / n^q (for `_quotient`) and n."""
+    # a trial point far off the sphere can overflow v^q: refused below
     with np.errstate(over="ignore"):
-        w = np.abs(v) ** q
+        w = v ** q
         nq = h * float(np.sum(w if Q is None else Q * w))
     n = nq ** (1.0 / q)
     if not 1e-300 < n < math.inf:
@@ -206,8 +207,11 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     projected by |.| and normalized onto the weighted L^q sphere.  The step
     is a Barzilai-Borwein guess in the P-metric, <s, y> / <y, P y> with s, y
     the last changes of u and g (P y is the change of d, so it costs no
-    apply), floored at tau_floor, and halved until the Armijo condition
-    holds, so the returned quotient trace is nonincreasing.  Stops when the
+    apply); a pair without positive curvature (<s, y> <= 0 or <y, P y> <= 0)
+    takes four times the last accepted step instead, so a run whose steps
+    have grown does not restart at the floor.  The step is clamped to
+    [tau_floor, 1e8] and halved until the Armijo condition holds, so the
+    returned quotient trace is nonincreasing.  Stops when the
     relative decrease falls below tol, or when no step of the line search
     decreases R (stationary at line-search resolution), or unconverged after
     _MAX_ITERS iterations.
@@ -236,7 +240,8 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
             dg = g - g_prev
             sy = _dot(u - u_prev, dg)
             yPy = _dot(dg, d - d_prev)
-            tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau_floor
+            # tau still holds the last accepted step
+            tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau
             tau = min(max(tau, tau_floor), 1e8)
         for _bt in range(80):
             x = u - tau * d
@@ -455,6 +460,13 @@ def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
     return Grid(half_width=half_width, points=points)
 
 
+def _solves(params: Params) -> bool:
+    """Whether `sandwich` runs the spectral minimizer at this point: p = 2
+    in N = 1.  Any other point takes an exact value or is bound-only, and
+    needs no grid."""
+    return params.regime() is not Regime.BORDERLINE and params.N == 1
+
+
 def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
              C1: float = 1.0, C2: float = 1.0) -> SandwichReport:
     """Assemble lower/upper bounds and a numeric estimate for one parameter
@@ -464,22 +476,23 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
     p=1 on balls uses the exact characteristic-function value in place of a
     descent output (the constant is attained there); p=1 on the whole space
     is bound-only, since its bracket is the exact constant.  p=2 runs the
-    spectral minimizer (N = 1 grids); a whole-space record notes when no
-    field on its box, or on its grid, can reach the bracket.
+    spectral minimizer (N = 1 grids) on `grid`, by default `default_grid`;
+    a whole-space record notes when no field on its box, or on its grid,
+    can reach the bracket.
     """
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
     numeric = None
-    if params.regime() is Regime.BORDERLINE:
-        if not domain.bounded:
+    if not _solves(params):
+        if params.regime() is not Regime.BORDERLINE:
+            note = "bound-only: spectral solver is one-dimensional"
+        elif not domain.bounded:
             note = "bound-only: the p=1 whole-space bracket is the exact constant"
         else:
             # a bounded domain is a ball or a 1-D interval (= ball)
             numeric = ConstantValue(lo.value, ConstantKind.NUMERIC_ESTIMATE,
                                     "char-ball-exact", error_estimate=lo.error_estimate)
             note = "exact char-function value"
-    elif params.N != 1:
-        note = "bound-only: spectral solver is one-dimensional"
     else:
         if grid is None:
             grid = default_grid(domain)
@@ -518,13 +531,22 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
 
 
 def sweep(param_list: list[Params], domain: DomainSpec, grid: Grid | None = None,
-          C1: float = 1.0, C2: float = 1.0) -> list[SandwichReport | FracsobError]:
+          C1: float = 1.0, C2: float = 1.0, *, points: int = _DEFAULT_POINTS,
+          half_width: float | None = None) -> list[SandwichReport | FracsobError]:
     """One sandwich per parameter point, each checked at the fixed band
     _SANDWICH_TOL, run serially; a point's refusal (a `FracsobError`) is
     recorded in its place and does not interrupt the sweep, while any other
-    exception propagates.  Reports keep input order."""
+    exception propagates.  Reports keep input order.
+
+    Every point that solves (`_solves`) runs on one grid: `grid`, or else
+    default_grid(domain, points, half_width), built at the first such
+    point, so a sweep that solves nothing needs no grid.  A refusal of
+    that grid (`GridError`) is the sweep's, not a point's: it propagates."""
 
     def run(p: Params):
+        nonlocal grid
+        if grid is None and _solves(p):
+            grid = default_grid(domain, points, half_width)
         try:
             return sandwich(p, domain, grid, C1=C1, C2=C2)
         except FracsobError as exc:

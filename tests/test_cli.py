@@ -1019,6 +1019,25 @@ def test_point_that_does_not_solve_needs_no_default_box(capsys, cmd, q, domain):
         assert doc["lower"]["value"] == doc["upper"]["value"] == value
 
 
+@pytest.mark.parametrize("cmd,q", [("sandwich", "1.5"), ("sweep", "1.2,1.5")])
+@pytest.mark.parametrize("flags", [["--grid", "2048"], ["--box", "1e308"]])
+def test_point_that_does_not_solve_builds_no_grid(capsys, cmd, q, flags):
+    # --grid or --box built the grid before dispatch: with --grid 2048 the
+    # default box of this interval overflowed, --box 1e308 the spacing, and
+    # both exited 2, though a p = 1 point solves nothing
+    argv = [cmd, "--p", "1", "--N", "1", "--s", "0.5", "--q", q,
+            "--domain", "interval:-8e307,8e307"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv + flags)
+        _, plain, _ = run_capture(capsys, argv)
+    assert code == 0 and err == ""
+    doc, ref = json.loads(out), json.loads(plain)
+    assert doc.pop("command") == ["fracsob"] + argv + flags
+    assert ref.pop("command") == ["fracsob"] + argv
+    assert doc == ref
+
+
 @pytest.mark.parametrize("argv,word", [
     pytest.param(["--s", "0.7", "--q", "3", "--domain", "rn:100", "--grid", "1024"],
                  "error: no bounds available", id="out-of-scope"),
