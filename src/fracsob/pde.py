@@ -237,14 +237,15 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     trace = 0.5 * np.asarray(trace)
 
     I0 = float(trace[-1])  # u is normalized: the quotient is the constrained minimum
+    # u >= 0 (the descent projects by |.|), so u0 is its own |u0|
     u0_vals = _power(2.0 * I0, 1.0 / (q - 2.0), f"s={s}, q={q}") * u
     # |2 pi xi|^(2s) is the symbol of (-Lap)^s in the residual and in
     # ||u0||_{H^s}^2 = h (<u0, A u0> + <u0, u0>)
     Au0 = _apply(grid.multiplier(s), u0_vals)
-    nonlin = Qv * np.abs(u0_vals) ** (q - 2.0) * u0_vals
+    nonlin = Qv * u0_vals ** (q - 2.0) * u0_vals
     resid = Au0 + Vv * u0_vals - nonlin
     hs_sq = h * (_dot(u0_vals, Au0) + _dot(u0_vals, u0_vals))
-    lq_q = h * float(np.sum(np.abs(u0_vals) ** q))
+    lq_q = h * float(np.sum(u0_vals ** q))
     res_sq = h * float(np.sum(resid ** 2))
     # near q = 2 the scale is a double but these sums of powers of u0 are
     # not: they underflow to subnormals or to 0, and a norm or a residual

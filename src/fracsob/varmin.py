@@ -19,9 +19,10 @@ and a whole-box descent starts from the Gaussian at its best dilation
 minimizer's scale (q = 32 on rn:10: 9 -> 11 iterations from M = 2048 to
 16384; 13 -> 20 from exp(-x^2)).
 
-Both modes are instances of one weighted quotient, evaluated by `_quotient`
-from the applied energy and minimized by `_descend`, which takes the
-energy A, the preconditioner P and the step floor from its caller.
+Both modes are instances of one weighted quotient, evaluated by `_value`
+(its gradient by `_gradient`) from the applied energy and minimized by
+`_descend`, which takes the energy A, the preconditioner P and the step
+floor from its caller.
 Symbols live on the n/2 + 1 nonnegative frequencies of a real transform,
 so each operator apply is one rfft/irfft pair (`_apply`) of n points.  A
 whole-space solve is `_box_descent` on all M box nodes with V = 1; the
@@ -38,7 +39,10 @@ power-of-two size n >= 2m - 1 (or n = M when that is not smaller;
 `_embed`).  The blocks do not invert each other, so it passes no shift, and
 an iteration costs one pair for P g and one for the energy of each trial
 point.  Each trial point takes one power |v|^q, shared by its normalization
-and its quotient.
+and its quotient, and costs that quotient's value alone: the gradient is
+formed once per iteration, at the accepted point.  The trial point, its
+field, power and energy are written into arrays that the solve allocates
+once and reuses for every trial.
 """
 from __future__ import annotations
 
@@ -146,43 +150,70 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
-              Q: Optional[np.ndarray], w: np.ndarray) -> tuple[float, np.ndarray]:
+def _value(u: np.ndarray, Au: np.ndarray, h: float, q: float,
+           Q: Optional[np.ndarray], w: np.ndarray, scratch: np.ndarray
+           ) -> tuple[float, float]:
     """The weighted quotient
 
         R(u) = h <A u + V u, u> / (h sum Q |u|^q)^(2/q)
 
-    and its gradient, given the applied energy Au = A u + V u and w = |u|^q
-    (as `_normalize` returns it); Q = None stands for Q = 1.  Every solver
+    given the applied energy Au = A u + V u and w = |u|^q (as `_normalize`
+    writes it); Q = None stands for Q = 1, and Q w is written to scratch.
+    Returns R and G = h sum Q |u|^q, which `_gradient` takes.  Every solver
     descends on this function.
     """
     E = h * _dot(u, Au)
-    G = h * float(np.sum(w if Q is None else Q * w))
-    nq2 = G ** (2.0 / q)
-    R = E / nq2
-    gE = 2.0 * h * Au
+    G = h * float((w if Q is None else np.multiply(Q, w, out=scratch)).sum())
+    return E / G ** (2.0 / q), G
+
+
+def _gradient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
+              Q: Optional[np.ndarray], w: np.ndarray, R: float, G: float,
+              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The gradient (2 h Au - R 2 h G^(2/q - 1) Q |u|^(q-2) u) / G^(2/q) of
+    `_value`'s quotient, from its R and G, written to out (and returned);
+    scratch takes the second term."""
     # |u|^(q-2) u = |u|^q / u, set to its limit 0 at u = 0 (q > 1; also the
     # q = 1 convention), which avoids 0**negative for q < 2
-    uq = np.divide(w, u, out=np.zeros_like(u), where=u != 0.0)
+    scratch.fill(0.0)
+    np.divide(w, u, out=scratch, where=u != 0.0)
     if Q is not None:
-        uq = Q * uq
-    gq2 = 2.0 * h * G ** (2.0 / q - 1.0) * uq
-    return R, (gE - R * gq2) / nq2
+        np.multiply(Q, scratch, out=scratch)
+    np.multiply(2.0 * h * G ** (2.0 / q - 1.0), scratch, out=scratch)
+    np.multiply(R, scratch, out=scratch)
+    np.multiply(2.0 * h, Au, out=out)
+    np.subtract(out, scratch, out=out)
+    out /= G ** (2.0 / q)
+    return out
 
 
-def _normalize(v: np.ndarray, h: float, q: float, Q: Optional[np.ndarray]
-               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scale a nonnegative field v (callers pass |.| of theirs) onto the
-    (weighted) unit L^q sphere; returns the scaled field u = v / n,
-    u^q = v^q / n^q (for `_quotient`) and n."""
+def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
+              Q: Optional[np.ndarray], w: np.ndarray) -> tuple[float, np.ndarray]:
+    """`_value`'s quotient and its `_gradient`, in new arrays."""
+    scratch = np.empty(u.shape)
+    R, G = _value(u, Au, h, q, Q, w, scratch)
+    return R, _gradient(u, Au, h, q, Q, w, R, G, np.empty(u.shape), scratch)
+
+
+def _normalize(x: np.ndarray, v: np.ndarray, w: np.ndarray, h: float, q: float,
+               Q: Optional[np.ndarray], scratch: np.ndarray) -> float:
+    """Project x by |.| into v and scale v in place onto the (weighted) unit
+    L^q sphere, v = |x| / n, writing v^q = |x|^q / n^q (for `_value`) into
+    w and Q w to scratch; returns n."""
+    np.abs(x, out=v)
+    np.copyto(w, v)
     # a trial point far off the sphere can overflow v^q: refused below
     with np.errstate(over="ignore"):
-        w = v ** q
-        nq = h * float(np.sum(w if Q is None else Q * w))
+        # `**=`, not np.power(out=): it takes the scalar fast paths of v ** q
+        # (sqrt, square, ... on numpy 1.x), so the bits are those of v ** q
+        w **= q
+        nq = h * float((w if Q is None else np.multiply(Q, w, out=scratch)).sum())
     n = nq ** (1.0 / q)
     if not 1e-300 < n < math.inf:
         raise ConvergenceError("degenerate field: L^q norm underflow or overflow")
-    return v / n, w / nq, n
+    v /= n
+    w /= nq
+    return n
 
 
 _ARMIJO = 1e-4   # sufficient-decrease constant of the line search
@@ -199,8 +230,8 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
              q: float, tol: float, Q: Optional[np.ndarray] = None,
              shift: Optional[np.ndarray | float] = None
              ) -> tuple[np.ndarray, list[float], bool]:
-    """Minimize `_quotient` from u, over the nodes of u, by preconditioned
-    projected gradient descent.
+    """Minimize `_value`'s quotient from u, over the nodes of u, by
+    preconditioned projected gradient descent.
 
     A applies the energy, u -> A u + V u, and P the preconditioner; the
     direction is d = P g for the gradient g.  Each trial point u - tau d is
@@ -216,46 +247,65 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     decreases R (stationary at line-search resolution), or unconverged after
     _MAX_ITERS iterations.
 
+    A trial point costs its value R (`_value`) and the Armijo test; the
+    gradient (`_gradient`) is formed once per iteration, at the accepted
+    point.  The trial field, its power, energy and gradient live in arrays
+    allocated once per solve, which trade places with the iterate's and the
+    previous iterate's on acceptance, so a trial point allocates only what
+    A and P return.
+
     shift = V - c is given when P inverts the energy shifted by c.  Then
     A d + V d = g + shift d, and a trial point x = u - tau d that |.| leaves
     alone (no negative entry) has the energy (A u + V u) - tau (A d + V d),
     divided by the same norm as x: the descent carries A u + V u and applies
-    A only at the start and where |.| changes an entry.  Without shift every
+    A only at the start and where |.| changes an entry (A must return a new
+    array, which the carried energy may overwrite).  Without shift every
     trial point is applied.  Returns the minimizer, the trace and the
     converged flag.
     """
-    u, w, _ = _normalize(np.abs(u), h, q, Q)
+    # u, u_prev and the trial field v trade places on acceptance, as do g
+    # and g_prev, and the energies Au and Av; x is the trial point u - tau d
+    # and t scratch.  Only a carried energy needs Ad = A d + V d and Av.
+    u0 = u
+    u, u_prev, v, w, x, t, g, g_prev = (np.empty(u0.shape) for _ in range(8))
+    Ad, Av = (None, None) if shift is None else (np.empty(u0.shape), np.empty(u0.shape))
+    _normalize(u0, u, w, h, q, Q, t)
     Au = A(u)
-
-    R, g = _quotient(u, Au, h, q, Q, w)
+    R, G = _value(u, Au, h, q, Q, w, t)
+    _gradient(u, Au, h, q, Q, w, R, G, g, t)
     trace = [R]
     converged = False
-    u_prev = g_prev = d_prev = None
+    d_prev = None
     for _ in range(_MAX_ITERS):
         d = P(g)
-        Ad = None if shift is None else g + shift * d
-        if u_prev is None:
+        if Ad is not None:
+            np.multiply(shift, d, out=Ad)
+            np.add(g, Ad, out=Ad)
+        if d_prev is None:
             tau = tau_floor
         else:
-            dg = g - g_prev
-            sy = _dot(u - u_prev, dg)
-            yPy = _dot(dg, d - d_prev)
+            dg = np.subtract(g, g_prev, out=x)
+            sy = _dot(np.subtract(u, u_prev, out=t), dg)
+            yPy = _dot(dg, np.subtract(d, d_prev, out=t))
             # tau still holds the last accepted step
             tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau
             tau = min(max(tau, tau_floor), 1e8)
         for _bt in range(80):
-            x = u - tau * d
+            np.multiply(tau, d, out=x)
+            np.subtract(u, x, out=x)
             try:
-                v, wv, n = _normalize(np.abs(x), h, q, Q)
+                n = _normalize(x, v, w, h, q, Q, t)
             except ConvergenceError:
                 tau *= 0.5
                 continue
-            if Ad is not None and float(np.min(x)) >= 0.0:
-                Av = (Au - tau * Ad) / n
+            if Ad is not None and x.min() >= 0.0:
+                np.multiply(tau, Ad, out=Av)
+                np.subtract(Au, Av, out=Av)
+                Av /= n
             else:
                 Av = A(v)
-            Rv, gv = _quotient(v, Av, h, q, Q, wv)
-            decrease = _dot(g, v - u)
+            Rv, G = _value(v, Av, h, q, Q, w, t)
+            decrease = _dot(g, np.subtract(v, u, out=t))
             if Rv <= R + _ARMIJO * min(decrease, 0.0):
                 break
             tau *= 0.5
@@ -264,8 +314,13 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
             converged = True
             break
         rel = (R - Rv) / max(R, 1e-300)
-        u_prev, g_prev, d_prev = u, g, d
-        u, R, g, Au = v, Rv, gv, Av
+        # g_prev has served the step: the accepted gradient takes its array
+        _gradient(v, Av, h, q, Q, w, Rv, G, g_prev, t)
+        u_prev, u, v = u, v, u_prev
+        g_prev, g = g, g_prev
+        Au, Av = Av, Au
+        d_prev = d
+        R = Rv
         trace.append(R)
         if rel < tol:
             converged = True
@@ -407,8 +462,9 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
 
     if mode == "whole_space":
         u, trace, converged = _box_descent(grid, s, q, _QUOTIENT_TOL, 1.0)
+        # u >= 0: the descent projects by |.|
         edge = np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
-        mass = np.sum(np.abs(u[edge]) ** q) / np.sum(np.abs(u) ** q)
+        mass = np.sum(u[edge] ** q) / np.sum(u ** q)
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)
     else:
         # the descent runs on the support's nodes alone, from the cap

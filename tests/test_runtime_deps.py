@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracsob
 
 _PROBE = """
@@ -39,3 +41,23 @@ def test_numpy_fft_loaded_on_import():
         [sys.executable, "-c", "import sys, fracsob; print('numpy.fft' in sys.modules)"],
         env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == "True"
+
+
+def test_validate_loads_no_numpy_random():
+    # validate samples the Gamma recurrence on a fixed log-spaced grid: it
+    # draws no random numbers, so it must not pay numpy.random's import
+    src = str(Path(fracsob.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, json, numpy\n"
+             "before = 'numpy.random' in sys.modules\n"
+             "from fracsob.validate import run_validation\n"
+             "failed = [r.name for r in run_validation() if not r.passed]\n"
+             "print(json.dumps([before, 'numpy.random' in sys.modules, failed]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, after, failed = json.loads(out)
+    assert failed == []
+    if before:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not after

@@ -8,7 +8,7 @@ import pytest
 from fracsob import varmin
 from fracsob.bounds import DomainSpec, _dilation_argmin, _dilation_min
 from fracsob.constants import ConstantKind, Params
-from fracsob.errors import DomainError, GridError
+from fracsob.errors import ConvergenceError, DomainError, GridError
 from fracsob.grids import Field, Grid
 from fracsob.varmin import (
     _apply,
@@ -41,19 +41,27 @@ def whole_space_operators(grid, s):
     return partial(_apply, A), partial(_apply, P), 1.0 / float(np.max(A * P))
 
 
-def unit_start_descent(grid, s, q, tol, V, Q=None):
-    """`_descend` with `_box_descent`'s operators from exp(-x^2), the start
-    that `_box_descent` keeps where no best dilation applies: the kernel
-    path that the pins taken from exp(-x^2) hold."""
+def box_case(grid, s, q, tol, V, Q=None, start=None):
+    """`_box_descent`'s arguments to `_descend`, from its start or another."""
     c = float(np.max(V))
     A = grid.multiplier(s) + c
     P = 1.0 / A
     shift = V - c
+    if start is None:
+        start = np.exp(-(grid.x / varmin._start_width(s, q, V, Q)) ** 2)
+    return ((start, lambda v: _apply(A, v) + shift * v, partial(_apply, P),
+             1.0 / float(np.max(A * P)), grid.spacing, q, tol),
+            {"Q": Q, "shift": shift})
+
+
+def unit_start_descent(grid, s, q, tol, V, Q=None):
+    """`_descend` with `_box_descent`'s operators from exp(-x^2), the start
+    that `_box_descent` keeps where no best dilation applies: the kernel
+    path that the pins taken from exp(-x^2) hold."""
     with np.errstate(over="ignore"):   # x*x overflows on a huge box: exp(-inf) = 0
         start = np.exp(-grid.x * grid.x)
-    return varmin._descend(start, lambda v: _apply(A, v) + shift * v,
-                           partial(_apply, P), 1.0 / float(np.max(A * P)), grid.spacing,
-                           q, tol, Q=Q, shift=shift)
+    args, kwargs = box_case(grid, s, q, tol, V, Q, start)
+    return varmin._descend(*args, **kwargs)
 
 
 def ground_state_operators(grid, s, V):
@@ -425,6 +433,149 @@ class TestCarriedEnergy:
         assert converged
         assert len(applied) == 2   # the set-up and that trial point
         assert rel(trace[-1], applied_quotient(symbol, u, grid.spacing, 3.0)) <= 1e-12
+
+
+def reference_descend(u, A, P, tau_floor, h, q, tol, Q=None, shift=None):
+    """The allocating form of the descent: every trial point allocates its
+    arrays and forms the whole gradient.  `_descend`, which works in place,
+    must return these bytes."""
+
+    def dot(a, b):
+        return float(np.einsum("i,i->", a, b))
+
+    def quotient(u, Au, w):
+        E = h * dot(u, Au)
+        G = h * float(np.sum(w if Q is None else Q * w))
+        nq2 = G ** (2.0 / q)
+        R = E / nq2
+        gE = 2.0 * h * Au
+        uq = np.divide(w, u, out=np.zeros_like(u), where=u != 0.0)
+        if Q is not None:
+            uq = Q * uq
+        gq2 = 2.0 * h * G ** (2.0 / q - 1.0) * uq
+        return R, (gE - R * gq2) / nq2
+
+    def normalize(v):
+        with np.errstate(over="ignore"):
+            w = v ** q
+            nq = h * float(np.sum(w if Q is None else Q * w))
+        n = nq ** (1.0 / q)
+        if not 1e-300 < n < math.inf:
+            raise ConvergenceError("degenerate field")
+        return v / n, w / nq, n
+
+    u, w, _ = normalize(np.abs(u))
+    Au = A(u)
+    R, g = quotient(u, Au, w)
+    trace = [R]
+    converged = False
+    u_prev = g_prev = d_prev = None
+    for _ in range(varmin._MAX_ITERS):
+        d = P(g)
+        Ad = None if shift is None else g + shift * d
+        if u_prev is None:
+            tau = tau_floor
+        else:
+            dg = g - g_prev
+            sy = dot(u - u_prev, dg)
+            yPy = dot(dg, d - d_prev)
+            tau = sy / yPy if sy > 0 and yPy > 0 else 4.0 * tau
+            tau = min(max(tau, tau_floor), 1e8)
+        for _bt in range(80):
+            x = u - tau * d
+            try:
+                v, wv, n = normalize(np.abs(x))
+            except ConvergenceError:
+                tau *= 0.5
+                continue
+            if Ad is not None and float(np.min(x)) >= 0.0:
+                Av = (Au - tau * Ad) / n
+            else:
+                Av = A(v)
+            Rv, gv = quotient(v, Av, wv)
+            decrease = dot(g, v - u)
+            if Rv <= R + varmin._ARMIJO * min(decrease, 0.0):
+                break
+            tau *= 0.5
+        else:
+            converged = True
+            break
+        rel_ = (R - Rv) / max(R, 1e-300)
+        u_prev, g_prev, d_prev = u, g, d
+        u, R, g, Au = v, Rv, gv, Av
+        trace.append(R)
+        if rel_ < tol:
+            converged = True
+            break
+    return u, trace, converged
+
+
+def domain_case(grid, s, q, start):
+    """`minimize_quotient`'s domain descent on (-1, 1), from a given start
+    on the support's nodes (the cap (k0^2 - x^2)_+^s when start is None)."""
+    xs = grid.x[domain_mask(grid, DomainSpec.interval(-1.0, 1.0))]
+    if start is None:
+        k0 = 0.25 * (xs.max() - xs.min())
+        start = np.maximum(k0 ** 2 - (xs - 0.5 * (xs.max() + xs.min())) ** 2, 0.0) ** s
+    else:
+        start = start(xs)
+    symbol = grid.multiplier(s)
+    P = 1.0 / (symbol + 1.0)
+    return ((start, partial(_apply, _embed(symbol, xs.size)),
+             partial(_apply, _embed(P, xs.size)), 1.0 / float(np.max(symbol * P)),
+             grid.spacing, q, varmin._QUOTIENT_TOL), {})
+
+
+def kernel_cases():
+    tol = varmin._QUOTIENT_TOL
+    rn = Grid(half_width=10.0, points=2048)
+    gs = Grid(half_width=40.0, points=2048)
+    well = 1.0 - 0.6 * np.exp(-(gs.x / 1.2) ** 2)   # well:1,0.6,1.2
+    bump = 1.0 + 1.5 * np.exp(-(gs.x / 0.8) ** 2)   # bump:1,1.5,0.8
+    wide = Grid(half_width=200.0, points=4096)
+    two_bumps = np.exp(-(wide.x - 1.5) ** 2) + np.exp(-(wide.x + 1.5) ** 2)
+    return {
+        "whole-space": box_case(rn, 0.5, 32.0, tol, 1.0),
+        "whole-space-stationary": box_case(rn, 0.5, 32.0, 0.0, 1.0),
+        "ground-state-well-bump": box_case(gs, 0.45, 3.7, 1e-10, well, bump),
+        "q1.5": box_case(Grid(half_width=10.0, points=1024), 0.25, 1.5, tol, 1.0),
+        "two-bumps": box_case(wide, 0.1, 3.0, tol, 1.0, start=two_bumps),
+        "domain": domain_case(Grid(half_width=8.0, points=4096), 0.3, 3.5,
+                              lambda xs: np.exp(-xs * xs)),
+        "domain-cap": domain_case(Grid(half_width=8.0, points=4096), 0.26, 4.09, None),
+    }
+
+
+class TestKernelBits:
+    """`_descend` writes its trial points into reused arrays and forms the
+    gradient only at the accepted point; its minimizer, trace and stop are
+    those of the allocating loop (`reference_descend`) to the last bit."""
+
+    @pytest.mark.parametrize("case", list(kernel_cases()))
+    def test_descent_is_the_allocating_reference(self, case):
+        args, kwargs = kernel_cases()[case]
+        u, trace, converged = varmin._descend(*args, **kwargs)
+        ref_u, ref_trace, ref_converged = reference_descend(*args, **kwargs)
+        assert u.tobytes() == ref_u.tobytes()
+        assert trace == ref_trace and converged is ref_converged
+
+    def test_cases_take_the_branches_they_name(self, monkeypatch):
+        cases = kernel_cases()
+        # the cap start holds exact zeros: the u = 0 branch of |u|^(q-2) u
+        assert (cases["domain-cap"][0][0] == 0.0).any()
+        assert not (cases["domain"][0][0] == 0.0).any()
+        assert np.ndim(cases["ground-state-well-bump"][1]["shift"]) == 1
+        assert cases["whole-space"][1]["shift"] == 0.0
+        # at tol 0 the relative decrease never stops the descent: converged
+        # means that no step of the line search decreased R
+        _, trace, converged = varmin._descend(*cases["whole-space-stationary"][0],
+                                              **cases["whole-space-stationary"][1])
+        assert converged and len(trace) < varmin._MAX_ITERS
+        # from the two bumps |.| changes a trial point, which is applied
+        (start, A, *rest), kwargs = cases["two-bumps"]
+        applied = []
+        varmin._descend(start, lambda v: applied.append(1) or A(v), *rest, **kwargs)
+        assert len(applied) == 2
 
 
 def sampling_bias(s, width, half_width, terms=6):
