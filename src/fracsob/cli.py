@@ -14,7 +14,9 @@ output (pass --timing to include wall time, which breaks that determinism).
 
 argparse types every number flag.  The CLI parses by hand only the two
 grammars that need N or the grid: the domain, ball:R | interval:a,b | rn:L
-(L = truncation half-width), and the fields of --V/--Q.
+(L = truncation half-width; a bare rn is rn:200), and the fields of --V/--Q.
+A bad --c1/--c2 is the library's refusal, even where no point reads it:
+`bounds.bounds_for` makes it at a point, `varmin.sweep` before any point.
 
 Exit codes: 0 success, 1 validation/check failure, 2 usage error or refusal.
 """
@@ -75,8 +77,8 @@ def _parse_domain(text: str, N: int) -> bounds.DomainSpec:
             a, b = (float(v) for v in rest.split(","))
             return bounds.DomainSpec.interval(a, b)
         if kind == "rn":
-            return bounds.DomainSpec.whole_space(
-                float(rest) if rest else bounds._DEFAULT_TRUNCATION, N)
+            return (bounds.DomainSpec.whole_space(float(rest), N) if rest
+                    else bounds.DomainSpec.whole_space(N=N))
     except ValueError as exc:   # DomainError is a ValueError
         raise DomainError(f"bad domain {text!r}: {exc}") from exc
     raise DomainError(f"bad domain {text!r}: expected ball:R | interval:a,b | rn:L")
@@ -242,10 +244,9 @@ def _sandwich(args) -> _Outcome:
     """sandwich (one point) and sweep (the s-major product of the lists)."""
     ss, qs = (args.s, args.q) if args.cmd == "sweep" else ([args.s], [args.q])
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
-    bounds._check_tm_constants(args.c1, args.c2)
     domain = _parse_domain(args.domain, args.N)
     _warn_tm_constants(args, plist)
-    # `varmin.sweep` builds the grid only at a point that solves
+    # `varmin.sweep` checks C1/C2 once and builds the grid only where a point solves
     reports = varmin.sweep(plist, domain, C1=args.c1, C2=args.c2, points=args.grid,
                            half_width=args.box)
     if args.cmd == "sandwich" and isinstance(reports[0], FracsobError):
@@ -268,7 +269,6 @@ def _sandwich(args) -> _Outcome:
 
 def _thresholds(args) -> _Outcome:
     params = Params(args.N, args.s, 2.0, args.q)
-    bounds._check_tm_constants(1.0, args.c2)   # thresholds has no --c1
     regime = params.regime()
     S = args.S
     note = "caller-supplied S"
@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--box", type=float, default=None,
                            help="grid half-width (default: domain-derived)")
-        p.add_argument("--domain", default=f"rn:{bounds._DEFAULT_TRUNCATION:g}")
+        p.add_argument("--domain", default="rn")
         p.add_argument("--c1", type=float, default=1.0)
         p.add_argument("--c2", type=float, default=1.0)
 
@@ -382,10 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("thresholds", help="PDE threshold constants from S")
     common(pt, exponent_p=False, q="4")
-    pt.add_argument("--S", type=float, default=None,
-                    help="embedding constant (default: the whole-space lower bound "
-                         "of bounds_for)")
-    pt.add_argument("--c2", type=float, default=1.0)
+    # --c2 is read only to compute S, so a given --S excludes it
+    given = pt.add_mutually_exclusive_group()
+    given.add_argument("--S", type=float, default=None,
+                       help="embedding constant (default: the whole-space lower "
+                            "bound of bounds_for)")
+    given.add_argument("--c2", type=float, default=1.0)
 
     pg = sub.add_parser("groundstate", help="constrained ground-state solve")
     common(pg, solver=True, N=False, exponent_p=False, q="4")

@@ -19,7 +19,7 @@ import numpy as np
 from .constants import _power, classical_sobolev, frac_sobolev_hilbert
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _apply, _box_descent, _dot
+from .varmin import _TAIL_FRACTION, _apply, _box_descent, _dot
 
 __all__ = [
     "ps_level",
@@ -150,15 +150,15 @@ _HYPOTHESIS_TOL = 1e-12   # rounding slack of the hypotheses' inequalities
 
 
 def _check_edge(F: Field, name: str) -> None:
-    """The rule both fields obey: F -> 1 toward the truncation boundary."""
-    edge = np.abs(F.grid.x) >= 0.95 * F.grid.half_width
+    """The rule both fields obey: F -> 1 on the outer `_TAIL_FRACTION` of the box."""
+    edge = np.abs(F.grid.x) >= (1.0 - _TAIL_FRACTION) * F.grid.half_width
     if np.max(np.abs(F.values[edge] - 1.0)) > 1e-3:
         raise DomainError(f"{name} must approach 1 at infinity (check the box size)")
 
 
 def check_weight_hypotheses(Q: Field) -> None:
     """Validate the weight hypotheses on the grid samples: Q >= 1 and
-    Q -> 1 toward the truncation boundary.  Q = 1 (to rounding) is the
+    Q -> 1 on the outer `_TAIL_FRACTION` of the box.  Q = 1 (to rounding) is the
     unperturbed problem, which they leave alone: it passes."""
     v = Q.values
     if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
@@ -169,8 +169,8 @@ def check_weight_hypotheses(Q: Field) -> None:
 
 
 def check_potential_hypotheses(V: Field) -> None:
-    """Validate the potential hypotheses: 0 < V <= 1 and V -> 1 toward the
-    truncation boundary.  V = 1 (to rounding) is the unperturbed problem,
+    """Validate the potential hypotheses: 0 < V <= 1 and V -> 1 on the outer
+    `_TAIL_FRACTION` of the box.  V = 1 (to rounding) is the unperturbed problem,
     which they leave alone: it passes."""
     v = V.values
     if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:

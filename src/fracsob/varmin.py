@@ -53,7 +53,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import DomainSpec, _dilation_argmin, _dilation_exponent, _inv_gap, bounds_for
+from .bounds import (DomainSpec, _check_tm_constants, _dilation_argmin, _dilation_exponent,
+                     _inv_gap, bounds_for)
 from .constants import ConstantKind, ConstantValue, Params, Regime, _power
 from .errors import ConvergenceError, DomainError, FracsobError, GridError
 from .grids import Field, Grid
@@ -185,14 +186,6 @@ def _gradient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
     np.subtract(out, scratch, out=out)
     out /= G ** (2.0 / q)
     return out
-
-
-def _quotient(u: np.ndarray, Au: np.ndarray, h: float, q: float,
-              Q: Optional[np.ndarray], w: np.ndarray) -> tuple[float, np.ndarray]:
-    """`_value`'s quotient and its `_gradient`, in new arrays."""
-    scratch = np.empty(u.shape)
-    R, G = _value(u, Au, h, q, Q, w, scratch)
-    return R, _gradient(u, Au, h, q, Q, w, R, G, np.empty(u.shape), scratch)
 
 
 def _normalize(x: np.ndarray, v: np.ndarray, w: np.ndarray, h: float, q: float,
@@ -586,18 +579,22 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
     return SandwichReport(lo, up, numeric, sl, su, passed, note)
 
 
-def sweep(param_list: list[Params], domain: DomainSpec, grid: Grid | None = None,
-          C1: float = 1.0, C2: float = 1.0, *, points: int = _DEFAULT_POINTS,
+def sweep(param_list: list[Params], domain: DomainSpec, C1: float = 1.0,
+          C2: float = 1.0, *, points: int = _DEFAULT_POINTS,
           half_width: float | None = None) -> list[SandwichReport | FracsobError]:
     """One sandwich per parameter point, each checked at the fixed band
     _SANDWICH_TOL, run serially; a point's refusal (a `FracsobError`) is
     recorded in its place and does not interrupt the sweep, while any other
     exception propagates.  Reports keep input order.
 
-    Every point that solves (`_solves`) runs on one grid: `grid`, or else
-    default_grid(domain, points, half_width), built at the first such
-    point, so a sweep that solves nothing needs no grid.  A refusal of
-    that grid (`GridError`) is the sweep's, not a point's: it propagates."""
+    A refusal that every point would make is the sweep's, not a point's: it
+    propagates.  A Trudinger-Moser constant C1/C2 that `bounds_for` would
+    refuse is refused before any point.  Every point that solves
+    (`_solves`) runs on one grid, default_grid(domain, points, half_width),
+    built at the first such point, so a sweep that solves nothing needs no
+    grid; a refusal of that grid (`GridError`) propagates too."""
+    _check_tm_constants(C1, C2)
+    grid = None
 
     def run(p: Params):
         nonlocal grid

@@ -1147,6 +1147,31 @@ def test_bad_tm_constant_is_refused_where_not_read(capsys, argv, flag):
     assert err.startswith(f"error: {flag[2:].upper()} must be finite and ")
 
 
+@pytest.mark.parametrize("c2", ["1", "nan"])
+def test_thresholds_S_excludes_c2(capsys, c2):
+    # --c2 is read only to compute S: a given --S ignored it (exit 0), or
+    # refused a bad one by the rule of a flag it did not read
+    code, out, err = run_capture(capsys, ["thresholds", "--S", "2", "--c2", c2])
+    assert code == 2
+    assert out == ""
+    assert "argument --c2: not allowed with argument --S" in err
+
+
+@pytest.mark.parametrize("cmd,extra", [("bounds", []),
+                                       ("sandwich", ["--grid", "256"])])
+def test_bare_rn_is_the_default_truncation(capsys, cmd, extra):
+    argv = [cmd, "--s", "0.3", "--q", "2.5"] + extra
+    records = []
+    for domain in (["--domain", "rn:200"], ["--domain", "rn"], []):
+        code, out, err = run_capture(capsys, argv + domain)
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        del record["command"]
+        records.append(record)
+    assert records[1] == records[0] and records[2] == records[0]
+    assert records[0]["domain"]["truncation"] == 200.0
+
+
 @pytest.mark.parametrize("cmd", ["sandwich", "sweep", "groundstate"])
 def test_max_iters_flag_is_gone(capsys, cmd):
     # every descent stops at the one cap varmin._MAX_ITERS

@@ -14,7 +14,8 @@ from fracsob.varmin import (
     _apply,
     _dot,
     _embed,
-    _quotient,
+    _gradient,
+    _value,
     default_grid,
     domain_mask,
     minimize_quotient,
@@ -126,8 +127,8 @@ class TestGridField:
 
 
 def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
-    """<grad R(u), d> against the central difference of `_quotient` on 10
-    random (masked) fields u and directions d."""
+    """<grad R(u), d>, by `_gradient`, against the central difference of
+    `_value`'s quotient on 10 random (masked) fields u and directions d."""
     rng = np.random.default_rng(123)
     M = 2 * (symbol.size - 1)
     for _ in range(10):
@@ -135,11 +136,13 @@ def assert_gradient_matches_fd(symbol, h, q, mask=None, V=None, Q=None):
         d = rng.normal(size=M)
         if mask is not None:
             u, d = np.where(mask, u, 0.0), np.where(mask, d, 0.0)
-        _, g = _quotient(u, energy(symbol, u, V), h, q, Q, np.abs(u) ** q)
+        Au, w, scratch = energy(symbol, u, V), np.abs(u) ** q, np.empty(M)
+        R, G = _value(u, Au, h, q, Q, w, scratch)
+        g = _gradient(u, Au, h, q, Q, w, R, G, np.empty(M), scratch)
         eps = 1e-6
         up, um = u + eps * d, u - eps * d
-        Rp, _ = _quotient(up, energy(symbol, up, V), h, q, Q, np.abs(up) ** q)
-        Rm, _ = _quotient(um, energy(symbol, um, V), h, q, Q, np.abs(um) ** q)
+        Rp = applied_quotient(symbol, up, h, q, V, Q)
+        Rm = applied_quotient(symbol, um, h, q, V, Q)
         fd = (Rp - Rm) / (2.0 * eps)
         assert abs(float(g @ d) - fd) / max(abs(fd), 1e-10) < 1e-5
 
@@ -334,7 +337,7 @@ class TestWholeSpaceBits:
 
 def applied_quotient(symbol, u, h, q, V=None, Q=None):
     """The quotient of u with its energy applied, not carried."""
-    return _quotient(u, energy(symbol, u, V), h, q, Q, np.abs(u) ** q)[0]
+    return _value(u, energy(symbol, u, V), h, q, Q, np.abs(u) ** q, np.empty(u.shape))[0]
 
 
 def count_irfft(monkeypatch):
@@ -1109,21 +1112,18 @@ class TestSweep:
 
     def test_three_point(self):
         plist = [Params(1, 0.25, 2.0, q) for q in (2.5, 3.0, 3.5)]
-        grid = Grid(half_width=200.0, points=2048)
-        reports = sweep(plist, DomainSpec.whole_space(200.0), grid=grid)
+        reports = sweep(plist, DomainSpec.whole_space(200.0), points=2048)
         assert len(reports) == 3
         assert all(not isinstance(r, Exception) and r.passed for r in reports)
 
     def test_duplicates_identical(self):
         plist = [Params(1, 0.25, 2.0, 3.0)] * 2
-        grid = Grid(half_width=200.0, points=1024)
-        reports = sweep(plist, DomainSpec.whole_space(200.0), grid=grid)
+        reports = sweep(plist, DomainSpec.whole_space(200.0), points=1024)
         assert reports[0].numeric.value == reports[1].numeric.value
 
     def test_errors_recorded_not_raised(self):
         plist = [Params(1, 0.25, 2.0, 3.0), Params(1, 0.6, 2.0, 3.0)]
-        grid = Grid(half_width=100.0, points=1024)
-        reports = sweep(plist, DomainSpec.whole_space(100.0), grid=grid)
+        reports = sweep(plist, DomainSpec.whole_space(100.0), points=1024)
         assert not isinstance(reports[0], Exception)
         assert isinstance(reports[1], Exception)
 
@@ -1141,7 +1141,20 @@ class TestSweep:
         plist = [Params(1, 0.25, 2.0, 3.0), Params(1, 0.3, 2.0, 2.5)]
         dom = DomainSpec.interval(-1.0, 1.0)
         assert (sweep(plist, dom, points=1024, half_width=4.0)
-                == sweep(plist, dom, grid=Grid(half_width=4.0, points=1024)))
+                == [sandwich(p, dom, Grid(half_width=4.0, points=1024)) for p in plist])
+
+    @pytest.mark.parametrize("C1,C2,match", [
+        (math.nan, 1.0, "C1 must be finite and positive"),
+        (1.0, math.inf, "C2 must be finite and nonnegative"),
+    ])
+    def test_bad_tm_constant_refuses_the_sweep(self, monkeypatch, C1, C2, match):
+        # a constant every point would refuse is refused once, before any
+        # point; it was recorded as one DomainError per point
+        calls = []
+        monkeypatch.setattr(varmin, "sandwich", lambda *a, **k: calls.append(a))
+        with pytest.raises(DomainError, match=match):
+            sweep([Params(1, 0.25, 2.0, 3.0)], DomainSpec.whole_space(), C1=C1, C2=C2)
+        assert calls == []
 
     def test_a_defect_propagates(self, monkeypatch):
         # only a refusal (FracsobError) is recorded per point
