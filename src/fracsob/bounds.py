@@ -107,7 +107,8 @@ class DomainSpec:
             raise DomainError(f"{self}: measure or inradius underflows to 0")
 
     def __str__(self) -> str:
-        shape = ", ".join(f"{k}={getattr(self, k):g}" for k in ("radius", "a", "b")
+        shape = ", ".join(f"{k}={getattr(self, k):g}"
+                          for k in ("radius", "a", "b", "truncation")
                           if getattr(self, k) is not None)
         return f"{self.kind} ({shape}) in R^{self.dim}"
 

@@ -14,7 +14,8 @@ output (pass --timing to include wall time, which breaks that determinism).
 
 argparse types every number flag.  The CLI parses by hand only the two
 grammars that need N or the grid: the domain, ball:R | interval:a,b | rn:L
-(L = truncation half-width; a bare rn is rn:200), and the fields of --V/--Q.
+(L = truncation half-width, the box a whole-space solve runs on; a bare rn
+is rn:200), and the fields of --V/--Q.
 A bad --c1/--c2 is the library's refusal, even where no point reads it:
 `bounds.bounds_for` makes it at a point, `varmin.sweep` before any point.
 
@@ -365,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p, solver=solver, number=number)
         if solver:
             p.add_argument("--box", type=float, default=None,
-                           help="grid half-width (default: domain-derived)")
+                           help="grid half-width of a bounded domain (default: 8 x "
+                                "its inradius); rn:L solves on its box [-L, L)")
         p.add_argument("--domain", default="rn")
         p.add_argument("--c1", type=float, default=1.0)
         p.add_argument("--c2", type=float, default=1.0)

@@ -104,6 +104,8 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WGAUSS = np.zeros(15)
 _WGAUSS[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+_EPS = math.ulp(1.0)   # bounds the relative rounding of one addition
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -180,6 +182,14 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
     at a non-finite integrand value in any row, and if some row's error
     estimate is still above its tolerance when max_subdivisions is exhausted.
 
+    The value and error are running sums over the panels.  A split panel
+    whose error estimate is large enough to have cancelled the rest of them
+    (nsub ulp(1) times it above abs_tol) makes the loop form both sums again
+    from the held panels before it stops, and go on from those.  An
+    interior singularity defeats the GK15 error estimate: |x - 1/3|^(-1/2)
+    on (0, 1) is 1.3e-8 off, with an estimate of 2.7e-10.  Split the
+    interval at such a point, so that it is an endpoint, and declare it.
+
     A scalar integrand keeps its own float path rather than running as a
     one-row stack: the values agree bit for bit, but the stack takes 1.6x the
     time (e^(-x) x^(-1/2) + sin 30x on (0, 3): 1.61 against 0.98 ms on a
@@ -218,14 +228,26 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None
         counter += 1
 
     nsub = len(pieces)
-    while _unmet(total, toterr, cfg):
+    # the largest error estimate of a panel split since the sums were formed
+    split = 0.0
+    while True:
+        if not _unmet(total, toterr, cfg):
+            if nsub * _EPS * split <= cfg.abs_tol:
+                break
+            # the running sums added and took back a panel large enough to
+            # have cancelled what else they held: form them from the panels
+            total = sum(p[4] for p in heap)
+            toterr = sum(p[5] for p in heap)
+            split = 0.0
+            continue
         if nsub >= cfg.max_subdivisions:
             errs, vals = np.ravel(toterr), np.ravel(total)
             i = int(np.argmax(errs / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals))))
             raise QuadratureError(
                 f"quadrature did not converge: error estimate {errs[i]:.3e} after "
                 f"{nsub} subdivisions (value {vals[i]:.6e})")
-        _, _, x0, x1, val, err, gg = heapq.heappop(heap)
+        key, _, x0, x1, val, err, gg = heapq.heappop(heap)
+        split = max(split, -key)
         xm = 0.5 * (x0 + x1)
         if xm <= x0 or xm >= x1:
             # interval at machine resolution; park it at the back of the heap

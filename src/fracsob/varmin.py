@@ -35,14 +35,13 @@ the minimizer back), on a grid dilated by the power of two 2^-k that puts
 the support's half-width in [1/2, 1), so the solve does not depend on the
 domain's scale; it has the m x m Toeplitz blocks of symbol and of
 P = 1/(symbol + 1), applied through circulants of the smallest
-power-of-two size n >= 2m - 1 (or n = M when that is not smaller;
-`_embed`).  The blocks do not invert each other, so it passes no shift, and
-an iteration costs one pair for P g and one for the energy of each trial
-point.  Each trial point takes one power |v|^q, shared by its normalization
-and its quotient, and costs that quotient's value alone: the gradient is
-formed once per iteration, at the accepted point.  The trial point, its
-field, power and energy are written into arrays that the solve allocates
-once and reuses for every trial.
+power-of-two size n >= 2m - 1 (`_embed`).  The blocks do not invert each
+other, so it passes no shift, and an iteration costs one pair for P g and
+one for the energy of each trial point.  Each trial point takes one power
+|v|^q, shared by its normalization and its quotient, and costs that
+quotient's value alone: the gradient is formed once per iteration, at the
+accepted point.  The trial point, its field, power and energy are written
+into arrays that the solve allocates once and reuses for every trial.
 """
 from __future__ import annotations
 
@@ -130,11 +129,10 @@ def _embed(symbol: np.ndarray, m: int) -> np.ndarray:
     M-point circulant with the given symbol, of the smallest power-of-two
     size n >= 2m - 1 (Chan-Ng embedding of a symmetric Toeplitz block): its
     first column e holds the box kernel's offsets -(m-1) .. m-1 and zeros in
-    between.  When n would not be smaller than M the box symbol serves."""
+    between.  On a box narrower than 4 x the support's half-width n reaches
+    M or 2M; the default box (8 x the inradius) puts n near M/4."""
     M = 2 * (symbol.shape[0] - 1)
     n = 1 << (2 * m - 2).bit_length()
-    if n >= M:
-        return symbol
     c = np.fft.irfft(symbol, n=M)
     e = np.zeros(n)
     e[:m] = c[:m]
@@ -497,16 +495,31 @@ _DEFAULT_POINTS = 4096   # grid points of a solve where none are given
 
 def default_grid(domain: DomainSpec, points: int = _DEFAULT_POINTS,
                  half_width: float | None = None) -> Grid:
-    """The sandwich grid: `points` nodes on [-half_width, half_width], by
-    default 8 x the inradius of a bounded domain or the whole-space
-    truncation.  A bounded domain whose default box, of width 16 x its
-    inradius, overflows a double is refused."""
+    """The sandwich grid: `points` nodes on [-half_width, half_width), the
+    one choice of a sandwich's box.
+
+    A whole-space domain solves on its truncation box [-T, T): it takes no
+    half_width, and a given one is refused (`GridError`), so a record's
+    truncation is the box its solve ran on.  A bounded domain's box is by
+    default 8 x its inradius, and one whose default box, of width 16 x its
+    inradius, overflows a double is refused.  The grid returned holds the
+    domain: its box and nodes pass `domain_mask` and `_support`, whose
+    refusals are made here once for every solve on it."""
+    if not domain.bounded:
+        T = domain.truncation
+        if half_width is not None:
+            raise GridError(f"{domain} solves on its truncation box [-{T:g}, {T:g}): a "
+                            f"half-width {half_width:g} is not read; give the truncation "
+                            f"{half_width:g} (rn:{half_width:g})")
+        return Grid(half_width=T, points=points)
     if half_width is None:
-        if domain.bounded and not math.isfinite(16.0 * domain.inradius):
+        if not math.isfinite(16.0 * domain.inradius):
             raise GridError(f"the default box of {domain} overflows a double: its width "
                             f"16 x the inradius {domain.inradius:g} is not finite")
-        half_width = 8.0 * domain.inradius if domain.bounded else domain.truncation
-    return Grid(half_width=half_width, points=points)
+        half_width = 8.0 * domain.inradius
+    grid = Grid(half_width=half_width, points=points)
+    _support(grid, domain_mask(grid, domain))
+    return grid
 
 
 def _solves(params: Params) -> bool:
@@ -526,8 +539,9 @@ def sandwich(params: Params, domain: DomainSpec, grid: Grid | None = None,
     descent output (the constant is attained there); p=1 on the whole space
     is bound-only, since its bracket is the exact constant.  p=2 runs the
     spectral minimizer (N = 1 grids) on `grid`, by default `default_grid`;
-    a whole-space record notes when no field on its box, or on its grid,
-    can reach the bracket.
+    a given grid is checked against the domain at each call (`domain_mask`,
+    `_support`).  A whole-space record notes when no field on its box, or
+    on its grid, can reach the bracket.
     """
     pair = bounds_for(params, domain, C1=C1, C2=C2)
     lo, up = pair.lower, pair.upper
@@ -592,7 +606,10 @@ def sweep(param_list: list[Params], domain: DomainSpec, C1: float = 1.0,
     refuse is refused before any point.  Every point that solves
     (`_solves`) runs on one grid, default_grid(domain, points, half_width),
     built at the first such point, so a sweep that solves nothing needs no
-    grid; a refusal of that grid (`GridError`) propagates too."""
+    grid; a refusal of that grid (`GridError`) propagates too.  That grid
+    holds the domain, so a box that cannot hold it, or a grid too coarse
+    for it, refuses the sweep, and a whole-space sweep that solves takes no
+    half_width: its box is the truncation."""
     _check_tm_constants(C1, C2)
     grid = None
 

@@ -104,6 +104,16 @@ class TestDomainSpec:
         assert d.measure is None and d.inradius is None
         assert d.dim == 3 and DomainSpec.whole_space().dim == 1
 
+    @pytest.mark.parametrize("domain,text", [
+        (DomainSpec.ball(1.5, 2), "ball (radius=1.5) in R^2"),
+        (DomainSpec.interval(-1.0, 1.0), "interval (a=-1, b=1) in R^1"),
+        # printed "whole_space () in R^1"
+        (DomainSpec.whole_space(), "whole_space (truncation=200) in R^1"),
+        (DomainSpec.whole_space(50.0, 3), "whole_space (truncation=50) in R^3"),
+    ])
+    def test_str_names_the_shape(self, domain, text):
+        assert str(domain) == text
+
     def test_fields_are_the_shape(self):
         # measure and inradius cannot be set, so they cannot disagree
         assert [f.name for f in dataclasses.fields(DomainSpec)] == [
@@ -518,3 +528,20 @@ class TestBallDilationConsistency:
                            bR.lower.value) < 1e-12
                 assert rel(dilation_transfer(b1.upper.value, R, params),
                            bR.upper.value) < 1e-12
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: DomainSpec(kind="annulus", dim=1), DomainError,
+                 "unknown domain kind 'annulus'", id="kind"),
+    pytest.param(lambda: dilation_transfer(0.0, 2.0, Params(2, 0.5, 2.0, 3.0)), DomainError,
+                 "constant must be positive, got 0.0", id="transfer-S"),
+    pytest.param(lambda: dilation_transfer(1.0, 2.0, Params(1, 0.75, 2.0, 3.0)), RegimeError,
+                 "dilation transfer undefined for N < ps (N=1, s=0.75, p=2.0)",
+                 id="transfer-N"),
+    pytest.param(lambda: young_lower(0.5, 0.0), DomainError,
+                 "critical constant must be positive", id="young-S"),
+])
+def test_refusal_names_its_input(call, cls, message):
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message

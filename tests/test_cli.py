@@ -277,7 +277,8 @@ def test_ball_with_overflowing_radius_power_stays_finite(capsys):
 @pytest.mark.parametrize("argv,word", [
     pytest.param(["sandwich", "--domain", "rn:inf"], "truncation",
                  id="argv4-truncation"),
-    pytest.param(["sandwich", "--box", "inf"], "half_width", id="argv5-half_width"),
+    pytest.param(["sandwich", "--domain", "interval:-1,1", "--box", "inf"], "half_width",
+                 id="argv5-half_width"),
     pytest.param(["groundstate", "--box", "inf"], "half_width",
                  id="argv6-half_width"),
     pytest.param(["sandwich", "--domain", "interval:-inf,1"], "interval a",
@@ -923,6 +924,15 @@ def test_grid_too_coarse_for_domain(capsys, argv, nodes):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["bogus:1", "const:1,2", "well:1,2"])
+def test_field_of_unknown_form_is_refused(capsys, field):
+    code, out, err = run_capture(capsys, ["groundstate", "--grid", "256", "--V", field])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad field '{field}': expected const:c | "
+                          "bump:base,amp,width | well:base,depth,width\nusage: fracsob")
+
+
 def sandwich_numeric(capsys, domain):
     code, out, _ = run_capture(capsys, ["sandwich", "--s", "0.3", "--q", "2.5",
                                         "--domain", domain])
@@ -949,6 +959,45 @@ def test_domain_wider_than_the_box_is_refused(capsys, box):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd,s", [("sandwich", "0.3"), ("sweep", "0.25,0.3")])
+def test_whole_space_box_is_its_truncation(capsys, cmd, s):
+    # --box replaced the truncation: rn:200 --box 50 solved on [-50, 50),
+    # and the record said truncation 200.0
+    code, out, err = run_capture(capsys, [cmd, "--s", s, "--q", "2.5", "--domain", "rn:200",
+                                          "--box", "50"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: whole_space (truncation=200) in R^1 solves on its "
+                          "truncation box [-200, 200): a half-width 50 is not read; give "
+                          "the truncation 50 (rn:50)\nusage: fracsob")
+
+
+def test_point_that_does_not_solve_reads_no_whole_space_box(capsys):
+    # a p = 1 point builds no grid, so it reads no box
+    code, out, _ = run_capture(capsys, ["sandwich", "--p", "1", "--N", "2", "--s", "0.5",
+                                        "--q", "1.2", "--domain", "rn", "--box", "5"])
+    assert code == 0
+    assert json.loads(out)["domain"]["truncation"] == 200.0
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--box", "1"], "error: interval (a=-1, b=1) in R^1 does not fit in the box [-1, 1)"),
+    (["--grid", "16", "--box", "8"], "error: the support mask holds 1 of the 16 nodes"),
+], ids=["box-fit", "support"])
+def test_box_that_cannot_hold_the_domain_refuses_the_sweep(capsys, monkeypatch, flags,
+                                                            message):
+    # the refusal was one identical GridError row per point, with exit 1;
+    # like a bad --grid it now ends the sweep before any point
+    calls = []
+    monkeypatch.setattr(fracsob.varmin, "sandwich", lambda *a, **k: calls.append(a))
+    code, out, err = run_capture(capsys, ["sweep", "--s", "0.25,0.3", "--q", "3",
+                                          "--domain", "interval:-1,1"] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert calls == []
+
+
 def test_domain_whose_inradius_squared_overflows_is_solved(capsys):
     # the cap start (k0^2 - x^2)_+^s overflowed: three RuntimeWarnings, then
     # "degenerate field", or under -W error a traceback with exit 1; later a
@@ -969,8 +1018,8 @@ def test_domain_whose_inradius_squared_overflows_is_solved(capsys):
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "rn:2e-305"],
                  "grid half_width 2e-305 is too small: the spacing", id="rn-2e-305"),
-    pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain", "rn:200",
-                  "--box", "1e-310"],
+    pytest.param(["sandwich", "--s", "0.3", "--q", "2.5", "--domain",
+                  "interval:-1e-311,1e-311", "--box", "1e-310"],
                  "grid half_width 1e-310 is too small: the spacing", id="sandwich-box"),
     pytest.param(["groundstate", "--box", "1e-310", "--V", "const:1", "--Q", "const:1"],
                  "grid half_width 1e-310 is too small: the spacing", id="groundstate-box"),

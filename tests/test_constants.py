@@ -307,3 +307,26 @@ class TestConstantValue:
                   frac_sobolev_hilbert(2, 0.5), mazya_lower(3, 0.5, 2.0),
                   lieb_loss_lower(4.0)):
             assert c.provenance in PROVENANCE_KEYS
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: ConstantValue(1.0, ConstantKind.NUMERIC_ESTIMATE, "rayleigh-numeric",
+                                       error_estimate=-1.0),
+                 "error estimate must be nonnegative", id="negative-error"),
+    pytest.param(lambda: unit_ball_volume(0), "N must be >= 1, got 0", id="ball-N"),
+    pytest.param(lambda: hardy_sobolev_A(1, 1.0), "s must lie in (0,1), got 1.0",
+                 id="hardy-s"),
+    pytest.param(lambda: hardy_sobolev_A(0, 0.5), "N must be >= 1, got 0", id="hardy-N"),
+    pytest.param(lambda: lieb_constant(1, 0.0), "s must lie in (0,1), got 0.0", id="lieb-s"),
+    pytest.param(lambda: norm_bridge(1, 1.5), "s must lie in (0,1), got 1.5",
+                 id="bridge-s"),
+    pytest.param(lambda: norm_bridge(0, 0.5), "N must be >= 1, got 0", id="bridge-N"),
+    pytest.param(lambda: frac_sobolev_hilbert(2, -0.1), "s must lie in (0,1), got -0.1",
+                 id="hilbert-s"),
+    pytest.param(lambda: mazya_lower(2, 1.0, 1.0), "s must lie in (0,1), got 1.0",
+                 id="mazya-s"),
+])
+def test_refusal_names_its_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message

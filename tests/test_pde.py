@@ -298,3 +298,32 @@ class TestGroundState:
         assert converged and converged_p
         assert abs(len(trace) - len(trace_p)) <= 2
         assert len(trace) - 1 <= 100
+
+
+def _fields(M=16, value=1.0):
+    grid = Grid(half_width=8.0, points=M)
+    return grid, Field(grid, np.full(M, value))
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: ps_level(3.0, 0.0), DomainError, "S must be positive, got 0.0",
+                 id="S"),
+    pytest.param(lambda: coupling_alpha(2, 1.0, 3.0, 1.0), RegimeError,
+                 "classical variant needs N >= 3", id="classical-N"),
+    pytest.param(lambda: coupling_alpha(1, 0.5, 3.0, 1.0), RegimeError,
+                 "coupling_alpha needs N > 2s, got N=1, s=0.5", id="fractional-N"),
+    pytest.param(lambda: pohozaev_defect(_fields()[1], _fields()[1], 0.0), DomainError,
+                 "lambda must lie in (0,1], got 0.0", id="lambda"),
+    pytest.param(lambda: check_potential_hypotheses(_fields(value=-0.5)[1]), DomainError,
+                 "potential must be strictly positive", id="potential"),
+    pytest.param(lambda: ground_state_solve(_fields()[0], 1.0, 3.0, _fields()[1],
+                                            _fields()[1]),
+                 DomainError, "s must lie in (0,1), got 1.0", id="solve-s"),
+    pytest.param(lambda: ground_state_solve(_fields(32)[0], 0.5, 3.0, _fields()[1],
+                                            _fields()[1]),
+                 GridError, "V and Q must live on the solver grid", id="solve-grid"),
+])
+def test_refusal_names_its_input(call, cls, message):
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message

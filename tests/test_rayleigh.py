@@ -255,3 +255,25 @@ class TestMoserBoundCheck:
     def test_nearly_degenerate_interval(self):
         numeric, bound, slack = moser_bound_check(1.0, 1.0 + 1e-6)
         assert numeric >= 0.0 and slack >= 0.0
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: bump_seminorm_sq(1, 0.5, 0.0),
+                 "invalid bump parameters N=1, s=0.5, k=0.0", id="seminorm-k"),
+    pytest.param(lambda: bump_lq_norm(1, 0.5, 0.5, 1.0),
+                 "invalid parameters N=1, s=0.5, q=0.5, k=1.0", id="lq-q"),
+    pytest.param(lambda: objective_value("bump", Params(1, 0.25, 2.0, 3.0), 1.0),
+                 "unknown objective 'bump'", id="objective"),
+    pytest.param(lambda: objective_value(Objective.BUMP, Params(1, 0.25, 2.0, 3.0), 0.0),
+                 "k must be positive, got 0.0", id="objective-k"),
+    pytest.param(lambda: objective_value(Objective.MOSER_LINE, Params(1, 0.5, 2.0, 4.0), 1.0),
+                 "moser objectives need K > k", id="moser-K"),
+    pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), 0.5, 3),
+                 "p must be 1 or 2, got 3", id="gagliardo-p"),
+    pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), 1.0, 1),
+                 "s must lie in (0,1), got 1.0", id="gagliardo-s"),
+])
+def test_refusal_names_its_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message

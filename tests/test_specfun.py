@@ -9,6 +9,7 @@ from fracsob.specfun import (
     beta_fn,
     gamma_fn,
     integrate,
+    ln_gamma,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -173,3 +174,50 @@ class TestStackedIntegrate:
         with pytest.raises(QuadratureError, match="after 8 subdivisions"):
             integrate(lambda x: np.array([x * x, np.abs(x - 0.3712) ** -0.5]),
                       0.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("x,message", [
+    (0.0, "ln_gamma requires x > 0, got 0.0"),
+    (1e308, "log Gamma(1e+308) overflows double precision"),
+])
+def test_ln_gamma_refusal_names_its_input(x, message):
+    with pytest.raises(DomainError) as info:
+        ln_gamma(x)
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def _interior_singularity(x):
+    # |x - 1/3|^(-1/2), finite at a node that rounds to 1/3
+    return np.maximum(np.abs(x - 1.0 / 3.0), 1e-300) ** -0.5
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_running_sums_that_cancelled_are_formed_again(stacked):
+    # a panel's value reached about 1e133: the running sums added it, took it
+    # back, and lost everything else, so integrate returned 0.0 +- 0.0
+    exact = 2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))
+    f = ((lambda x: np.stack([_interior_singularity(x), np.cos(x)])) if stacked
+         else _interior_singularity)
+    val, err = integrate(f, 0.0, 1.0, QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10))
+    if stacked:
+        assert abs(val[1] - math.sin(1.0)) <= 1e-10 and err[1] <= 1e-10
+        val, err = val[0], err[0]
+    assert abs(val - exact) < 1e-7
+    assert 0.0 < err <= 1e-10 * exact
+
+
+def test_panel_at_machine_resolution_is_parked():
+    # [1, 1 + ulp] has no double inside: it is parked, never split, and the
+    # loop ends at max_subdivisions with the single evaluation of the start.
+    # On a constant GK15's rounding leaves an error estimate near 2e-16 hw,
+    # above these tolerances
+    calls = []
+
+    def one(x):
+        calls.append(x)
+        return np.ones_like(x)
+
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=5)
+    with pytest.raises(QuadratureError, match="after 5 subdivisions"):
+        integrate(one, 1.0, math.nextafter(1.0, 2.0), cfg)
+    assert len(calls) == 1

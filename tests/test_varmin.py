@@ -217,10 +217,7 @@ class TestEmbeddedApply:
         for f in (symbol, 1.0 / (symbol + 1.0)):
             spectrum = _embed(f, m)
             n = 2 * (spectrum.size - 1)
-            if 2 * m - 1 > M // 2:
-                assert spectrum is f   # the box itself serves
-            else:
-                assert 2 * m - 1 <= n < 2 * (2 * m - 1)
+            assert 2 * m - 1 <= n < 2 * (2 * m - 1)
             for u in rng.normal(size=(5, M)):
                 ref = np.where(mask, _apply(f, np.where(mask, u, 0.0)), 0.0)[support]
                 got = _apply(spectrum, u[support])
@@ -871,6 +868,15 @@ class TestMinimizer:
         assert default_grid(dom, half_width=8.5e307).half_width == 8.5e307
         assert default_grid(DomainSpec.interval(-5e306, 5e306)).half_width == 4e307
 
+    def test_whole_space_box_is_its_truncation(self):
+        # a given half-width replaced the truncation, which the record still
+        # reported: rn:200 with a half-width 50 solved on [-50, 50)
+        with pytest.raises(GridError, match=r"^whole_space \(truncation=200\) in R\^1 solves "
+                           r"on its truncation box \[-200, 200\): a half-width 50 is not "
+                           r"read; give the truncation 50 \(rn:50\)$"):
+            default_grid(DomainSpec.whole_space(200.0), half_width=50.0)
+        assert default_grid(DomainSpec.whole_space(50.0), 1024) == Grid(50.0, 1024)
+
     @pytest.mark.parametrize("L,M,r,hand_made", [
         # a hand-made mask, np.abs(x) < 5e299: 255 steps of 1.95e297
         pytest.param(4e300, 4096, 5e299, True, id="huge-coordinates"),
@@ -1106,6 +1112,16 @@ class TestSandwich:
         assert sandwich(p, dom) == sandwich(p, dom, grid=default_grid(dom))
 
 
+@pytest.mark.parametrize("s,q,message", [
+    (1.0, 3.0, "s must lie in (0,1), got 1.0"),
+    (0.5, 0.5, "q must be >= 1, got 0.5"),
+])
+def test_minimize_quotient_refusal_names_its_input(s, q, message):
+    with pytest.raises(DomainError) as info:
+        minimize_quotient(Grid(half_width=8.0, points=64), None, s, q, "whole_space")
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 class TestSweep:
     def test_empty(self):
         assert sweep([], DomainSpec.whole_space()) == []
@@ -1154,6 +1170,22 @@ class TestSweep:
         monkeypatch.setattr(varmin, "sandwich", lambda *a, **k: calls.append(a))
         with pytest.raises(DomainError, match=match):
             sweep([Params(1, 0.25, 2.0, 3.0)], DomainSpec.whole_space(), C1=C1, C2=C2)
+        assert calls == []
+
+    @pytest.mark.parametrize("domain,points,half_width,match", [
+        (DomainSpec.whole_space(200.0), 4096, 50.0, "a half-width 50 is not read"),
+        (DomainSpec.interval(-1.0, 1.0), 4096, 1.0, "does not fit in the box"),
+        (DomainSpec.interval(-1.0, 1.0), 16, 8.0, "the support mask holds 1 of the 16"),
+    ], ids=["rn-half-width", "box-fit", "support"])
+    def test_box_that_cannot_hold_the_domain_refuses_the_sweep(
+            self, monkeypatch, domain, points, half_width, match):
+        # the box-fit and support refusals were recorded as one identical
+        # GridError per point; they are the grid's, made once
+        calls = []
+        monkeypatch.setattr(varmin, "sandwich", lambda *a, **k: calls.append(a))
+        with pytest.raises(GridError, match=match):
+            sweep([Params(1, 0.25, 2.0, 3.0), Params(1, 0.3, 2.0, 3.0)], domain,
+                  points=points, half_width=half_width)
         assert calls == []
 
     def test_a_defect_propagates(self, monkeypatch):
