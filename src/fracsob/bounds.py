@@ -12,8 +12,9 @@ Three regimes are covered (see `constants.Regime`):
   supplied Trudinger-Moser constants C1 (domain) and C2 (whole space).
 
 `bounds_for` is the one entry to these formulas: it checks each input fact
-once (scope, the domain's dimension, C1 and C2) and dispatches to one private
-formula per regime and domain kind.
+once (scope, the whole space's q >= 2 for p = 2, the domain's dimension, C1
+and C2) and dispatches to one private formula per regime and domain kind,
+whose ends `_pair` refuses by name outside the normal doubles.
 
 Two scaling facts have one owner each: a dilation multiplies a constant by
 lambda^(N - sp - Np/q) (`_dilation_exponent`), and the least quotient of
@@ -40,6 +41,8 @@ from .constants import (
     Params,
     Regime,
     _ln_unit_ball_volume,
+    _normal,
+    _or_inf,
     _power,
     frac_isoperimetric,
     frac_sobolev_hilbert,
@@ -57,15 +60,6 @@ __all__ = [
 ]
 
 _DEFAULT_TRUNCATION = 200.0   # whole-space truncation half-width where none is given
-
-
-def _ball_measure(N: int, radius: float) -> float:
-    """omega_N R^N in log space (R^N alone can overflow while the product is
-    finite); inf where the product overflows."""
-    try:
-        return math.exp(_ln_unit_ball_volume(N) + N * math.log(radius))
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -130,8 +124,9 @@ class DomainSpec:
 
     @property
     def measure(self) -> Optional[float]:
-        if self.kind == "ball":
-            return _ball_measure(self.dim, self.radius)
+        if self.kind == "ball":   # omega_N R^N in log space: R^N alone can overflow
+            return _or_inf(math.exp, _ln_unit_ball_volume(self.dim)
+                           + self.dim * math.log(self.radius))
         if self.kind == "interval":
             return self.b - self.a
         return None
@@ -226,14 +221,14 @@ def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     return eps, rho
 
 
-def _pair(key: str, lo: float, up: float) -> BoundPair:
+def _pair(key: str, lo: float, up: float, at: str) -> BoundPair:
     """The bracket [lo, up] with provenances key-lower / key-upper and error
-    estimates _EVAL_EPS * value."""
+    estimates _EVAL_EPS * value; `_normal` refuses each end by name at `at`."""
     return BoundPair(
-        ConstantValue(lo, ConstantKind.BOUND_LOWER, f"{key}-lower",
-                      error_estimate=_EVAL_EPS * lo),
-        ConstantValue(up, ConstantKind.BOUND_UPPER, f"{key}-upper",
-                      error_estimate=_EVAL_EPS * up))
+        ConstantValue(_normal(lo, "the lower bound", at), ConstantKind.BOUND_LOWER,
+                      f"{key}-lower", error_estimate=_EVAL_EPS * lo),
+        ConstantValue(_normal(up, "the upper bound", at), ConstantKind.BOUND_UPPER,
+                      f"{key}-upper", error_estimate=_EVAL_EPS * up))
 
 
 def _exact_one(key: str) -> BoundPair:
@@ -254,8 +249,9 @@ def _borderline_domain(params: Params, domain: DomainSpec) -> BoundPair:
     need the inradius-ball upper bound S |B_R|^(1/crit - 1/q) back."""
     S = frac_isoperimetric(params.N, params.s).value
     e = _inv_gap(params.critical_exponent, params.q)  # 1/crit - 1/q <= 0
-    v = S * _power(domain.measure, e, f"{params} on {domain}")
-    return _pair("borderline-domain", v, v)
+    at = f"{params} on {domain}"
+    v = S * _power(domain.measure, e, at)
+    return _pair("borderline-domain", v, v, at)
 
 
 def _borderline_wholespace(params: Params) -> BoundPair:
@@ -266,7 +262,7 @@ def _borderline_wholespace(params: Params) -> BoundPair:
         return _exact_one("borderline-rn-q1")
     S = frac_isoperimetric(params.N, params.s).value
     v = _dilation_min(*_dilation_weights(params), S, 1.0)
-    return _pair("borderline-rn", v, v)
+    return _pair("borderline-rn", v, v, str(params))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +274,10 @@ def _hilbert_domain(params: Params, domain: DomainSpec) -> BoundPair:
     e = 2.0 * _inv_gap(params.critical_exponent, params.q)   # 2 (1/crit - 1/q)
     E, _, G = _cap_norms(params.N, params.s, params.q)
     at = f"{params} on {domain}"
-    lo = frac_sobolev_hilbert(params.N, params.s).value * _power(domain.measure, e, at)
-    up = E / G * _power(domain.inradius, params.N * e, at)
-    return _pair("hilbert-domain", lo, up)
+    lo = (frac_sobolev_hilbert(params.N, params.s).value
+          * _power(domain.measure, e, f"the lower bound of {at}"))
+    up = E / G * _power(domain.inradius, params.N * e, f"the upper bound of {at}")
+    return _pair("hilbert-domain", lo, up, at)
 
 
 def _hilbert_wholespace(params: Params) -> BoundPair:
@@ -288,14 +285,12 @@ def _hilbert_wholespace(params: Params) -> BoundPair:
     the dilation minima kappa S*^theta of the critical constant (the Young
     interpolation) and kappa E^theta B^phi / G of the cap."""
     N, s, q = params.N, params.s, params.q
-    if q < 2.0:
-        raise RegimeError(f"whole-space bounds need q >= 2, got q={q}")
     if q == 2.0:
         return _exact_one("hilbert-rn-q2")
     theta, phi = _dilation_weights(params)
     E, B, G = _cap_norms(N, s, q)
     lo = _dilation_min(theta, phi, frac_sobolev_hilbert(N, s).value, 1.0)
-    return _pair("hilbert-rn", lo, _dilation_min(theta, phi, E, B) / G)
+    return _pair("hilbert-rn", lo, _dilation_min(theta, phi, E, B) / G, str(params))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +305,14 @@ def _limiting_domain(params: Params, domain: DomainSpec, C1: float) -> BoundPair
     literature provides existence, not a numeric value)."""
     q = params.q
     at = f"{params} on {domain}"
-    lo = (_power(C1, -2.0 / q, at) * math.pi
+    lo_at, up_at = f"the lower bound of {at}", f"the upper bound of {at}"
+    lo = (_power(C1, -2.0 / q, lo_at) * math.pi
           * math.exp(-(2.0 / q) * ln_gamma(q / 2.0 + 1.0))
-          * _power(domain.measure, -2.0 / q, at))
+          * _power(domain.measure, -2.0 / q, lo_at))
     up = (2.0 ** (1.0 - 2.0 / q) * math.pi * math.e / q
-          * _power(domain.inradius, -2.0 / q, at))
+          * _power(domain.inradius, -2.0 / q, up_at))
     try:
-        return _pair("limiting-domain", lo, up)
+        return _pair("limiting-domain", lo, up, at)
     except DomainError as exc:   # lo grows as C1^(-2/q): name C1 as the input
         raise DomainError(f"C1={C1!r} gives no bracket at {at}: {exc}") from None
 
@@ -327,8 +323,6 @@ def _limiting_wholespace(params: Params, C2: float) -> BoundPair:
     whole-space Trudinger-Moser constant (caller supplied), and the
     truncated-log upper bound 2^(1-4/q) pi^(1-2/q) q (q-2)^(4/q-2) e^((q-2)/q)."""
     q = params.q
-    if q < 2.0:
-        raise RegimeError("limiting whole-space bounds need q >= 2")
     if q == 2.0:
         return _exact_one("limiting-rn-q2")
     # log-space evaluation keeps Gamma(q/2+1) usable at large q
@@ -338,7 +332,7 @@ def _limiting_wholespace(params: Params, C2: float) -> BoundPair:
     lo = math.exp(-(2.0 / q) * (m + math.log(math.exp(t1 - m) + math.exp(t2 - m))))
     up = (2.0 ** (1.0 - 4.0 / q) * math.pi ** (1.0 - 2.0 / q) * q
           * (q - 2.0) ** (4.0 / q - 2.0) * math.exp((q - 2.0) / q))
-    return _pair("limiting-rn", lo, up)
+    return _pair("limiting-rn", lo, up, str(params))
 
 
 def _check_tm_constants(C1: float, C2: float) -> None:
@@ -368,6 +362,8 @@ def bounds_for(params: Params, domain: DomainSpec, C1: float = 1.0, C2: float = 
         return _limiting_domain(params, domain, C1)
     if regime is Regime.BORDERLINE:
         return _borderline_wholespace(params)
+    if params.q < 2.0:
+        raise RegimeError(f"whole-space bounds need q >= 2, got q={params.q}")
     if regime is Regime.HILBERT:
         return _hilbert_wholespace(params)
     return _limiting_wholespace(params, C2)

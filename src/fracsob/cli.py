@@ -286,7 +286,7 @@ def _thresholds(args) -> _Outcome:
         try:
             f3 = pde.growth_coefficient(args.q, S)
         except DomainError:   # ps_level checked q and S: only the range is left
-            note += "; f3_coeff not reported: (q/2) S^(q/2) leaves the double range"
+            note += "; f3_coeff not reported: (q/2) S^(q/2) leaves the normal double range"
     if regime is Regime.HILBERT:
         alpha = pde.coupling_alpha(args.N, args.s, args.q, S)
         if 0.0 < alpha < 1.0:

@@ -4,6 +4,12 @@ Every constant is returned as a `ConstantValue` carrying a provenance key
 from `PROVENANCE_KEYS`, its evaluation kind and an error estimate.  The
 parameter quadruple (N, s, p, q) with its regime classification lives here
 as `Params`.
+
+Each refusal rule has one owner, which every module calls.  Here: `_check_s`
+(0 < s < 1), `_check_q` (q finite and >= 1, or > 2 for the thresholds and the
+ground state) and `_normal` (a value is a normal double; its refusal names the
+quantity and the point, and `_power` refuses by it).  `bounds.bounds_for` owns
+the whole-space q >= 2 and its ends' range, `varmin._tail` the box's outer tail.
 """
 from __future__ import annotations
 
@@ -67,6 +73,43 @@ PROVENANCE_KEYS = frozenset({
 })
 
 
+def _check_s(s: float) -> None:
+    """Refuse an order s outside (0, 1)."""
+    if not 0.0 < s < 1.0:
+        raise DomainError(f"s must lie in (0,1), got {s}")
+
+
+def _check_q(q: float, above_two: bool = False) -> None:
+    """Refuse an exponent q that is infinite, below 1 or, where `above_two`, not above 2."""
+    if above_two and not q > 2.0:
+        raise DomainError(f"q must be > 2, got {q}")
+    if not q >= 1.0:
+        raise DomainError(f"q must be >= 1, got {q}")
+    if q == math.inf:
+        raise DomainError(f"q must be finite, got {q}")
+
+
+def _normal(value: float, what: str, where: str) -> float:
+    """value, unless it is no normal double (subnormal, 0, negative, inf or
+    nan): then a DomainError that names `what` and `where`."""
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"{what} = {value!r} leaves the normal double range at {where}")
+    return value
+
+
+def _or_inf(f, *args) -> float:
+    """f(*args) (`math.exp`, or `pow` of floats), inf where it overflows a double."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _power(x: float, e: float, where: str) -> float:
+    """x ** e for x > 0, refused by `_normal`, which names the power and `where`."""
+    return _normal(_or_inf(pow, x, e), f"{x!r} ** {e!r}", where)
+
+
 class Regime(enum.Enum):
     """Which family of bounds applies to a parameter quadruple."""
 
@@ -88,14 +131,10 @@ class Params:
     def __post_init__(self):
         if not (isinstance(self.N, int) and self.N >= 1):
             raise DomainError(f"N must be an integer >= 1, got {self.N!r}")
-        if not 0.0 < self.s < 1.0:
-            raise DomainError(f"s must lie in (0,1), got {self.s}")
+        _check_s(self.s)
         if self.p not in (1, 2, 1.0, 2.0):
             raise DomainError(f"p must be 1 or 2, got {self.p}")
-        if not self.q >= 1.0:
-            raise DomainError(f"q must be >= 1, got {self.q}")
-        if self.q == math.inf:
-            raise DomainError(f"q must be finite, got {self.q}")
+        _check_q(self.q)
 
     @property
     def critical_exponent(self) -> float:
@@ -145,32 +184,6 @@ class ConstantValue:
             raise DomainError("only closed-form constants may claim zero error")
 
 
-_LN_MAX = math.log(sys.float_info.max)
-
-
-def _exp_normal(ln_val: float, name: str, where: str) -> float:
-    """exp(ln_val); a DomainError naming `name` and `where` if that leaves
-    the normal double range."""
-    if ln_val > _LN_MAX:
-        raise DomainError(f"{name} overflows a double at {where}")
-    val = math.exp(ln_val)
-    if val < sys.float_info.min:
-        raise DomainError(f"{name} underflows a double at {where}")
-    return val
-
-
-def _power(x: float, e: float, where: str) -> float:
-    """x ** e for x > 0, refused where it leaves the double range (overflows,
-    or underflows to 0) with a message that names `where`."""
-    try:
-        r = x ** e
-    except OverflowError:
-        r = math.inf
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"{x!r} ** {e!r} leaves the double range at {where}")
-    return r
-
-
 def _ln_unit_ball_volume(N: int) -> float:
     """log omega_N = (N/2) log pi - log Gamma(N/2+1)."""
     if N < 1:
@@ -183,7 +196,8 @@ def unit_ball_volume(N: int) -> float:
     log space so that N >= 342, where Gamma(N/2+1) overflows, stays finite.
     Raises DomainError from N = 436 on, where it falls below the smallest
     normal double."""
-    return _exp_normal(_ln_unit_ball_volume(N), "unit_ball_volume", f"N={N}")
+    return _normal(_or_inf(math.exp, _ln_unit_ball_volume(N)), "unit_ball_volume",
+                   f"N={N}")
 
 
 def classical_sobolev(N: int, p: float) -> ConstantValue:
@@ -216,13 +230,12 @@ def hardy_sobolev_A(N: int, s: float) -> ConstantValue:
     Evaluated in log space; raises DomainError where A falls below the
     smallest normal double (near N = 440).
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    val = _exp_normal((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
-                      + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0),
-                      "A(N,s)", f"N={N}, s={s}")
+    ln_val = ((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
+              + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0))
+    val = _normal(_or_inf(math.exp, ln_val), "A(N,s)", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "hardy-sobolev")
 
 
@@ -242,14 +255,13 @@ def lieb_constant(N: int, s: float) -> ConstantValue:
 
     evaluated in log space; raises DomainError where it falls below the
     smallest normal double (from N = 439 on at s = 1/2)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     if not N > 2 * s:
         raise DomainError(f"lieb_constant requires N > 2s, got N={N}, s={s}")
-    val = _exp_normal(math.log(2.0) + (N / 2.0 + s) * math.log(math.pi)
-                      - math.log(s * (1.0 - s)) + ln_gamma(2.0 - s) - ln_gamma(N / 2.0 - s)
-                      + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N))),
-                      "lieb_constant", f"N={N}, s={s}")
+    ln_val = (math.log(2.0) + (N / 2.0 + s) * math.log(math.pi)
+              - math.log(s * (1.0 - s)) + ln_gamma(2.0 - s) - ln_gamma(N / 2.0 - s)
+              + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N))))
+    val = _normal(_or_inf(math.exp, ln_val), "lieb_constant", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "lieb")
 
 
@@ -261,13 +273,12 @@ def norm_bridge(N: int, s: float) -> ConstantValue:
 
     evaluated in log space; raises DomainError where it exceeds the largest
     double (from N = 438 on at s = 1/2)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    val = _exp_normal(2.0 * s * math.log(2.0) + math.log(s) - N / 2.0 * math.log(math.pi)
-                      + ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s),
-                      "norm_bridge", f"N={N}, s={s}")
+    ln_val = (2.0 * s * math.log(2.0) + math.log(s) - N / 2.0 * math.log(math.pi)
+              + ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s))
+    val = _normal(_or_inf(math.exp, ln_val), "norm_bridge", f"N={N}, s={s}")
     return ConstantValue(val, ConstantKind.CLOSED_FORM, "norm-bridge")
 
 
@@ -275,8 +286,7 @@ def frac_sobolev_hilbert(N: int, s: float) -> ConstantValue:
     """Sharp constant of the critical H^s embedding, half-Laplacian
     normalization (N > 2s):
     2^(2s) pi^s [Gamma(N/2+s)/Gamma(N/2-s)] [Gamma(N/2)/Gamma(N)]^(2s/N)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     if not N > 2 * s:
         raise DomainError(f"frac_sobolev_hilbert requires N > 2s, got N={N}, s={s}")
     val = (2.0 ** (2.0 * s) * math.pi ** s
@@ -294,15 +304,13 @@ def mazya_lower(N: int, s: float, p: float) -> ConstantValue:
     The power of two is applied as an exact binary-exponent shift; raises
     DomainError where the bound falls below the smallest normal double
     (from N = 30 on)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     if not (p >= 1.0 and N > s * p):
         raise DomainError(f"mazya_lower requires p >= 1 and N > sp, got N={N}, s={s}, p={p}")
     val = math.ldexp(math.exp(_ln_unit_ball_volume(N)) * N * (N - s * p) ** (p - 1.0)
                      / (s * (1.0 - s) * p ** (p + 2.0) * (N + 2.0 * p) ** (3.0 * p)),
                      -(N + 1) * (N + 2))
-    if val < sys.float_info.min:
-        raise DomainError(f"mazya_lower underflows a double at N={N}, s={s}, p={p}")
+    _normal(val, "mazya_lower", f"N={N}, s={s}, p={p}")
     return ConstantValue(val, ConstantKind.BOUND_LOWER, "mazya-lower",
                          error_estimate=_EVAL_EPS * val)
 
@@ -310,8 +318,7 @@ def mazya_lower(N: int, s: float, p: float) -> ConstantValue:
 def lieb_loss_lower(q: float) -> ConstantValue:
     """Lieb-Loss lower bound for the limiting-case whole-space constant:
     (q-1)^(1-1/q) [q(q-2)/(2 pi)]^(2/q-1), q > 2."""
-    if not q > 2.0:
-        raise DomainError(f"lieb_loss_lower requires q > 2, got {q}")
+    _check_q(q, above_two=True)
     val = ((q - 1.0) ** (1.0 - 1.0 / q)
            * (q * (q - 2.0) / (2.0 * math.pi)) ** (2.0 / q - 1.0))
     return ConstantValue(val, ConstantKind.BOUND_LOWER, "lieb-loss-lower",

@@ -11,15 +11,15 @@ at V = Q = 1 it is the whole-space solve of S.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _power, classical_sobolev, frac_sobolev_hilbert
+from .constants import (_check_q, _check_s, _normal, _power, classical_sobolev,
+                        frac_sobolev_hilbert)
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
-from .varmin import _TAIL_FRACTION, _apply, _box_descent, _dot
+from .varmin import _apply, _box_descent, _dot, _tail
 
 __all__ = [
     "ps_level",
@@ -37,9 +37,8 @@ __all__ = [
 
 
 def _check_q_S(q: float, S: float) -> str:
-    """Refuse q <= 2 and S outside (0, inf); name the point for `_power`."""
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
+    """Refuse q outside (2, inf) and S outside (0, inf); name the point."""
+    _check_q(q, above_two=True)
     if not S > 0.0:
         raise DomainError(f"S must be positive, got {S}")
     if S == math.inf:
@@ -87,7 +86,7 @@ def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
         sig = N / (2.0 * s)
         bracket = (N ** sig * (q - 2.0)
                    / (2.0 * s * q * crit_const ** sig * (N - 2.0 * s) ** (sig - 1.0)))
-        return bracket ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, at)
+        return _power(bracket, (q - 2.0) / 2.0, at) * _power(S, q / 2.0, at)
     raise RegimeError(
         f"nonlinearity threshold needs N>=2 with N>2s, or (N,s)=(1,1/2); got N={N}, s={s}")
 
@@ -117,7 +116,7 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
         raise DomainError(
             "q/(q-2) equals N/(2s): alpha is singular at the critical exponent")
     level = (N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at)
-    base = crit_const ** sig / level
+    base = _power(crit_const, sig, at) / level
     return _power(base, 1.0 / expo_den, at)
 
 
@@ -151,8 +150,7 @@ _HYPOTHESIS_TOL = 1e-12   # rounding slack of the hypotheses' inequalities
 
 def _check_edge(F: Field, name: str) -> None:
     """The rule both fields obey: F -> 1 on the outer `_TAIL_FRACTION` of the box."""
-    edge = np.abs(F.grid.x) >= (1.0 - _TAIL_FRACTION) * F.grid.half_width
-    if np.max(np.abs(F.values[edge] - 1.0)) > 1e-3:
+    if np.max(np.abs(F.values[_tail(F.grid)] - 1.0)) > 1e-3:
         raise DomainError(f"{name} must approach 1 at infinity (check the box size)")
 
 
@@ -214,15 +212,13 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     and at most `varmin._MAX_ITERS`.  At V = Q = 1 it is the whole-space
     solve of `minimize_quotient` run to that tolerance: 2 I0 is its
     estimate bit for bit.  Returns (u0, I0, report) with
-    u0 = (2 I0)^(1/(q-2)) u; a scale outside the double range (q near 2) is a
-    `DomainError`, and so is a scale whose ||u0||_{H^s}^2, ||u0||_q^q or
-    squared residual leaves the normal double range.  V and Q outside their
-    hypotheses are refused.
+    u0 = (2 I0)^(1/(q-2)) u.  It takes 0 < s < 1 and a finite q > 2.  A scale
+    outside the normal doubles (q near 2) is a `DomainError`, and so is a
+    scale whose ||u0||_{H^s}^2, ||u0||_q^q or squared residual leaves them.
+    V and Q outside their hypotheses are refused.
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
-    if not q > 2.0:
-        raise DomainError(f"q must be > 2, got {q}")
+    _check_s(s)
+    _check_q(q, above_two=True)
     V.same_grid(Q)
     if V.grid != grid:
         raise GridError("V and Q must live on the solver grid")
@@ -250,11 +246,8 @@ def ground_state_solve(grid: Grid, s: float, q: float, V: Field, Q: Field
     # near q = 2 the scale is a double but these sums of powers of u0 are
     # not: they underflow to subnormals or to 0, and a norm or a residual
     # taken from them is no longer one
-    for name, value in (("h_norm_sq", hs_sq), ("lq_norm^q", lq_q),
-                        ("residual^2", res_sq)):
-        if not sys.float_info.min <= value < math.inf:
-            raise DomainError(f"{name} = {value!r} of u0 = (2 I0)^(1/(q-2)) u "
-                              f"leaves the normal double range at s={s}, q={q}")
+    for name, value in (("h_norm_sq", hs_sq), ("lq_norm^q", lq_q), ("residual^2", res_sq)):
+        _normal(value, name, f"s={s}, q={q}")
     rnorm = math.sqrt(res_sq)
     scale = max(math.sqrt(h * float(np.sum(Au0 ** 2))),
                 math.sqrt(h * float(np.sum((Vv * u0_vals) ** 2))),

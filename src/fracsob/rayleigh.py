@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import _cap_norms, _dilation_argmin, _dilation_exponent, _dilation_weights
-from .constants import Params, Regime, frac_isoperimetric, unit_ball_volume
+from .constants import Params, Regime, _check_s, frac_isoperimetric, unit_ball_volume
 from .errors import DomainError, RegimeError
 from .specfun import QuadratureConfig, integrate
 
@@ -222,8 +222,7 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     """
     if p not in (1, 2, 1.0, 2.0):
         raise DomainError(f"p must be 1 or 2, got {p}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
+    _check_s(s)
     sp = s * p
     if profile.kind == "char_ball" and sp >= 1.0:
         raise DomainError(

@@ -39,9 +39,9 @@ power-of-two size n >= 2m - 1 (`_embed`).  The blocks do not invert each
 other, so it passes no shift, and an iteration costs one pair for P g and
 one for the energy of each trial point.  Each trial point takes one power
 |v|^q, shared by its normalization and its quotient, and costs that
-quotient's value alone: the gradient is formed once per iteration, at the
-accepted point.  The trial point, its field, power and energy are written
-into arrays that the solve allocates once and reuses for every trial.
+quotient's value alone: the gradient is formed once per iteration, at its
+start.  The trial point, its field, power and energy are written into arrays
+that the solve allocates once and reuses for every trial.
 """
 from __future__ import annotations
 
@@ -54,7 +54,8 @@ import numpy as np
 
 from .bounds import (DomainSpec, _check_tm_constants, _dilation_argmin, _dilation_exponent,
                      _inv_gap, bounds_for)
-from .constants import ConstantKind, ConstantValue, Params, Regime, _power
+from .constants import (ConstantKind, ConstantValue, Params, Regime, _check_q, _check_s,
+                        _normal, _power)
 from .errors import ConvergenceError, DomainError, FracsobError, GridError
 from .grids import Field, Grid
 
@@ -216,6 +217,11 @@ _TAIL_FRACTION = 0.05
 _TAIL_MASS_LIMIT = 1e-6
 
 
+def _tail(grid: Grid) -> np.ndarray:
+    """The nodes in the outer _TAIL_FRACTION of the box (the tail mass; pde's V, Q -> 1)."""
+    return np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
+
+
 def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
              P: Callable[[np.ndarray], np.ndarray], tau_floor: float, h: float,
              q: float, tol: float, Q: Optional[np.ndarray] = None,
@@ -239,11 +245,11 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     _MAX_ITERS iterations.
 
     A trial point costs its value R (`_value`) and the Armijo test; the
-    gradient (`_gradient`) is formed once per iteration, at the accepted
-    point.  The trial field, its power, energy and gradient live in arrays
-    allocated once per solve, which trade places with the iterate's and the
-    previous iterate's on acceptance, so a trial point allocates only what
-    A and P return.
+    gradient (`_gradient`) is formed once per iteration, at its start, so
+    the point that stops the descent costs none.  The trial field, its
+    power, energy and gradient live in arrays allocated once per solve,
+    which trade places with the iterate's and the previous iterate's on
+    acceptance, so a trial point allocates only what A and P return.
 
     shift = V - c is given when P inverts the energy shifted by c.  Then
     A d + V d = g + shift d, and a trial point x = u - tau d that |.| leaves
@@ -263,11 +269,12 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
     _normalize(u0, u, w, h, q, Q, t)
     Au = A(u)
     R, G = _value(u, Au, h, q, Q, w, t)
-    _gradient(u, Au, h, q, Q, w, R, G, g, t)
     trace = [R]
     converged = False
     d_prev = None
     for _ in range(_MAX_ITERS):
+        # w still holds the power of u, from its `_value`
+        _gradient(u, Au, h, q, Q, w, R, G, g, t)
         d = P(g)
         if Ad is not None:
             np.multiply(shift, d, out=Ad)
@@ -305,8 +312,7 @@ def _descend(u: np.ndarray, A: Callable[[np.ndarray], np.ndarray],
             converged = True
             break
         rel = (R - Rv) / max(R, 1e-300)
-        # g_prev has served the step: the accepted gradient takes its array
-        _gradient(v, Av, h, q, Q, w, Rv, G, g_prev, t)
+        # g_prev has served the step: the next gradient takes its array
         u_prev, u, v = u, v, u_prev
         g_prev, g = g, g_prev
         Au, Av = Av, Au
@@ -400,8 +406,9 @@ def _support(grid: Grid, mask: np.ndarray) -> slice:
 def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float,
                       mode: str) -> SolveResult:
     """Minimize the discrete Rayleigh quotient; returns the estimate, the
-    minimizer field, and the (nonincreasing) quotient trace.  The descent
-    stops unconverged after _MAX_ITERS iterations.
+    minimizer field, and the (nonincreasing) quotient trace, for 0 < s < 1
+    and a finite q >= 1.  The descent stops unconverged after _MAX_ITERS
+    iterations.
 
     mode is "domain" (requires a mask; quotient without the mass term) or
     "whole_space" (adds ||u||_2^2 to the numerator; takes no mask, and
@@ -426,7 +433,7 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
     of P and the step bounds of `_descend` suit.  The estimate and trace
     come back times 2^(k e), e = 1 - 2s - 2/q the dilation exponent, and the
     minimizer times 2^(-k/q), all in the caller's scale; a factor or a trace
-    outside the double range is a `DomainError`.  (-1, 1) at the default
+    outside the normal doubles is a `DomainError`.  (-1, 1) at the default
     grid has rho = 255/256, so k = 0.
 
     The descent stays in the cone u >= 0, which holds the minimizer when the
@@ -446,16 +453,13 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
         raise DomainError("domain mode requires a support mask")
     if mode == "whole_space" and mask is not None:
         raise DomainError("whole_space mode takes no support mask")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0,1), got {s}")
-    if not q >= 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
+    _check_s(s)
+    _check_q(q)
 
     if mode == "whole_space":
         u, trace, converged = _box_descent(grid, s, q, _QUOTIENT_TOL, 1.0)
         # u >= 0: the descent projects by |.|
-        edge = np.abs(grid.x) >= (1.0 - _TAIL_FRACTION) * grid.half_width
-        mass = np.sum(u[edge] ** q) / np.sum(u ** q)
+        mass = np.sum(u[_tail(grid)] ** q) / np.sum(u ** q)
         tail_warning = bool(mass > _TAIL_MASS_LIMIT)
     else:
         # the descent runs on the support's nodes alone, from the cap
@@ -477,8 +481,8 @@ def minimize_quotient(grid: Grid, mask: Optional[np.ndarray], s: float, q: float
             partial(_apply, _embed(P, cap.size)), 1.0 / float(np.max(symbol * P)),
             unit.spacing, q, _QUOTIENT_TOL)
         trace = [scale * t for t in trace]
-        if not 0.0 < trace[-1] <= trace[0] < math.inf:
-            raise DomainError(f"the quotient times {scale!r} leaves the double range at {at}")
+        _normal(trace[0], f"the quotient times {scale!r}", at)   # the trace's largest
+        _normal(trace[-1], f"the quotient times {scale!r}", at)  # and least entry
         u = np.zeros(grid.points)
         u[support] = _power(2.0, -k / q, at) * u_support
         tail_warning = False

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestDilation:
                                         Params(1, 0.5, 2.0, 1.01)])
     def test_power_out_of_double_range_is_refused(self, lam, params):
         # lam^expo overflowed with a raw OverflowError, or underflowed to a 0 constant
-        with pytest.raises(DomainError, match="leaves the double range"):
+        with pytest.raises(DomainError, match="leaves the normal double range"):
             dilation_transfer(1.0, lam, params)
 
 
@@ -264,6 +265,22 @@ class TestBorderlineExact:
 
 
 class TestHilbertDomain:
+    @pytest.mark.parametrize("R", [1e89, 1e90])
+    def test_subnormal_lower_end_is_refused(self, R):
+        # ball:1e89 printed the subnormal lower bound 1.8234e-308; at 1e90 the
+        # error estimate rounded to 0 and the refusal named neither end nor point
+        with pytest.raises(DomainError, match=(
+                r" leaves the normal double range at the lower bound of Params\(N=3, "
+                rf"s=0.5, p=2.0, q=1.1\) on ball \(radius={re.escape(f'{R:g}')}\) in R\^3$")):
+            bounds_for(Params(3, 0.5, 2.0, 1.1), DomainSpec.ball(R, 3))
+
+    def test_end_below_the_normal_doubles_is_refused(self):
+        # |Omega|^e = 7.9e-308 is a normal double; S |Omega|^e with S = 0.277 is not
+        with pytest.raises(DomainError, match=(
+                r"^the lower bound = 2.2\d*e-308 leaves the normal double range at "
+                r"Params\(N=1, s=0.45, p=2.0, q=1.5\) on interval \(a=-5e\+248")):
+            bounds_for(Params(1, 0.45, 2.0, 1.5), DomainSpec.interval(-5e248, 5e248))
+
     def test_lower_value(self):
         p = Params(1, 0.25, 2.0, 3.0)
         bp = bounds_for(p, DomainSpec.interval(-1.0, 1.0))
@@ -413,8 +430,8 @@ class TestLimiting:
 
     def test_domain_upper_out_of_range_is_refused(self):
         # |Omega|^(-2/q) and R^(-2/q) overflowed a double with a raw OverflowError
-        with pytest.raises(DomainError, match=r"leaves the double range at "
-                           r"Params\(N=1, s=0.5, p=2.0, q=1.01\) on interval"):
+        with pytest.raises(DomainError, match=r"leaves the normal double range at the "
+                           r"lower bound of Params\(N=1, s=0.5, p=2.0, q=1.01\) on interval"):
             limiting(1.01, 1e-300)
 
     def test_domain_lower(self):
@@ -540,6 +557,10 @@ class TestBallDilationConsistency:
                  id="transfer-N"),
     pytest.param(lambda: young_lower(0.5, 0.0), DomainError,
                  "critical constant must be positive", id="young-S"),
+    pytest.param(lambda: bounds_for(Params(1, 0.25, 2.0, 1.5), DomainSpec.whole_space()),
+                 RegimeError, "whole-space bounds need q >= 2, got q=1.5", id="rn-hilbert-q"),
+    pytest.param(lambda: bounds_for(Params(1, 0.5, 2.0, 1.5), DomainSpec.whole_space()),
+                 RegimeError, "whole-space bounds need q >= 2, got q=1.5", id="rn-limiting-q"),
 ])
 def test_refusal_names_its_input(call, cls, message):
     with pytest.raises(cls) as info:

@@ -116,7 +116,7 @@ def test_large_dimension_frac_isoperimetric_is_refused(capsys):
         capsys, ["constants", "--N", "500", "--s", "0.3", "--which",
                  "frac-isoperimetric"])
     assert code == 2
-    assert "underflows" in err
+    assert "leaves the normal double range" in err
 
 
 @pytest.mark.parametrize("which,N,code", [
@@ -131,7 +131,7 @@ def test_underflow_is_refused(capsys, which, N, code):
     if code == 0:
         assert json.loads(out)["result"]["value"] >= 2.2250738585072014e-308
     else:
-        assert "underflows" in err
+        assert "leaves the normal double range" in err
 
 
 @pytest.mark.parametrize("which,N,word", [("lieb", 1240, "underflows"),
@@ -141,7 +141,8 @@ def test_out_of_double_range_is_refused(capsys, which, N, word):
     code, out, err = run_capture(
         capsys, ["constants", "--N", str(N), "--s", "0.5", "--which", which])
     assert code == 2
-    assert out == "" and word in err
+    assert out == "" and "leaves the normal double range" in err
+    assert (" = inf " in err) == (word == "overflows")
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +196,12 @@ def test_underflowing_domain_measure_is_refused(capsys, argv):
      "--domain", "interval:0,1e-300"],
     ["bounds", "--N", "1", "--p", "2", "--s", "0.5", "--q", "1.01",
      "--domain", "interval:-1,1", "--c1", "1e-300"],
+    # a subnormal power: ball:1e89 printed the lower bound 1.8234e-308, and
+    # ball:1e90 refused with "only closed-form constants may claim zero error"
+    ["bounds", "--N", "3", "--p", "2", "--s", "0.5", "--q", "1.1",
+     "--domain", "ball:1e89"],
+    ["bounds", "--N", "3", "--p", "2", "--s", "0.5", "--q", "1.1",
+     "--domain", "ball:1e90"],
 ])
 def test_bound_power_out_of_double_range_is_refused(capsys, argv):
     # a power of the measure, the inradius or C1 ended in a raw OverflowError,
@@ -202,7 +209,7 @@ def test_bound_power_out_of_double_range_is_refused(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2
     assert out == ""
-    assert "\nerror: " in "\n" + err and " leaves the double range at " in err
+    assert "\nerror: " in "\n" + err and " leaves the normal double range at " in err
 
 
 def test_tiny_c1_is_named_in_its_refusal(capsys):
@@ -288,6 +295,9 @@ def test_ball_with_overflowing_radius_power_stays_finite(capsys):
     # said "constant must be finite and positive, got nan"
     pytest.param(["bounds", "--q", "inf"], "q must be finite",
                  id="argv9-q must be finite"),
+    # ended in a RuntimeWarning traceback: the solver's q rule let inf through
+    pytest.param(["groundstate", "--q", "inf"], "q must be finite, got inf\n",
+                 id="argv10-groundstate q"),
 ])
 def test_nonfinite_inputs_are_refused(capsys, argv, word):
     # refused where they enter, before any solve: no numpy warning, no
@@ -444,6 +454,17 @@ class TestSweepCommand:
 
 
 class TestThresholdsCommand:
+    @pytest.mark.parametrize("S", ["1e-155", "1e-170"])
+    def test_power_below_the_normal_doubles_is_refused(self, capsys, S):
+        # S = 1e-155 printed the subnormal c_star 2.5e-311, while 1e-170,
+        # whose S^2 underflows to 0, was refused
+        code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
+                                              "--q", "4", "--S", S])
+        assert (code, out) == (2, "")
+        head = err.splitlines()[0]
+        assert head.startswith(f"error: {S} ** 2.0 = ")
+        assert head.endswith(f" leaves the normal double range at S={S}, q=4.0")
+
     def test_hilbert_defaults(self, capsys):
         code, out, _ = run_capture(
             capsys, ["thresholds", "--N", "1", "--s", "0.25", "--q", "3"])
@@ -497,10 +518,10 @@ class TestThresholdsCommand:
         code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
                                               "--q", "1.5"])
         assert code == 2 and out == ""
-        assert "\nerror: limiting whole-space bounds need q >= 2\n" in err
+        assert "\nerror: whole-space bounds need q >= 2, got q=1.5\n" in err
 
     def test_f3_underflow_leaves_the_record(self, capsys):
-        # (q/2) S^(q/2) underflows a double from about q = 450 on, which
+        # (q/2) S^(q/2) leaves the normal doubles from about q = 435 on, which
         # refused the whole record with exit 2
         code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
                                               "--q", "1e6"])
@@ -508,7 +529,7 @@ class TestThresholdsCommand:
         res = json.loads(out)["result"]
         assert res["f3_coeff"] is None
         assert res["S_note"].endswith(
-            "; f3_coeff not reported: (q/2) S^(q/2) leaves the double range")
+            "; f3_coeff not reported: (q/2) S^(q/2) leaves the normal double range")
         assert res["S"] == bounds_for(Params(1, 0.5, 2.0, 1e6),
                                       DomainSpec.whole_space()).lower.value
         for key in ("S", "c_star", "h_norm_threshold", "lq_norm_threshold"):
@@ -661,7 +682,7 @@ def test_groundstate_scale_out_of_the_double_range_is_refused(capsys, q):
     assert (code, out) == (2, "")
     head = err.splitlines()[0]
     assert head.startswith("error: 0.617") and "Traceback" not in err
-    assert head.endswith(f" leaves the double range at s=0.5, q={q}")
+    assert head.endswith(f" leaves the normal double range at s=0.5, q={q}")
 
 
 def test_groundstate_norm_out_of_the_double_range_is_refused(capsys):
@@ -844,8 +865,9 @@ def test_parser_built_once_on_first_run():
     assert second == first
 
 
-@pytest.mark.parametrize("S,word", [("1e300", "1e+300 ** 3.0 leaves the double range"),
-                                    ("inf", "S must be finite, got inf")])
+@pytest.mark.parametrize("S,word", [
+    ("1e300", "1e+300 ** 3.0 = inf leaves the normal double range"),
+    ("inf", "S must be finite, got inf")])
 def test_thresholds_refuse_S_out_of_range(capsys, S, word):
     # S = 1e300 raised a raw OverflowError (exit 1); S = inf printed "inf"
     # for S, c_star and both thresholds with exit 0

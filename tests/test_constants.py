@@ -137,7 +137,8 @@ class TestHardySobolevA:
 
     def test_underflow_is_refused(self):
         hardy_sobolev_A(439, 0.5)
-        with pytest.raises(DomainError, match="underflows"):
+        with pytest.raises(DomainError, match=r"^A\(N,s\) = .* leaves the normal double range "
+                           r"at N=440, s=0.5$"):
             hardy_sobolev_A(440, 0.5)
 
 
@@ -212,8 +213,9 @@ class TestLiebAndBridge:
     @pytest.mark.parametrize("fn,N,word", [(lieb_constant, 440, "underflows"),
                                            (norm_bridge, 438, "overflows")])
     def test_out_of_double_range_is_refused(self, fn, N, word):
-        with pytest.raises(DomainError, match=word):
+        with pytest.raises(DomainError, match="leaves the normal double range") as info:
             fn(N, 0.5)
+        assert (" = inf " in str(info.value)) == (word == "overflows")
 
 
 class TestHilbertConstant:
@@ -325,6 +327,9 @@ class TestConstantValue:
                  id="hilbert-s"),
     pytest.param(lambda: mazya_lower(2, 1.0, 1.0), "s must lie in (0,1), got 1.0",
                  id="mazya-s"),
+    pytest.param(lambda: lieb_loss_lower(2.0), "q must be > 2, got 2.0", id="lieb-loss-q"),
+    pytest.param(lambda: lieb_loss_lower(math.inf), "q must be finite, got inf",
+                 id="lieb-loss-q-inf"),
 ])
 def test_refusal_names_its_input(call, message):
     with pytest.raises(DomainError) as info:

@@ -239,7 +239,8 @@ class TestGroundState:
         V = Field(grid, np.ones(grid.points))
         Q = Field(grid, 1.0 + 2.0 * np.exp(-grid.x ** 2))
         with pytest.raises(DomainError,
-                           match=rf"leaves the double range at s=0.5, q={re.escape(str(q))}$"):
+                           match=rf"leaves the normal double range at s=0.5, "
+                                 rf"q={re.escape(str(q))}$"):
             ground_state_solve(grid, 0.5, q, V, Q)
 
     @pytest.mark.parametrize("q,name", [(2.001, "h_norm_sq"), (2.0014, "residual^2")])
@@ -319,6 +320,12 @@ def _fields(M=16, value=1.0):
     pytest.param(lambda: ground_state_solve(_fields()[0], 1.0, 3.0, _fields()[1],
                                             _fields()[1]),
                  DomainError, "s must lie in (0,1), got 1.0", id="solve-s"),
+    pytest.param(lambda: ground_state_solve(_fields()[0], 0.5, math.inf, _fields()[1],
+                                            _fields()[1]),
+                 DomainError, "q must be finite, got inf", id="solve-q-inf"),
+    pytest.param(lambda: ps_level(4.0, 1e-155), DomainError,
+                 "1e-155 ** 2.0 = 1e-310 leaves the normal double range at S=1e-155, q=4.0",
+                 id="S-power-subnormal"),
     pytest.param(lambda: ground_state_solve(_fields(32)[0], 0.5, 3.0, _fields()[1],
                                             _fields()[1]),
                  GridError, "V and Q must live on the solver grid", id="solve-grid"),
@@ -327,3 +334,14 @@ def test_refusal_names_its_input(call, cls, message):
     with pytest.raises(cls) as info:
         call()
     assert type(info.value) is cls and str(info.value) == message
+
+
+@pytest.mark.parametrize("call,q", [
+    pytest.param(lambda: nonlinearity_threshold(2, 0.5, 1e4, 1.0), 1e4, id="bracket"),
+    pytest.param(lambda: coupling_alpha(400, 0.01, 2.00001, 1.0), 2.00001, id="crit-power"),
+])
+def test_threshold_power_out_of_the_double_range_is_refused(call, q):
+    # a bare float power raised a raw OverflowError
+    with pytest.raises(DomainError, match=rf" = inf leaves the normal double range at "
+                                          rf"S=1.0, q={re.escape(repr(q))}$"):
+        call()

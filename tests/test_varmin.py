@@ -548,8 +548,8 @@ def kernel_cases():
 
 class TestKernelBits:
     """`_descend` writes its trial points into reused arrays and forms the
-    gradient only at the accepted point; its minimizer, trace and stop are
-    those of the allocating loop (`reference_descend`) to the last bit."""
+    gradient only where an iteration starts; its minimizer, trace and stop
+    are those of the allocating loop (`reference_descend`) to the last bit."""
 
     @pytest.mark.parametrize("case", list(kernel_cases()))
     def test_descent_is_the_allocating_reference(self, case):
@@ -558,6 +558,41 @@ class TestKernelBits:
         ref_u, ref_trace, ref_converged = reference_descend(*args, **kwargs)
         assert u.tobytes() == ref_u.tobytes()
         assert trace == ref_trace and converged is ref_converged
+
+    def test_descent_stopped_by_the_cap_is_the_allocating_reference(self, monkeypatch):
+        monkeypatch.setattr(varmin, "_MAX_ITERS", 3)
+        args, kwargs = kernel_cases()["domain"]
+        u, trace, converged = varmin._descend(*args, **kwargs)
+        ref_u, ref_trace, ref_converged = reference_descend(*args, **kwargs)
+        assert len(trace) == 4 and not converged
+        assert u.tobytes() == ref_u.tobytes()
+        assert trace == ref_trace and converged is ref_converged
+
+    @pytest.mark.parametrize("case,cap,stop", [
+        ("whole-space", None, "tol"),
+        ("domain", None, "tol"),
+        ("whole-space-stationary", None, "line search"),
+        ("domain", 3, "cap"),
+    ])
+    def test_gradient_is_formed_only_where_the_descent_goes_on(self, monkeypatch, case,
+                                                                cap, stop):
+        # the iteration that stops by tol or by the cap formed a gradient
+        # that nothing read
+        calls = []
+        gradient = varmin._gradient
+        monkeypatch.setattr(varmin, "_gradient", lambda *a: calls.append(1) or gradient(*a))
+        if cap is not None:
+            monkeypatch.setattr(varmin, "_MAX_ITERS", cap)
+        args, kwargs = kernel_cases()[case]
+        _, trace, converged = varmin._descend(*args, **kwargs)
+        # a line search that accepts no point ends an iteration without a trace entry
+        started = len(trace) - 1 + (stop == "line search")
+        if stop == "tol":
+            assert converged and (trace[-2] - trace[-1]) / trace[-2] < args[6]
+        elif stop == "cap":
+            assert not converged and started == cap
+        # the start's gradient, then one per started iteration that went on
+        assert len(calls) == 1 + (started - 1)
 
     def test_cases_take_the_branches_they_name(self, monkeypatch):
         cases = kernel_cases()
@@ -958,7 +993,7 @@ class TestMinimizer:
     def test_scale_beyond_the_double_range_is_refused(self, s, q, r):
         # the constant at this scale leaves the double range: the estimate
         # must not come out as 0.0, inf or an OverflowError
-        with pytest.raises(DomainError, match=f"leaves the double range at s={s}, q={q}"):
+        with pytest.raises(DomainError, match=f"leaves the normal double range at s={s}, q={q}"):
             self.default_solve(r, s, q)
 
 
@@ -1115,6 +1150,7 @@ class TestSandwich:
 @pytest.mark.parametrize("s,q,message", [
     (1.0, 3.0, "s must lie in (0,1), got 1.0"),
     (0.5, 0.5, "q must be >= 1, got 0.5"),
+    (0.5, math.inf, "q must be finite, got inf"),
 ])
 def test_minimize_quotient_refusal_names_its_input(s, q, message):
     with pytest.raises(DomainError) as info:
