@@ -40,9 +40,11 @@ from .constants import (
     ConstantValue,
     Params,
     Regime,
+    _check_N,
     _ln_unit_ball_volume,
     _normal,
     _or_inf,
+    _positive,
     _power,
     frac_isoperimetric,
     frac_sobolev_hilbert,
@@ -80,24 +82,23 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "interval", "whole_space"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise DomainError(f"{self.kind} dim must be an integer >= 1, got {self.dim!r}")
-        if self.kind == "interval" and self.dim != 1:
-            raise DomainError(f"interval dim must be 1, got {self.dim}")
-        if self.kind == "ball" and (self.radius is None or self.radius <= 0):
-            raise DomainError("ball radius must be positive")
-        if self.kind == "interval" and (None in (self.a, self.b) or not self.a < self.b):
-            raise DomainError(f"interval requires a < b, got ({self.a}, {self.b})")
-        for name in ("radius", "a", "b", "truncation"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise DomainError(f"{self.kind} {name} must be finite, got {v}")
+        _check_N(self.dim)
         if self.kind == "whole_space":
-            if not (self.truncation and self.truncation > 0):
-                raise DomainError("whole_space needs a positive truncation half-width")
-        elif not math.isfinite(self.measure):
+            _positive(self.truncation, "whole_space truncation")
+            return
+        if self.kind == "ball":
+            _positive(self.radius, "ball radius")
+        elif self.dim != 1:
+            raise DomainError(f"interval dim must be 1, got {self.dim}")
+        elif None in (self.a, self.b) or not self.a < self.b:
+            raise DomainError(f"interval requires a < b, got ({self.a}, {self.b})")
+        else:
+            for name, v in (("a", self.a), ("b", self.b)):
+                if not math.isfinite(v):
+                    raise DomainError(f"interval {name} must be finite, got {v}")
+        if not math.isfinite(self.measure):
             raise DomainError(f"{self}: measure overflows a double")
-        elif not (self.measure > 0.0 and self.inradius > 0.0):
+        if not (self.measure > 0.0 and self.inradius > 0.0):
             raise DomainError(f"{self}: measure or inradius underflows to 0")
 
     def __str__(self) -> str:
@@ -180,8 +181,8 @@ def _dilation_min(theta: float, phi: float, E: float, B: float) -> float:
 
 def _dilation_argmin(theta: float, phi: float, E: float, B: float, ps: float) -> float:
     """The lambda = (phi E / (theta B))^(1/(ps)) at which `_dilation_min` is
-    attained.  A Python float power that overflows raises OverflowError."""
-    return (phi * E / (theta * B)) ** (1.0 / ps)
+    attained, inf where it overflows a double."""
+    return _or_inf(pow, phi * E / (theta * B), 1.0 / ps)
 
 
 def _cap_norms(N: int, s: float, q: float) -> tuple[float, float, float]:
@@ -197,14 +198,13 @@ def _cap_norms(N: int, s: float, q: float) -> tuple[float, float, float]:
 def dilation_transfer(S: float, lam: float, params: Params) -> float:
     """Rescale a constant under the dilation group: the constant on
     lambda*Omega from the constant S on Omega, lambda^(N - sp - Np/q) S."""
-    if not lam > 0.0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
-    if not S > 0.0:
-        raise DomainError(f"constant must be positive, got {S}")
+    _positive(lam, "dilation factor")
+    _positive(S, "S")
     N, s, p, q = params.N, params.s, params.p, params.q
     if N < p * s:
         raise RegimeError(f"dilation transfer undefined for N < ps (N={N}, s={s}, p={p})")
-    return _power(lam, _dilation_exponent(N, s, p, q), str(params)) * S
+    return _normal(_power(lam, _dilation_exponent(N, s, p, q), str(params)) * S,
+                   "the transferred constant", str(params))
 
 
 def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
@@ -213,12 +213,10 @@ def young_lower(lambda_exp: float, S: float) -> tuple[float, float]:
     constant; 1/rho is the generic whole-space lower-bound factor."""
     if not 0.0 < lambda_exp < 1.0:
         raise DomainError(f"interpolation weight must lie in (0,1), got {lambda_exp}")
-    if not S > 0.0:
-        raise DomainError("critical constant must be positive")
-    lam = lambda_exp
-    eps = (lam * S / (1.0 - lam)) ** (lam * (lam - 1.0))
-    rho = lam ** lam * (S / (1.0 - lam)) ** (lam - 1.0)
-    return eps, rho
+    _positive(S, "S")
+    lam, at = lambda_exp, f"lambda={lambda_exp!r}, S={S!r}"
+    eps = _power(lam * S / (1.0 - lam), lam * (lam - 1.0), at)
+    return eps, _normal(lam ** lam * _power(S / (1.0 - lam), lam - 1.0, at), "rho", at)
 
 
 def _pair(key: str, lo: float, up: float, at: str) -> BoundPair:
@@ -338,8 +336,7 @@ def _limiting_wholespace(params: Params, C2: float) -> BoundPair:
 def _check_tm_constants(C1: float, C2: float) -> None:
     """Refuse a Trudinger-Moser constant C1 that is not finite and positive,
     or C2 that is not finite and nonnegative."""
-    if not 0.0 < C1 < math.inf:
-        raise DomainError(f"C1 must be finite and positive, got {C1}")
+    _positive(C1, "C1")
     if not 0.0 <= C2 < math.inf:
         raise DomainError(f"C2 must be finite and nonnegative, got {C2}")
 

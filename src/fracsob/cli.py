@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, bounds, constants, pde, varmin
-from .constants import ConstantValue, Params, Regime
+from .constants import ConstantValue, Params, Regime, _positive
 from .errors import DomainError, FracsobError
 from .grids import Field, Grid
 from .validate import run_validation
@@ -98,8 +98,7 @@ def _parse_field(text: str, grid: Grid) -> Field:
             return Field(grid, np.full(grid.points, vals[0]))
         if kind in ("bump", "well") and len(vals) == 3:
             base, height, width = vals
-            if not width > 0:
-                raise ValueError("width must be positive")
+            _positive(width, "width")
             # a narrow width overflows (x/width)^2 to inf, where exp(-inf) = 0
             # is the limit; a sum that overflows is refused by Field
             with np.errstate(over="ignore"):
@@ -215,13 +214,15 @@ def _emit(args, record: dict, out: _Outcome) -> None:
         sys.stdout.write(text)
 
 
-def _warn_tm_constants(args, points: list[Params]) -> None:
-    """Limiting-case lower bounds carry C1/C2; say so when they are defaulted."""
-    if (getattr(args, "c1", 1.0) == 1.0 and args.c2 == 1.0
-            and any(p.regime() is Regime.LIMITING for p in points)):
-        print("warning: Trudinger-Moser constants --c1/--c2 defaulted to 1.0; "
-              "limiting-case lower bounds are normalized, not certified",
-              file=sys.stderr)
+def _warn_tm_constants(args, provenance: list[str]) -> None:
+    """Warn where a lower bound read a Trudinger-Moser constant left at its
+    default 1.0: its provenance says whether C1 or C2."""
+    reads = {"limiting-domain-lower": "c1", "limiting-rn-lower": "c2"}
+    for flag in sorted({reads.get(key) for key in provenance} - {None}):
+        if getattr(args, flag) == 1.0:
+            print(f"warning: Trudinger-Moser constant --{flag} defaulted to 1.0; "
+                  "the limiting-case lower bound is normalized, not certified",
+                  file=sys.stderr)
 
 
 def _constants(args) -> _Outcome:
@@ -233,7 +234,6 @@ def _constants(args) -> _Outcome:
 def _bounds(args) -> _Outcome:
     params = Params(args.N, args.s, args.p, args.q)
     domain = _parse_domain(args.domain, args.N)
-    _warn_tm_constants(args, [params])
     pair = bounds.bounds_for(params, domain, C1=args.c1, C2=args.c2)
     return _Outcome(_params_payload(params), _domain_payload(domain),
                     {"lower": _constant_payload(pair.lower),
@@ -246,7 +246,6 @@ def _sandwich(args) -> _Outcome:
     ss, qs = (args.s, args.q) if args.cmd == "sweep" else ([args.s], [args.q])
     plist = [Params(args.N, s_, args.p, q_) for s_ in ss for q_ in qs]
     domain = _parse_domain(args.domain, args.N)
-    _warn_tm_constants(args, plist)
     # `varmin.sweep` checks C1/C2 once and builds the grid only where a point solves
     reports = varmin.sweep(plist, domain, C1=args.c1, C2=args.c2, points=args.grid,
                            half_width=args.box)
@@ -274,11 +273,12 @@ def _thresholds(args) -> _Outcome:
     S = args.S
     note = "caller-supplied S"
     if S is None:
-        _warn_tm_constants(args, [params])
-        S = bounds.bounds_for(params, bounds.DomainSpec.whole_space(N=args.N),
-                              C2=args.c2).lower.value
+        lower = bounds.bounds_for(params, bounds.DomainSpec.whole_space(N=args.N),
+                                  C2=args.c2).lower
+        _warn_tm_constants(args, [lower.provenance])   # the record does not print it
+        S = lower.value
         note = ("S = certified whole-space lower bound" if regime is Regime.HILBERT
-                else "S = whole-space lower bound at supplied C2")
+                else f"S = whole-space lower bound at C2={args.c2!r}")
     c_star = pde.ps_level(args.q, S)
     hthr, lthr = pde.existence_thresholds(args.q, S)
     f3 = alpha = lam_lo = None
@@ -413,6 +413,7 @@ def run(argv: list[str] | None = None) -> int:
     command = ["fracsob"] + list(argv if argv is not None else sys.argv[1:])
     try:
         out = _COMMANDS[args.cmd](args)
+        _warn_tm_constants(args, out.provenance)
         if args.cmd == "validate":
             npass = sum(c["passed"] for c in out.result)
             record = {"command": command, "checks": out.result, "passed": npass,

@@ -5,11 +5,13 @@ from `PROVENANCE_KEYS`, its evaluation kind and an error estimate.  The
 parameter quadruple (N, s, p, q) with its regime classification lives here
 as `Params`.
 
-Each refusal rule has one owner, which every module calls.  Here: `_check_s`
-(0 < s < 1), `_check_q` (q finite and >= 1, or > 2 for the thresholds and the
-ground state) and `_normal` (a value is a normal double; its refusal names the
-quantity and the point, and `_power` refuses by it).  `bounds.bounds_for` owns
-the whole-space q >= 2 and its ends' range, `varmin._tail` the box's outer tail.
+Each refusal rule has one owner, which every module calls: `_check_N` (N an
+int >= 1, and N > sp given s and p), `_check_s` (0 < s < 1), `Params` (p in
+{1, 2}), `_check_q` (q finite and >= 1, or > 2), `_positive` (an input such as
+S, k, a radius or C1 finite and > 0) and `_normal` (a normal double, refused
+by name and point; `_power` and returned constants refuse by it).
+`bounds.bounds_for` owns the whole-space q >= 2 and its ends' range,
+`varmin._tail` the box's outer tail; `Grid`, `Field` and `specfun` their own.
 """
 from __future__ import annotations
 
@@ -73,9 +75,17 @@ PROVENANCE_KEYS = frozenset({
 })
 
 
+def _check_N(N: int, s: float = 0.0, p: float = 0.0) -> None:
+    """Refuse N that is no int >= 1 or, given s and p, not above sp (no critical exponent)."""
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    if not N > s * p:
+        raise DomainError(f"N must be > sp, got N={N}, s={s}, p={p}")
+
+
 def _check_s(s: float) -> None:
-    """Refuse an order s outside (0, 1)."""
-    if not 0.0 < s < 1.0:
+    """Refuse an order s that is missing (None) or outside (0, 1)."""
+    if s is None or not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0,1), got {s}")
 
 
@@ -89,6 +99,12 @@ def _check_q(q: float, above_two: bool = False) -> None:
         raise DomainError(f"q must be finite, got {q}")
 
 
+def _positive(x: float, what: str) -> None:
+    """Refuse an input x, named `what`, that is missing (None) or not finite and positive."""
+    if x is None or not 0.0 < x < math.inf:
+        raise DomainError(f"{what} must be finite and positive, got {x}")
+
+
 def _normal(value: float, what: str, where: str) -> float:
     """value, unless it is no normal double (subnormal, 0, negative, inf or
     nan): then a DomainError that names `what` and `where`."""
@@ -98,15 +114,15 @@ def _normal(value: float, what: str, where: str) -> float:
 
 
 def _or_inf(f, *args) -> float:
-    """f(*args) (`math.exp`, or `pow` of floats), inf where it overflows a double."""
+    """f(*args) (`math.exp`, or `pow` of floats), inf where it overflows or divides by 0."""
     try:
         return f(*args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
 def _power(x: float, e: float, where: str) -> float:
-    """x ** e for x > 0, refused by `_normal`, which names the power and `where`."""
+    """x ** e for x >= 0, refused by `_normal`, which names the power and `where`."""
     return _normal(_or_inf(pow, x, e), f"{x!r} ** {e!r}", where)
 
 
@@ -129,19 +145,16 @@ class Params:
     q: float
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise DomainError(f"N must be an integer >= 1, got {self.N!r}")
+        _check_N(self.N)
         _check_s(self.s)
-        if self.p not in (1, 2, 1.0, 2.0):
+        if self.p not in (1.0, 2.0):
             raise DomainError(f"p must be 1 or 2, got {self.p}")
         _check_q(self.q)
 
     @property
     def critical_exponent(self) -> float:
         """p_s^* = Np/(N - sp); defined only below the limiting line N = sp."""
-        if not self.N > self.s * self.p:
-            raise DomainError(
-                f"critical exponent undefined: N={self.N} <= s*p={self.s * self.p}")
+        _check_N(self.N, self.s, self.p)
         return self.N * self.p / (self.N - self.s * self.p)
 
     def regime(self) -> Regime:
@@ -174,8 +187,7 @@ class ConstantValue:
     error_estimate: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise DomainError(f"constant must be finite and positive, got {self.value}")
+        _positive(self.value, "constant")
         if self.provenance not in PROVENANCE_KEYS:
             raise DomainError(f"unknown provenance key {self.provenance!r}")
         if self.error_estimate < 0.0:
@@ -186,8 +198,7 @@ class ConstantValue:
 
 def _ln_unit_ball_volume(N: int) -> float:
     """log omega_N = (N/2) log pi - log Gamma(N/2+1)."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    _check_N(N)
     return N / 2.0 * math.log(math.pi) - ln_gamma(N / 2.0 + 1.0)
 
 
@@ -203,12 +214,15 @@ def unit_ball_volume(N: int) -> float:
 def classical_sobolev(N: int, p: float) -> ConstantValue:
     """Optimal constant of the critical first-order Sobolev inequality
     ||grad u||_p^p >= C ||u||_{Np/(N-p)}^p on R^N, for 1 < p < N."""
-    if not (N >= 2 and 1.0 < p < N):
+    _check_N(N)
+    if not 1.0 < p < N:
         raise DomainError(f"classical_sobolev requires 1 < p < N, got N={N}, p={p}")
-    val = (math.pi ** (p / 2.0) * N * ((N - p) / (p - 1.0)) ** (p - 1.0)
+    at = f"N={N}, p={p}"
+    val = (_power(math.pi, p / 2.0, at) * N * _power((N - p) / (p - 1.0), p - 1.0, at)
            * math.exp((p / N) * (ln_gamma(N / p) + ln_gamma(1.0 + N - N / p)
                                  - ln_gamma(N / 2.0 + 1.0) - ln_gamma(float(N)))))
-    return ConstantValue(val, ConstantKind.CLOSED_FORM, "aubin-talenti")
+    return ConstantValue(_normal(val, "classical_sobolev", at), ConstantKind.CLOSED_FORM,
+                         "aubin-talenti")
 
 
 def isoperimetric(N: int) -> ConstantValue:
@@ -231,8 +245,7 @@ def hardy_sobolev_A(N: int, s: float) -> ConstantValue:
     smallest normal double (near N = 440).
     """
     _check_s(s)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    _check_N(N)
     ln_val = ((2.0 - s) * math.log(2.0) + (N - 1) / 2.0 * math.log(math.pi)
               + ln_gamma((1.0 - s) / 2.0) - math.log(s) - ln_gamma((N - s) / 2.0))
     val = _normal(_or_inf(math.exp, ln_val), "A(N,s)", f"N={N}, s={s}")
@@ -256,8 +269,7 @@ def lieb_constant(N: int, s: float) -> ConstantValue:
     evaluated in log space; raises DomainError where it falls below the
     smallest normal double (from N = 439 on at s = 1/2)."""
     _check_s(s)
-    if not N > 2 * s:
-        raise DomainError(f"lieb_constant requires N > 2s, got N={N}, s={s}")
+    _check_N(N, s, 2.0)
     ln_val = (math.log(2.0) + (N / 2.0 + s) * math.log(math.pi)
               - math.log(s * (1.0 - s)) + ln_gamma(2.0 - s) - ln_gamma(N / 2.0 - s)
               + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N))))
@@ -274,8 +286,7 @@ def norm_bridge(N: int, s: float) -> ConstantValue:
     evaluated in log space; raises DomainError where it exceeds the largest
     double (from N = 438 on at s = 1/2)."""
     _check_s(s)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    _check_N(N)
     ln_val = (2.0 * s * math.log(2.0) + math.log(s) - N / 2.0 * math.log(math.pi)
               + ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s))
     val = _normal(_or_inf(math.exp, ln_val), "norm_bridge", f"N={N}, s={s}")
@@ -287,8 +298,7 @@ def frac_sobolev_hilbert(N: int, s: float) -> ConstantValue:
     normalization (N > 2s):
     2^(2s) pi^s [Gamma(N/2+s)/Gamma(N/2-s)] [Gamma(N/2)/Gamma(N)]^(2s/N)."""
     _check_s(s)
-    if not N > 2 * s:
-        raise DomainError(f"frac_sobolev_hilbert requires N > 2s, got N={N}, s={s}")
+    _check_N(N, s, 2.0)
     val = (2.0 ** (2.0 * s) * math.pi ** s
            * math.exp(ln_gamma(N / 2.0 + s) - ln_gamma(N / 2.0 - s)
                       + (2.0 * s / N) * (ln_gamma(N / 2.0) - ln_gamma(float(N)))))
@@ -305,12 +315,15 @@ def mazya_lower(N: int, s: float, p: float) -> ConstantValue:
     DomainError where the bound falls below the smallest normal double
     (from N = 30 on)."""
     _check_s(s)
-    if not (p >= 1.0 and N > s * p):
-        raise DomainError(f"mazya_lower requires p >= 1 and N > sp, got N={N}, s={s}, p={p}")
-    val = math.ldexp(math.exp(_ln_unit_ball_volume(N)) * N * (N - s * p) ** (p - 1.0)
-                     / (s * (1.0 - s) * p ** (p + 2.0) * (N + 2.0 * p) ** (3.0 * p)),
+    if not p >= 1.0:
+        raise DomainError(f"mazya_lower takes p >= 1, got p={p}")
+    _check_N(N, s, p)
+    at = f"N={N}, s={s}, p={p}"
+    val = math.ldexp(math.exp(_ln_unit_ball_volume(N)) * N * _power(N - s * p, p - 1.0, at)
+                     / (s * (1.0 - s) * _power(p, p + 2.0, at)
+                        * _power(N + 2.0 * p, 3.0 * p, at)),
                      -(N + 1) * (N + 2))
-    _normal(val, "mazya_lower", f"N={N}, s={s}, p={p}")
+    _normal(val, "mazya_lower", at)
     return ConstantValue(val, ConstantKind.BOUND_LOWER, "mazya-lower",
                          error_estimate=_EVAL_EPS * val)
 
@@ -321,5 +334,5 @@ def lieb_loss_lower(q: float) -> ConstantValue:
     _check_q(q, above_two=True)
     val = ((q - 1.0) ** (1.0 - 1.0 / q)
            * (q * (q - 2.0) / (2.0 * math.pi)) ** (2.0 / q - 1.0))
-    return ConstantValue(val, ConstantKind.BOUND_LOWER, "lieb-loss-lower",
-                         error_estimate=_EVAL_EPS * val)
+    return ConstantValue(_normal(val, "lieb_loss_lower", f"q={q}"), ConstantKind.BOUND_LOWER,
+                         "lieb-loss-lower", error_estimate=_EVAL_EPS * val)

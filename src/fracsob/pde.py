@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (_check_q, _check_s, _normal, _power, classical_sobolev,
+from .constants import (_check_q, _check_s, _normal, _positive, _power, classical_sobolev,
                         frac_sobolev_hilbert)
 from .errors import DomainError, GridError, RegimeError
 from .grids import Field, Grid
@@ -39,10 +39,7 @@ __all__ = [
 def _check_q_S(q: float, S: float) -> str:
     """Refuse q outside (2, inf) and S outside (0, inf); name the point."""
     _check_q(q, above_two=True)
-    if not S > 0.0:
-        raise DomainError(f"S must be positive, got {S}")
-    if S == math.inf:
-        raise DomainError(f"S must be finite, got {S}")
+    _positive(S, "S")
     return f"S={S!r}, q={q!r}"
 
 
@@ -53,7 +50,7 @@ def ps_level(q: float, S: float) -> float:
     lower estimate of the true level.
     """
     at = _check_q_S(q, S)
-    return (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at)
+    return _normal((0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at), "ps_level", at)
 
 
 def existence_thresholds(q: float, S: float) -> tuple[float, float]:
@@ -68,7 +65,7 @@ def growth_coefficient(q: float, S: float) -> float:
     f(t) >= (q/2) S^(q/2) |t|^(q-2) t in the limiting-case scalar field
     equation; evaluating at an upper bound for S is conservative."""
     at = _check_q_S(q, S)
-    return q / 2.0 * _power(S, q / 2.0, at)
+    return _normal(q / 2.0 * _power(S, q / 2.0, at), "growth_coefficient", at)
 
 
 def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
@@ -80,15 +77,16 @@ def nonlinearity_threshold(N: int, s: float, q: float, S: float) -> float:
     """
     at = _check_q_S(q, S)
     if N == 1 and s == 0.5:
-        return ((q - 2.0) / q) ** ((q - 2.0) / 2.0) * _power(S, q / 2.0, at)
-    if N >= 2 and 0.0 < s < 1.0 and N > 2 * s:
-        crit_const = frac_sobolev_hilbert(N, s).value
+        bracket = (q - 2.0) / q
+    elif N == 1:
+        raise RegimeError(f"the threshold needs N >= 2 or (N, s) = (1, 1/2), got s={s}")
+    else:
+        crit_const = frac_sobolev_hilbert(N, s).value   # refuses N, s and N <= 2s
         sig = N / (2.0 * s)
-        bracket = (N ** sig * (q - 2.0)
-                   / (2.0 * s * q * crit_const ** sig * (N - 2.0 * s) ** (sig - 1.0)))
-        return _power(bracket, (q - 2.0) / 2.0, at) * _power(S, q / 2.0, at)
-    raise RegimeError(
-        f"nonlinearity threshold needs N>=2 with N>2s, or (N,s)=(1,1/2); got N={N}, s={s}")
+        bracket = (_power(N, sig, at) * (q - 2.0) / (2.0 * s * q * _power(crit_const, sig, at)
+                                                     * _power(N - 2.0 * s, sig - 1.0, at)))
+    return _normal(_power(bracket, (q - 2.0) / 2.0, at) * _power(S, q / 2.0, at),
+                   "nonlinearity_threshold", at)
 
 
 def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
@@ -102,20 +100,14 @@ def coupling_alpha(N: int, s: float, q: float, S: float) -> float:
     the exponent is singular.
     """
     at = _check_q_S(q, S)
-    if s == 1.0:
-        if N <= 2:
-            raise RegimeError("classical variant needs N >= 3")
-        crit_const = classical_sobolev(N, 2.0).value
-    else:
-        if not (0.0 < s < 1.0 and N > 2 * s):
-            raise RegimeError(f"coupling_alpha needs N > 2s, got N={N}, s={s}")
-        crit_const = frac_sobolev_hilbert(N, s).value
+    # s = 1 is the classical variant; each constant refuses its own N and s
+    crit_const = (classical_sobolev(N, 2.0) if s == 1.0 else frac_sobolev_hilbert(N, s)).value
     sig = N / (2.0 * s)
     expo_den = q / (q - 2.0) - sig
     if expo_den == 0.0:
         raise DomainError(
             "q/(q-2) equals N/(2s): alpha is singular at the critical exponent")
-    level = (N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at)
+    level = _normal((N / s) * (0.5 - 1.0 / q) * _power(S, q / (q - 2.0), at), "the level", at)
     base = _power(crit_const, sig, at) / level
     return _power(base, 1.0 / expo_den, at)
 
@@ -159,8 +151,6 @@ def check_weight_hypotheses(Q: Field) -> None:
     Q -> 1 on the outer `_TAIL_FRACTION` of the box.  Q = 1 (to rounding) is the
     unperturbed problem, which they leave alone: it passes."""
     v = Q.values
-    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
-        return
     if np.min(v) < 1.0 - _HYPOTHESIS_TOL:
         raise DomainError("weight must satisfy Q >= 1")
     _check_edge(Q, "weight")
@@ -171,8 +161,6 @@ def check_potential_hypotheses(V: Field) -> None:
     `_TAIL_FRACTION` of the box.  V = 1 (to rounding) is the unperturbed problem,
     which they leave alone: it passes."""
     v = V.values
-    if np.max(np.abs(v - 1.0)) <= _HYPOTHESIS_TOL:
-        return
     if np.min(v) <= 0.0:
         raise DomainError("potential must be strictly positive")
     if np.max(v) > 1.0 + _HYPOTHESIS_TOL:

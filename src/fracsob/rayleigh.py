@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import _cap_norms, _dilation_argmin, _dilation_exponent, _dilation_weights
-from .constants import Params, Regime, _check_s, frac_isoperimetric, unit_ball_volume
+from .constants import (Params, Regime, _check_q, _check_s, _normal, _positive, _power,
+                        frac_isoperimetric, unit_ball_volume)
 from .errors import DomainError, RegimeError
 from .specfun import QuadratureConfig, integrate
 
@@ -51,11 +52,9 @@ class RadialProfile:
     def __post_init__(self):
         if self.kind not in ("char_ball", "bump"):
             raise DomainError(f"unknown profile kind {self.kind!r}")
-        if not self.k > 0:
-            raise DomainError("profile radius k must be positive")
+        _positive(self.k, "profile radius k")
         if self.kind == "bump":
-            if self.s is None or not 0.0 < self.s < 1.0:
-                raise DomainError("bump profile needs a cap exponent s in (0,1)")
+            _check_s(self.s)
 
     @staticmethod
     def char_ball(k: float) -> "RadialProfile":
@@ -75,17 +74,21 @@ class RadialProfile:
 def bump_seminorm_sq(N: int, s: float, k: float) -> float:
     """Closed form ||(-Lap)^(s/2) u||_2^2 for the cap profile (k^2-|x|^2)^s:
     the unit cap's E (`bounds._cap_norms`) times k^(N+2s)."""
-    if not (N >= 1 and 0.0 < s < 1.0 and k > 0.0):
-        raise DomainError(f"invalid bump parameters N={N}, s={s}, k={k}")
-    return _cap_norms(N, s, 2.0)[0] * k ** (N + 2.0 * s)
+    _check_s(s)
+    _positive(k, "k")
+    at = f"N={N}, s={s}, k={k!r}"
+    return _normal(_cap_norms(N, s, 2.0)[0] * _power(k, N + 2.0 * s, at), "the seminorm", at)
 
 
 def bump_lq_norm(N: int, s: float, q: float, k: float) -> float:
     """Closed form ||u||_q for the cap profile: the square root of the unit
     cap's G (`bounds._cap_norms`) times k^(N/q+2s)."""
-    if not (N >= 1 and 0.0 < s < 1.0 and k > 0.0 and q >= 1.0):
-        raise DomainError(f"invalid parameters N={N}, s={s}, q={q}, k={k}")
-    return math.sqrt(_cap_norms(N, s, q)[2]) * k ** (N / q + 2.0 * s)
+    _check_s(s)
+    _check_q(q)
+    _positive(k, "k")
+    at = f"N={N}, s={s}, q={q}, k={k!r}"
+    norm = math.sqrt(_cap_norms(N, s, q)[2]) * _power(k, N / q + 2.0 * s, at)
+    return _normal(norm, "the norm", at)
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +128,19 @@ def _unit_norms(which: Objective, params: Params) -> tuple[float, float, float]:
 
 
 def _objective(which: Objective, params: Params, k: float, K: float | None) -> float:
-    """The objective at (k, K), unchecked."""
+    """The objective at a checked (k, K), refused by `_normal`, its powers by `_power`."""
     N, s, p, q = params.N, params.s, params.p, params.q
+    at = f"k={k!r}, K={K!r} at {params}"
     if which in (Objective.CHAR_BALL, Objective.BUMP):   # radius k dilates E, B and G
         E, B, G = _unit_norms(which, params)
-        return (E * k ** _dilation_exponent(N, s, p, q) + B * k ** (N - p * N / q)) / G
-    if which is Objective.MOSER_BALL:
-        return 2.0 ** (-2.0 / q) * math.pi * k ** (-2.0 / q) / math.log(K / k)
-    return 2.0 ** (-2.0 / q) * (
-        math.pi * k ** (-2.0 / q) / math.log(K / k) + 2.0 * k ** (-2.0 / q) * K)
+        value = (E * _power(k, _dilation_exponent(N, s, p, q), at)
+                 + B * _power(k, N - p * N / q, at)) / G
+    elif which is Objective.MOSER_BALL:
+        value = 2.0 ** (-2.0 / q) * math.pi * _power(k, -2.0 / q, at) / math.log(K / k)
+    else:
+        kq = _power(k, -2.0 / q, at)
+        value = 2.0 ** (-2.0 / q) * (math.pi * kq / math.log(K / k) + 2.0 * kq * K)
+    return _normal(value, f"the {which.value} objective", at)
 
 
 def objective_value(which: Objective, params: Params, k: float,
@@ -141,8 +148,7 @@ def objective_value(which: Objective, params: Params, k: float,
     """Evaluate the upper-bound objective of a test-function family at the
     given profile parameters."""
     _require_regime(which, params)
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+    _positive(k, "k")   # an infinite K is the objective's refusal
     if _REGIME[which] is Regime.LIMITING and (K is None or not K > k):
         raise DomainError("moser objectives need K > k")
     if which is Objective.MOSER_BALL and K > 1.0:
@@ -158,18 +164,19 @@ def objective_minimizer(which: Objective, params: Params
     upper bound of the matching theorem-regime formula.
     """
     _require_regime(which, params)
-    q = params.q
+    q, at = params.q, str(params)
     if which is Objective.MOSER_BALL:
-        k_star, K_star = math.exp(-q / 2.0), 1.0
+        k_star, K_star = _normal(math.exp(-q / 2.0), "k*", at), 1.0
         return (k_star, K_star), _objective(which, params, k_star, K_star)
     if q <= params.p:   # the infimum is approached as k -> inf
         raise RegimeError(f"no attained minimizer at q <= p = {params.p:g}")
     if which is Objective.MOSER_LINE:
-        K_star = 2.0 * math.pi / (q - 2.0) ** 2
-        k_star = K_star * math.exp(-(q - 2.0) / 2.0)
+        K_star = 2.0 * math.pi / _power(q - 2.0, 2.0, at)
+        k_star = _normal(K_star * math.exp(-(q - 2.0) / 2.0), "k*", at)
         return (k_star, K_star), _objective(which, params, k_star, K_star)
     E, B, _ = _unit_norms(which, params)
-    k_star = _dilation_argmin(*_dilation_weights(params), E, B, params.p * params.s)
+    k_star = _normal(_dilation_argmin(*_dilation_weights(params), E, B, params.p * params.s),
+                     "k*", at)
     return (k_star,), _objective(which, params, k_star, None)
 
 
@@ -220,9 +227,7 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
     removes by declaring the endpoint exponent 1 - s on both ends.  The 15
     shifts of an outer panel share one stacked inner quadrature per piece.
     """
-    if p not in (1, 2, 1.0, 2.0):
-        raise DomainError(f"p must be 1 or 2, got {p}")
-    _check_s(s)
+    Params(1, s, p, 1.0)   # refuses s outside (0, 1) and p other than 1 and 2
     sp = s * p
     if profile.kind == "char_ball" and sp >= 1.0:
         raise DomainError(

@@ -349,10 +349,7 @@ def _start_width(s: float, q: float, V: np.ndarray | float,
             and (Q is None or float(np.min(Q)) == float(np.max(Q)))):
         return 1.0
     E, B = _gaussian_norms(s)
-    try:
-        lam = _dilation_argmin(theta, 1.0 - theta, E, c * B, 2.0 * s)
-    except OverflowError:   # a Python float power raises where numpy gives inf
-        return 1.0
+    lam = _dilation_argmin(theta, 1.0 - theta, E, c * B, 2.0 * s)
     return lam if 0.0 < lam < math.inf else 1.0
 
 

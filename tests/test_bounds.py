@@ -133,9 +133,13 @@ class TestDomainSpec:
     @pytest.mark.parametrize("kwargs,word", [
         # a 2-D "interval" was bracketed from its length b - a as a measure
         (dict(kind="interval", dim=2, a=0.0, b=1.0), "interval dim must be 1"),
-        (dict(kind="whole_space", dim=0, truncation=10.0), "dim"),
-        (dict(kind="whole_space", dim=-3, truncation=10.0), "dim"),
-        (dict(kind="ball", dim=1.5, radius=1.0), "dim"),
+        # the dimension's rule is `Params`'s N rule (the ids keep the old word)
+        pytest.param(dict(kind="whole_space", dim=0, truncation=10.0),
+                     r"^N must be an integer >= 1, got 0$", id="kwargs1-dim"),
+        pytest.param(dict(kind="whole_space", dim=-3, truncation=10.0),
+                     r"^N must be an integer >= 1, got -3$", id="kwargs2-dim"),
+        pytest.param(dict(kind="ball", dim=1.5, radius=1.0),
+                     r"^N must be an integer >= 1, got 1.5$", id="kwargs3-dim"),
         # a raw TypeError from None <= 0
         (dict(kind="ball", dim=1), "ball radius"),
         (dict(kind="interval", dim=1, b=1.0), "interval requires a < b"),
@@ -551,12 +555,24 @@ class TestBallDilationConsistency:
     pytest.param(lambda: DomainSpec(kind="annulus", dim=1), DomainError,
                  "unknown domain kind 'annulus'", id="kind"),
     pytest.param(lambda: dilation_transfer(0.0, 2.0, Params(2, 0.5, 2.0, 3.0)), DomainError,
-                 "constant must be positive, got 0.0", id="transfer-S"),
+                 "S must be finite and positive, got 0.0", id="transfer-S"),
+    # S = inf returned inf, and a subnormal S a subnormal constant
+    pytest.param(lambda: dilation_transfer(math.inf, 2.0, Params(1, 0.25, 2.0, 3.0)),
+                 DomainError, "S must be finite and positive, got inf", id="transfer-S-inf"),
+    pytest.param(lambda: dilation_transfer(1e-320, 2.0, Params(1, 0.25, 2.0, 3.0)),
+                 DomainError, "the transferred constant = 8.91e-321 leaves the normal double "
+                 "range at Params(N=1, s=0.25, p=2.0, q=3.0)", id="transfer-S-subnormal"),
     pytest.param(lambda: dilation_transfer(1.0, 2.0, Params(1, 0.75, 2.0, 3.0)), RegimeError,
                  "dilation transfer undefined for N < ps (N=1, s=0.75, p=2.0)",
                  id="transfer-N"),
     pytest.param(lambda: young_lower(0.5, 0.0), DomainError,
-                 "critical constant must be positive", id="young-S"),
+                 "S must be finite and positive, got 0.0", id="young-S"),
+    # returned (0.0, 0.0)
+    pytest.param(lambda: young_lower(0.5, math.inf), DomainError,
+                 "S must be finite and positive, got inf", id="young-S-inf"),
+    # the dimension's one text (was "ball dim must be an integer >= 1")
+    pytest.param(lambda: DomainSpec.ball(2.0, 2.5), DomainError,
+                 "N must be an integer >= 1, got 2.5", id="ball-N"),
     pytest.param(lambda: bounds_for(Params(1, 0.25, 2.0, 1.5), DomainSpec.whole_space()),
                  RegimeError, "whole-space bounds need q >= 2, got q=1.5", id="rn-hilbert-q"),
     pytest.param(lambda: bounds_for(Params(1, 0.5, 2.0, 1.5), DomainSpec.whole_space()),

@@ -518,7 +518,28 @@ class TestThresholdsCommand:
         code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
                                               "--q", "1.5"])
         assert code == 2 and out == ""
-        assert "\nerror: whole-space bounds need q >= 2, got q=1.5\n" in err
+        # no Trudinger-Moser warning: no lower bound was printed
+        assert err.startswith("error: whole-space bounds need q >= 2, got q=1.5\n")
+
+    @pytest.mark.parametrize("c2", ["1", "2.5"])
+    def test_limiting_note_names_the_c2_used(self, capsys, c2):
+        # said "at supplied C2" also where --c2 was defaulted
+        argv = ["thresholds", "--N", "1", "--s", "0.5", "--q", "4"]
+        code, out, _ = run_capture(capsys, argv + (["--c2", c2] if c2 != "1" else []))
+        assert code == 0
+        assert json.loads(out)["result"]["S_note"] == (
+            f"S = whole-space lower bound at C2={float(c2)!r}")
+
+    def test_f3_overflow_leaves_the_record(self, capsys):
+        # (q/2) S^(q/2) = 2 S^2 overflowed to inf while S^2 is a double: the
+        # JSON writer raised a ValueError traceback
+        code, out, err = run_capture(capsys, ["thresholds", "--N", "1", "--s", "0.5",
+                                              "--q", "4", "--S", "1.3e154"])
+        assert code == 0 and err == ""
+        res = json.loads(out)["result"]
+        assert res["f3_coeff"] is None
+        assert res["S_note"] == ("caller-supplied S; f3_coeff not reported: (q/2) S^(q/2) "
+                                 "leaves the normal double range")
 
     def test_f3_underflow_leaves_the_record(self, capsys):
         # (q/2) S^(q/2) leaves the normal doubles from about q = 435 on, which
@@ -712,26 +733,40 @@ def test_grid_that_cannot_reach_the_bracket_says_so(capsys):
                            "quotient at least 2.17638e+59")
 
 
-_TM_WARNING = "warning: Trudinger-Moser constants --c1/--c2 defaulted"
+def _tm_warning(flag):
+    return (f"warning: Trudinger-Moser constant {flag} defaulted to 1.0; the "
+            "limiting-case lower bound is normalized, not certified\n")
 
 
-@pytest.mark.parametrize("argv, warns", [
-    (["bounds", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3"], False),
-    (["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2",
-      "--domain", "ball:1"], False),
-    (["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3"], True),
-    (["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3", "--c2", "2"], False),
-    (["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.5", "--q", "3",
-      "--domain", "rn:30", "--grid", "1024"], True),
+_LIMITING = ["bounds", "--N", "1", "--s", "0.5", "--p", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["bounds", "--p", "2", "--N", "1", "--s", "0.25", "--q", "3"], None,
+                 id="argv0-False"),
+    pytest.param(["bounds", "--p", "1", "--N", "2", "--s", "0.5", "--q", "1.2",
+                  "--domain", "ball:1"], None, id="argv1-False"),
+    pytest.param(["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3"], "--c2",
+                 id="argv2-True"),
+    pytest.param(["bounds", "--p", "2", "--N", "1", "--s", "0.5", "--q", "3", "--c2", "2"],
+                 None, id="argv3-False"),
+    pytest.param(["sweep", "--p", "2", "--N", "1", "--s", "0.25,0.5", "--q", "3",
+                  "--domain", "rn:30", "--grid", "1024"], "--c2", id="argv4-True"),
+    # these three warned by the regime and both flags: the first two said
+    # nothing of the defaulted constant their lower bound read, and the exact
+    # whole-space q = 2 bracket [1, 1] reads neither
+    pytest.param(_LIMITING + ["--q", "4", "--domain", "rn", "--c1", "5"], "--c2",
+                 id="rn-c1-given"),
+    pytest.param(_LIMITING + ["--q", "4", "--domain", "interval:-1,1", "--c2", "5"], "--c1",
+                 id="interval-c2-given"),
+    pytest.param(_LIMITING + ["--q", "2", "--domain", "rn"], None, id="rn-q2"),
 ])
-def test_tm_warning_only_at_limiting_points(capsys, argv, warns):
-    # C1/C2 enter only the limiting-case lower bounds
+def test_tm_warning_only_at_limiting_points(capsys, argv, flag):
+    # C1/C2 enter only the limiting-case lower bounds: the warning names the
+    # one that the printed lower bound read at its default
     code, _, err = run_capture(capsys, argv)
     assert code == 0
-    if warns:
-        assert err.startswith(_TM_WARNING)
-    else:
-        assert err == ""
+    assert err == (_tm_warning(flag) if flag else "")
 
 
 def _json_field(doc: dict, item: dict, column: str, argv: list[str]):
@@ -867,7 +902,9 @@ def test_parser_built_once_on_first_run():
 
 @pytest.mark.parametrize("S,word", [
     ("1e300", "1e+300 ** 3.0 = inf leaves the normal double range"),
-    ("inf", "S must be finite, got inf")])
+    # the id keeps the text of the rule's own copy, which `_positive` replaced
+    pytest.param("inf", "S must be finite and positive, got inf",
+                 id="inf-S must be finite, got inf")])
 def test_thresholds_refuse_S_out_of_range(capsys, S, word):
     # S = 1e300 raised a raw OverflowError (exit 1); S = inf printed "inf"
     # for S, c_star and both thresholds with exit 0
@@ -881,9 +918,13 @@ def test_thresholds_refuse_S_out_of_range(capsys, S, word):
 
 
 @pytest.mark.parametrize("field,word", [
-    ("bump:1,2,0", "width must be positive"),
-    ("bump:1,2,-1", "width must be positive"),
-    ("well:1,0.5,0", "width must be positive"),
+    # the width's rule is `_positive`'s (the ids keep the old text)
+    pytest.param("bump:1,2,0", "width must be finite and positive, got 0.0",
+                 id="bump:1,2,0-width must be positive"),
+    pytest.param("bump:1,2,-1", "width must be finite and positive, got -1.0",
+                 id="bump:1,2,-1-width must be positive"),
+    pytest.param("well:1,0.5,0", "width must be finite and positive, got 0.0",
+                 id="well:1,0.5,0-width must be positive"),
     ("bump:1,2,nan", "parameters must be finite"),
     ("bump:nan,2,1", "parameters must be finite"),
     ("bump:1,inf,1", "parameters must be finite"),

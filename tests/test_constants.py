@@ -315,14 +315,38 @@ class TestConstantValue:
     pytest.param(lambda: ConstantValue(1.0, ConstantKind.NUMERIC_ESTIMATE, "rayleigh-numeric",
                                        error_estimate=-1.0),
                  "error estimate must be nonnegative", id="negative-error"),
-    pytest.param(lambda: unit_ball_volume(0), "N must be >= 1, got 0", id="ball-N"),
+    pytest.param(lambda: unit_ball_volume(0), "N must be an integer >= 1, got 0",
+                 id="ball-N"),
     pytest.param(lambda: hardy_sobolev_A(1, 1.0), "s must lie in (0,1), got 1.0",
                  id="hardy-s"),
-    pytest.param(lambda: hardy_sobolev_A(0, 0.5), "N must be >= 1, got 0", id="hardy-N"),
+    pytest.param(lambda: hardy_sobolev_A(0, 0.5), "N must be an integer >= 1, got 0",
+                 id="hardy-N"),
     pytest.param(lambda: lieb_constant(1, 0.0), "s must lie in (0,1), got 0.0", id="lieb-s"),
     pytest.param(lambda: norm_bridge(1, 1.5), "s must lie in (0,1), got 1.5",
                  id="bridge-s"),
-    pytest.param(lambda: norm_bridge(0, 0.5), "N must be >= 1, got 0", id="bridge-N"),
+    pytest.param(lambda: norm_bridge(0, 0.5), "N must be an integer >= 1, got 0",
+                 id="bridge-N"),
+    # a non-integer N returned a value
+    pytest.param(lambda: unit_ball_volume(2.5), "N must be an integer >= 1, got 2.5",
+                 id="ball-N-fraction"),
+    pytest.param(lambda: hardy_sobolev_A(2.5, 0.3), "N must be an integer >= 1, got 2.5",
+                 id="hardy-N-fraction"),
+    pytest.param(lambda: frac_sobolev_hilbert(2.5, 0.5), "N must be an integer >= 1, got 2.5",
+                 id="hilbert-N-fraction"),
+    pytest.param(lambda: classical_sobolev(2.5, 2.0), "N must be an integer >= 1, got 2.5",
+                 id="classical-N-fraction"),
+    # one text for N > sp (lieb_constant and frac_sobolev_hilbert had their own)
+    pytest.param(lambda: lieb_constant(1, 0.5), "N must be > sp, got N=1, s=0.5, p=2.0",
+                 id="lieb-N"),
+    pytest.param(lambda: Params(1, 0.5, 2.0, 3.0).critical_exponent,
+                 "N must be > sp, got N=1, s=0.5, p=2.0", id="critical-exponent"),
+    # both said only "constant must be finite and positive, got 0.0"
+    pytest.param(lambda: lieb_loss_lower(1e300),
+                 "lieb_loss_lower = 0.0 leaves the normal double range at q=1e+300",
+                 id="lieb-loss-underflow"),
+    pytest.param(lambda: classical_sobolev(400, 399.9),
+                 "0.00025068939583861304 ** 398.9 = 0.0 leaves the normal double range at "
+                 "N=400, p=399.9", id="classical-underflow"),
     pytest.param(lambda: frac_sobolev_hilbert(2, -0.1), "s must lie in (0,1), got -0.1",
                  id="hilbert-s"),
     pytest.param(lambda: mazya_lower(2, 1.0, 1.0), "s must lie in (0,1), got 1.0",

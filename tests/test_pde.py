@@ -307,12 +307,20 @@ def _fields(M=16, value=1.0):
 
 
 @pytest.mark.parametrize("call,cls,message", [
-    pytest.param(lambda: ps_level(3.0, 0.0), DomainError, "S must be positive, got 0.0",
-                 id="S"),
-    pytest.param(lambda: coupling_alpha(2, 1.0, 3.0, 1.0), RegimeError,
-                 "classical variant needs N >= 3", id="classical-N"),
-    pytest.param(lambda: coupling_alpha(1, 0.5, 3.0, 1.0), RegimeError,
-                 "coupling_alpha needs N > 2s, got N=1, s=0.5", id="fractional-N"),
+    pytest.param(lambda: ps_level(3.0, 0.0), DomainError,
+                 "S must be finite and positive, got 0.0", id="S"),
+    # coupling_alpha restated the rules of the constants it reads
+    pytest.param(lambda: coupling_alpha(2, 1.0, 3.0, 1.0), DomainError,
+                 "classical_sobolev requires 1 < p < N, got N=2, p=2.0", id="classical-N"),
+    pytest.param(lambda: coupling_alpha(1, 0.5, 3.0, 1.0), DomainError,
+                 "N must be > sp, got N=1, s=0.5, p=2.0", id="fractional-N"),
+    # returned a value
+    pytest.param(lambda: coupling_alpha(2.5, 0.5, 3.0, 1.0), DomainError,
+                 "N must be an integer >= 1, got 2.5", id="fractional-N-fraction"),
+    # a bare power raised a raw OverflowError
+    pytest.param(lambda: nonlinearity_threshold(400, 0.01, 2.00001, 1.0), DomainError,
+                 "400 ** 20000.0 = inf leaves the normal double range at S=1.0, q=2.00001",
+                 id="threshold-N-power"),
     pytest.param(lambda: pohozaev_defect(_fields()[1], _fields()[1], 0.0), DomainError,
                  "lambda must lie in (0,1], got 0.0", id="lambda"),
     pytest.param(lambda: check_potential_hypotheses(_fields(value=-0.5)[1]), DomainError,

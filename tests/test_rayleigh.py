@@ -259,13 +259,54 @@ class TestMoserBoundCheck:
 
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda: bump_seminorm_sq(1, 0.5, 0.0),
-                 "invalid bump parameters N=1, s=0.5, k=0.0", id="seminorm-k"),
-    pytest.param(lambda: bump_lq_norm(1, 0.5, 0.5, 1.0),
-                 "invalid parameters N=1, s=0.5, q=0.5, k=1.0", id="lq-q"),
+                 "k must be finite and positive, got 0.0", id="seminorm-k"),
+    pytest.param(lambda: bump_lq_norm(1, 0.5, 0.5, 1.0), "q must be >= 1, got 0.5",
+                 id="lq-q"),
+    # returned 1.0
+    pytest.param(lambda: bump_lq_norm(1, 0.5, math.inf, 1.0), "q must be finite, got inf",
+                 id="lq-q-inf"),
+    # k = 1e300 raised a raw OverflowError, inf returned inf and 1e-320 returned 0.0
+    pytest.param(lambda: bump_seminorm_sq(1, 0.5, 1e300),
+                 "1e+300 ** 2.0 = inf leaves the normal double range at N=1, s=0.5, k=1e+300",
+                 id="seminorm-k-overflow"),
+    pytest.param(lambda: bump_seminorm_sq(1, 0.5, math.inf),
+                 "k must be finite and positive, got inf", id="seminorm-k-inf"),
+    pytest.param(lambda: bump_seminorm_sq(1, 0.5, 1e-320),
+                 "1e-320 ** 2.0 = 0.0 leaves the normal double range at N=1, s=0.5, k=1e-320",
+                 id="seminorm-k-underflow"),
+    pytest.param(lambda: bump_lq_norm(1, 0.5, 2.0, 1e300),
+                 "1e+300 ** 1.5 = inf leaves the normal double range at N=1, s=0.5, q=2.0, "
+                 "k=1e+300", id="lq-k-overflow"),
+    pytest.param(lambda: bump_lq_norm(1, 0.5, 2.0, math.inf),
+                 "k must be finite and positive, got inf", id="lq-k-inf"),
+    pytest.param(lambda: bump_lq_norm(1, 0.5, 2.0, 1e-320),
+                 "1e-320 ** 1.5 = 0.0 leaves the normal double range at N=1, s=0.5, q=2.0, "
+                 "k=1e-320", id="lq-k-underflow"),
+    # raised a raw OverflowError
+    pytest.param(lambda: objective_value(Objective.MOSER_LINE, Params(1, 0.5, 2.0, 2.001),
+                                         1e-320, 1.0),
+                 "1e-320 ** -0.9995002498750625 = inf leaves the normal double range at "
+                 "k=1e-320, K=1.0 at Params(N=1, s=0.5, p=2.0, q=2.001)", id="moser-line-k"),
+    pytest.param(lambda: objective_value(Objective.MOSER_BALL, Params(1, 0.5, 2.0, 2.001),
+                                         1e-320, 1.0),
+                 "1e-320 ** -0.9995002498750625 = inf leaves the normal double range at "
+                 "k=1e-320, K=1.0 at Params(N=1, s=0.5, p=2.0, q=2.001)", id="moser-ball-k"),
+    # returned inf
+    pytest.param(lambda: objective_value(Objective.BUMP, Params(1, 0.25, 2.0, 3.0), math.inf),
+                 "k must be finite and positive, got inf", id="objective-k-inf"),
+    # k* = e^(-1000) underflowed, and the objective raised a ZeroDivisionError
+    pytest.param(lambda: objective_minimizer(Objective.MOSER_BALL, Params(1, 0.5, 2.0, 2000.0)),
+                 "k* = 0.0 leaves the normal double range at Params(N=1, s=0.5, p=2.0, q=2000.0)",
+                 id="moser-ball-k-star"),
+    # a profile of infinite radius was built
+    pytest.param(lambda: RadialProfile.char_ball(math.inf),
+                 "profile radius k must be finite and positive, got inf", id="char-ball-k-inf"),
+    pytest.param(lambda: RadialProfile.bump(math.inf, 0.3),
+                 "profile radius k must be finite and positive, got inf", id="bump-k-inf"),
     pytest.param(lambda: objective_value("bump", Params(1, 0.25, 2.0, 3.0), 1.0),
                  "unknown objective 'bump'", id="objective"),
     pytest.param(lambda: objective_value(Objective.BUMP, Params(1, 0.25, 2.0, 3.0), 0.0),
-                 "k must be positive, got 0.0", id="objective-k"),
+                 "k must be finite and positive, got 0.0", id="objective-k"),
     pytest.param(lambda: objective_value(Objective.MOSER_LINE, Params(1, 0.5, 2.0, 4.0), 1.0),
                  "moser objectives need K > k", id="moser-K"),
     pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), 0.5, 3),
