@@ -183,7 +183,7 @@ def objective_minimizer(which: Objective, params: Params
 # ---------------------------------------------------------------------------
 # oracle-grade quadrature seminorm (N = 1)
 
-_DELTA = 1e-4  # near-diagonal cut; below it the profile modulus model applies
+_DELTA = 1e-4  # near-diagonal cut at radius 1; below it the profile modulus model applies
 
 
 def _difference_lp(profile: RadialProfile, p: float, ts: np.ndarray,
@@ -191,24 +191,28 @@ def _difference_lp(profile: RadialProfile, p: float, ts: np.ndarray,
     """D(t) = int |u(x+t) - u(x)|^p dx for each shift 0 < t <= 2k in ts.
 
     D(t) is the sum over the pieces [-k-t, -k], [-k, k-t] and [k-t, k],
-    which end at the kinks of u(x) and u(x + t).  Each piece is mapped onto
-    [0, 1] by x = x0(t) + (x1(t) - x0(t)) r, so every shift has its kinks at
-    r = 0 and r = 1, and each piece is one stacked quadrature with a row per
-    shift.  At t = 2k the middle piece has length 0 and adds exactly 0.
+    which end at the kinks of u(x) and u(x + t).  The profile is even, so
+    x -> -x - t maps the first piece onto the last: D(t) = 2 side(t) +
+    middle(t), with the side on [-k-t, -k] and the middle on [-k, k-t].
+    Each piece is mapped onto [0, 1] by x = x0(t) + (x1(t) - x0(t)) r, so
+    every shift has its kinks at r = 0 and r = 1.  Side and middle run as
+    one stacked quadrature, a row per piece and shift, on one shared mesh.
+    At t = 2k the middle piece has length 0 and adds exactly 0.
     """
     k = profile.k
     t = np.asarray(ts, dtype=float)[:, None]
-    total = 0.0
-    for x0, x1 in ((-k - t, -k), (-k, k - t), (k - t, k)):
-        width = x1 - x0
+    edge = np.full_like(t, -k)
+    x0 = np.concatenate([-k - t, edge])
+    width = np.concatenate([edge, k - t]) - x0
+    t = np.concatenate([t, t])
 
-        def piece(r):
-            x = x0 + width * r
-            return width * np.abs(profile(x + t) - profile(x)) ** p
+    def pieces(r):
+        x = x0 + width * r
+        return width * np.abs(profile(x + t) - profile(x)) ** p
 
-        v, _ = integrate(piece, 0.0, 1.0, cfg)
-        total += v
-    return total
+    v, _ = integrate(pieces, 0.0, 1.0, cfg)
+    side, middle = np.split(v, 2)
+    return 2.0 * side + middle
 
 
 def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
@@ -218,44 +222,49 @@ def gagliardo_seminorm_1d(profile: RadialProfile, s: float, p: float) -> float:
         int int |u(x)-u(y)|^p / |x-y|^(1+sp) dx dy
             = 2 int_0^inf D(t) t^(-1-sp) dt,   D(t) = int |u(x+t)-u(x)|^p dx.
 
-    The diagonal band t < 1e-4 is handled by the profile's smoothness
-    modulus (D(t) ~ C t^beta anchored at t = delta); t beyond the support
-    diameter contributes the exact disjoint-support tail D(diam) diam^(-sp)/sp.
+    The quadrature runs on the radius-1 profile: the bump of radius k is
+    k^(2 sigma) times it at x/k (sigma its cap exponent), the char-ball the
+    char-ball at x/k, so the seminorm is the unit one times k^(1 - sp +
+    2 sigma p), or k^(1 - sp), refused by `_power` and `_normal`.  The
+    diagonal band t < 1e-4 k is handled by the profile's smoothness modulus
+    (D(t) ~ C t^beta anchored at t = delta); t beyond the support diameter
+    contributes the exact disjoint-support tail D(diam) diam^(-sp)/sp.
     Each inner piece of D(t) ends at a kink of u(x) or u(x+t) and is mapped
     onto [0, 1], so the kinks sit at r = 0 and r = 1 for every shift; for the
     cap profile they are (x - x0)^s powers, which the inner quadrature
-    removes by declaring the endpoint exponent 1 - s on both ends.  The 15
-    shifts of an outer panel share one stacked inner quadrature per piece.
+    removes by declaring the endpoint exponent 1 - s on both ends.  The
+    mirror piece of D(t) is folded onto its side piece (the profile is
+    even), and the shifts of an outer panel, 15 or the 30 of a split, share
+    one stacked inner quadrature of their side and middle pieces.
     """
     Params(1, s, p, 1.0)   # refuses s outside (0, 1) and p other than 1 and 2
     sp = s * p
     if profile.kind == "char_ball" and sp >= 1.0:
         raise DomainError(
             f"characteristic functions are not in W^(s,p) for sp >= 1 (sp={sp})")
-    kink = 1.0 - profile.s if profile.kind == "bump" else None
+    at = f"k={profile.k!r}, s={s}, p={p}"
+    bump = profile.kind == "bump"
+    scale = _power(profile.k, 1.0 - sp + (2.0 * profile.s * p if bump else 0.0), at)
+    unit = RadialProfile(profile.kind, 1.0, profile.s)
+    kink = 1.0 - profile.s if bump else None
     inner = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-8, max_subdivisions=400,
                              left_singularity_exponent=kink,
                              right_singularity_exponent=kink)
 
-    diam = 2.0 * profile.k
-    delta = min(_DELTA, 0.5 * diam)
-
+    diam = 2.0
     # smoothness exponent of D(t) as t -> 0
-    if p == 1 or profile.kind == "char_ball":
-        beta_exp = 1.0
-    else:
-        beta_exp = min(2.0, 1.0 + 2.0 * profile.s)
+    beta_exp = 1.0 if p == 1 or not bump else min(2.0, 1.0 + 2.0 * profile.s)
     # the supports of u and u(. + diam) are disjoint: D(diam) = 2 ||u||_p^p
-    d_delta, d_diam = _difference_lp(profile, p, [delta, diam], inner)
-    near = d_delta / delta ** beta_exp * delta ** (beta_exp - sp) / (beta_exp - sp)
+    d_delta, d_diam = _difference_lp(unit, p, [_DELTA, diam], inner)
+    near = d_delta / _DELTA ** beta_exp * _DELTA ** (beta_exp - sp) / (beta_exp - sp)
 
     mid, _ = integrate(
-        lambda ts: _difference_lp(profile, p, ts, inner) * ts ** (-1.0 - sp),
-        delta, diam, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400))
+        lambda ts: _difference_lp(unit, p, ts, inner) * ts ** (-1.0 - sp),
+        _DELTA, diam, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400))
 
     tail = d_diam * diam ** (-sp) / sp
 
-    return float(2.0 * (near + mid + tail))
+    return _normal(float(2.0 * (near + mid + tail)) * scale, "the seminorm", at)
 
 
 _LANDEN = math.sqrt(2.0) - 1.0   # fixed point of t -> (1-t)/(1+t)

@@ -2,9 +2,11 @@
 
 They are kept here, as they were, as independent references: the radial and
 angular quadrature of the fractional Hardy constant A(N, s) and of its
-kernel, and the double quadrature of the truncated-log seminorm in
-`moser_bound_check`.  They are slow (0.05 to 0.5 s a call) and refuse
-points where the angular integrand overflows a double.
+kernel, the double quadrature of the truncated-log seminorm in
+`moser_bound_check`, and the three-piece difference integral D(t) of the
+Gagliardo oracle, from before its mirror piece was folded.  They are slow
+(0.05 to 0.5 s a call) and refuse points where the angular integrand
+overflows a double.
 """
 import math
 
@@ -120,3 +122,22 @@ def moser_nested_quadrature(k: float, K: float, cfg: QuadratureConfig | None = N
     numeric = (2.0 / math.pi) * 2.0 * val
     bound = math.pi * math.log(K / k)
     return numeric, bound, bound - numeric
+
+
+def difference_lp_three_pieces(profile, p: float, ts, cfg: QuadratureConfig) -> np.ndarray:
+    """D(t) = int |u(x+t) - u(x)|^p dx of `rayleigh._difference_lp`, as the
+    sum over the pieces [-k-t, -k], [-k, k-t] and [k-t, k], one stacked
+    quadrature per piece."""
+    k = profile.k
+    t = np.asarray(ts, dtype=float)[:, None]
+    total = 0.0
+    for x0, x1 in ((-k - t, -k), (-k, k - t), (k - t, k)):
+        width = x1 - x0
+
+        def piece(r):
+            x = x0 + width * r
+            return width * np.abs(profile(x + t) - profile(x)) ** p
+
+        v, _ = integrate(piece, 0.0, 1.0, cfg)
+        total += v
+    return total

@@ -19,7 +19,7 @@ from fracsob.rayleigh import (
     objective_value,
 )
 from fracsob.specfun import QuadratureConfig, integrate
-from quadrature_oracles import moser_nested_quadrature
+from quadrature_oracles import difference_lp_three_pieces, moser_nested_quadrature
 
 
 def rel(a, b):
@@ -145,11 +145,28 @@ class TestGagliardo:
         assert rel(got, CHAR_GAG_1_05) < 1e-8
 
     def test_char_scaling(self):
+        # the quadrature runs at radius 1 and is scaled by k^(1-s)
         s = 0.5
         base = gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), s, 1)
         for k in (0.5, 2.0):
             got = gagliardo_seminorm_1d(RadialProfile.char_ball(k), s, 1)
-            assert rel(got / base, k ** (1.0 - s)) < 1e-4
+            assert rel(got / base, k ** (1.0 - s)) < 1e-15
+
+    @pytest.mark.parametrize("kind,k,sigma,s,p,exponent", [
+        # raised "overflow encountered in multiply"
+        ("bump", 1e150, 0.3, 0.3, 2, 1.6),
+        # returned 0.0
+        ("bump", 1e-150, 0.3, 0.3, 2, 1.6),
+        # raised "overflow encountered in power"
+        ("char_ball", 1e-300, None, 0.3, 1, 0.7),
+        ("char_ball", 1e300, None, 0.5, 1, 0.5),
+        # a cap exponent sigma other than s: k^(1 - sp + 2 sigma p)
+        ("bump", 1e100, 0.3, 0.25, 1, 1.35),
+    ])
+    def test_extreme_radius_is_the_unit_value_scaled(self, kind, k, sigma, s, p, exponent):
+        got = gagliardo_seminorm_1d(RadialProfile(kind, k, sigma), s, p)
+        unit = gagliardo_seminorm_1d(RadialProfile(kind, 1.0, sigma), s, p)
+        assert rel(got, unit * k ** exponent) < 1e-14
 
     def test_bump_vs_bridge_identity(self):
         # Gagliardo seminorm squared = (2/B(N,s)) * half-Laplacian energy
@@ -181,7 +198,7 @@ class TestGagliardo:
 
 class TestStackedDifference:
     """D(t) = int |u(x+t) - u(x)|^p dx over an array of shifts, one stacked
-    inner quadrature per piece."""
+    inner quadrature of the side and middle pieces."""
 
     @staticmethod
     def inner(kink=None):
@@ -204,9 +221,28 @@ class TestStackedDifference:
                                     self.inner(1.0 - s))
         assert rel(d[-1], 2.0 * bump_lq_norm(1, s, 2.0, k) ** 2) < 1e-10
 
+    @pytest.mark.parametrize("profile,p", [
+        (RadialProfile.char_ball(0.75), 1), (RadialProfile.char_ball(1.0), 2),
+        (RadialProfile.bump(1.0, 0.25), 2), (RadialProfile.bump(0.6, 0.45), 2),
+    ], ids=["char-p1", "char-p2", "bump-0.25", "bump-0.45"])
+    def test_mirror_fold_equals_the_three_pieces(self, profile, p):
+        # D(t) = 2 side(t) + middle(t) in one stacked call, against the sum
+        # of the pieces [-k-t, -k], [-k, k-t] and [k-t, k], one call each.
+        # At the oracle's rel_tol 1e-8 the two meshes differ and so do the
+        # values, by up to 6e-11 at s = 0.45; at 1e-12 the fold is exact
+        k = profile.k
+        ts = np.array([1e-4, 0.7 * k, 2.0 * k])
+        kink = None if profile.s is None else 1.0 - profile.s
+        cfg = QuadratureConfig(abs_tol=1e-25, rel_tol=1e-12, left_singularity_exponent=kink,
+                               right_singularity_exponent=kink)
+        got = rayleigh._difference_lp(profile, p, ts, cfg)
+        want = difference_lp_three_pieces(profile, p, ts, cfg)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
     def test_bump_seminorm_work(self, monkeypatch):
-        # one inner quadrature per piece and outer panel, not one per shift
-        # (over 1100 integrate calls when each shift had its own)
+        # one inner quadrature of side and middle per outer panel or split,
+        # not one per shift (over 1100 integrate calls when each shift had
+        # its own, 79 with a call per piece and per child of a split)
         calls = []
 
         def counted(*args, **kwargs):
@@ -216,7 +252,7 @@ class TestStackedDifference:
         monkeypatch.setattr(rayleigh, "integrate", counted)
         got = gagliardo_seminorm_1d(RadialProfile.bump(1.0, 0.25), 0.25, 2)
         assert rel(got, BUMP_GAG_1_025) < 1e-8
-        assert len(calls) <= 120
+        assert len(calls) <= 20
 
 
 class TestMoserBoundCheck:
@@ -313,6 +349,17 @@ class TestMoserBoundCheck:
                  "p must be 1 or 2, got 3", id="gagliardo-p"),
     pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.char_ball(1.0), 1.0, 1),
                  "s must lie in (0,1), got 1.0", id="gagliardo-s"),
+    # raised "invalid value encountered in scalar divide"
+    pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.bump(1e-300, 0.3), 0.3, 2),
+                 "1e-300 ** 1.6 = 0.0 leaves the normal double range at k=1e-300, s=0.3, p=2",
+                 id="gagliardo-k-underflow"),
+    pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.bump(1e300, 0.3), 0.3, 2),
+                 "1e+300 ** 1.6 = inf leaves the normal double range at k=1e+300, s=0.3, p=2",
+                 id="gagliardo-k-overflow"),
+    # a normal power whose product with the unit seminorm overflows
+    pytest.param(lambda: gagliardo_seminorm_1d(RadialProfile.char_ball(1.7e308), 0.001, 1),
+                 "the seminorm = inf leaves the normal double range at k=1.7e+308, s=0.001, "
+                 "p=1", id="gagliardo-seminorm-overflow"),
 ])
 def test_refusal_names_its_input(call, message):
     with pytest.raises(DomainError) as info:

@@ -6,6 +6,7 @@ import pytest
 from fracsob.errors import DomainError, QuadratureError
 from fracsob.specfun import (
     QuadratureConfig,
+    _gk15,
     beta_fn,
     gamma_fn,
     integrate,
@@ -221,3 +222,62 @@ def test_panel_at_machine_resolution_is_parked():
     with pytest.raises(QuadratureError, match="after 5 subdivisions"):
         integrate(one, 1.0, math.nextafter(1.0, 2.0), cfg)
     assert len(calls) == 1
+
+
+def _recorded(f, nodes):
+    def g(x):
+        nodes.append(x)
+        return f(x)
+
+    return g
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(-x) * np.sin(30.0 * x) + x ** -0.5,
+    lambda x: np.stack([x ** -0.5, np.cos(7.0 * x), np.sqrt(x)]),
+], ids=["scalar", "stacked"])
+@pytest.mark.parametrize("x0,x1", [(0.0, 1.0), (0.1, 0.7), (1.0 / 3.0, 2.9)])
+def test_split_children_are_two_panels_bit_for_bit(f, x0, x1):
+    # the 30 nodes of a split are the two halves' own nodes, and its two
+    # (value, error) pairs are those of the halves evaluated one at a time
+    xm = 0.5 * (x0 + x1)
+    pair, halves = [], []
+    got = _gk15(_recorded(f, pair), (x0, xm, x1))
+    want = _gk15(_recorded(f, halves), (x0, xm)) + _gk15(_recorded(f, halves), (xm, x1))
+    assert len(pair) == 1 and np.array_equal(pair[0], np.concatenate(halves))
+    assert len(got) == 2
+    for (v, e), (wv, we) in zip(got, want):
+        assert type(v) is type(wv) and type(e) is type(we)
+        assert np.array_equal(v, wv) and np.array_equal(e, we)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_non_finite_value_names_its_half_of_a_split(stacked):
+    # 0.75 is the centre node of the right half [0.5, 1]
+    def f(x):
+        with np.errstate(divide="ignore"):
+            y = 1.0 / (x - 0.75)
+        return np.stack([x, y]) if stacked else y
+
+    with pytest.raises(QuadratureError, match=r"panel \[0\.5, 1\.0\]$"):
+        _gk15(f, (0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("kink", [None, 0.5], ids=["plain", "declared-endpoint"])
+def test_a_split_costs_one_integrand_call(kink):
+    # max_subdivisions counts the start's pieces (one, or two with a declared
+    # endpoint) and one per split, so 8 subdivisions are 8 - pieces splits:
+    # one call on 15 nodes per piece, then one on 30 nodes per split
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.abs(x - 0.3712) ** -0.5
+
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=8,
+                           left_singularity_exponent=kink)
+    with pytest.raises(QuadratureError, match="after 8 subdivisions"):
+        integrate(f, 0.0, 1.0, cfg)
+    pieces = 1 if kink is None else 2
+    assert sizes == [15] * pieces + [30] * (8 - pieces)
+
